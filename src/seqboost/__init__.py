@@ -12,12 +12,9 @@ from .models import (
     LossReport,
     NGramModel,
     SequentialModel,
-    TabularModel,
     UniformModel,
     kl_gradient,
     log_loss,
-    loglinear_partition,
-    loglinear_prob,
     ngram_mle_fit,
     sample_many,
     sample_sequence,
@@ -48,7 +45,6 @@ from .boost import (
     BoostTrace,
     ReweightedModel,
     iteration_bound,
-    reweight_stepwise,
     reweight_whole,
     run_boost,
 )

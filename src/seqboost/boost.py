@@ -31,31 +31,33 @@ class ReweightedModel(SequentialModel):
     """A base model with an ordered list of (weight, step distinguisher) factors.
 
     Conditionals are the base conditionals times exp(-sum_t b_t g_t), with a
-    per-prefix partition.  Computed in log space; an empty factor list leaves
-    the base untouched.  ``partition_scale`` is a test hook that deliberately
-    mis-scales the partition (1.0 in all real use).
+    per-prefix partition, cached per prefix.  Computed in log space; an empty
+    factor list leaves the base untouched.  Weights must be nonnegative (a
+    negative weight is a flipped distinguisher).  ``partition_scale`` is a
+    test hook that deliberately mis-scales the partition (1.0 in all real use).
     """
 
     def __init__(
         self,
         base: SequentialModel,
         factors: list[tuple[float, StepDistinguisher]] | None = None,
-        memoize: bool = True,
         partition_scale: float = 1.0,
     ):
+        factors = list(factors or [])
+        if any(b < 0 for b, _ in factors):
+            raise ValueError("weight must be nonnegative; flip the distinguisher instead")
         if isinstance(base, ReweightedModel):
-            factors = list(base.factors) + list(factors or [])
+            factors = base.factors + factors
             base = base.base
         self.base = base
-        self.factors = list(factors or [])
+        self.factors = factors
         self.vocab = base.vocab
         self.length = base.length
-        self.memoize = memoize
         self.partition_scale = partition_scale
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        if self.memoize and prefix in self._cache:
+        if prefix in self._cache:
             return self._cache[prefix]
         base_dist = self.base.next_token_dist(prefix)
         if not self.factors:
@@ -72,8 +74,7 @@ class ReweightedModel(SequentialModel):
         weights = np.zeros(n)
         weights[finite] = np.exp(logs[finite] - shift)
         dist = weights / (weights.sum() * self.partition_scale)
-        if self.memoize:
-            self._cache[prefix] = dist
+        self._cache[prefix] = dist
         return dist
 
 
@@ -86,20 +87,10 @@ def reweight_whole(q: JointTable, f, a: float) -> JointTable:
     return JointTable(q.vocab, q.length, unnorm / unnorm.sum())
 
 
-def reweight_stepwise(
-    q: SequentialModel, g: StepDistinguisher, b: float, memoize: bool = True
-) -> ReweightedModel:
-    """Append one (b, g) factor; conditionals renormalize per prefix."""
-    if b < 0:
-        raise ValueError("weight must be nonnegative; flip the distinguisher instead")
-    return ReweightedModel(q, [(b, g)], memoize=memoize)
-
-
 @dataclass(frozen=True)
 class BoostConfig:
     epsilon: float
     max_iters: int | None = None  # default: 10 x the iteration bound
-    memoize: bool = True
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -166,7 +157,7 @@ def run_boost(
     cap = config.max_iters
     if cap is None:
         cap = max(1, 10 * iteration_bound(loss0, corpus.length, config.epsilon))
-    model = ReweightedModel(q0, [], memoize=config.memoize)
+    model = ReweightedModel(q0, [])
     current_loss = loss0
     for t in range(cap):
         t0 = time.perf_counter()
@@ -178,7 +169,7 @@ def run_boost(
             trace.records.append(IterationRecord(t, b, current_loss, t1 - t0, t2 - t1))
             trace.termination = "indistinguishable"
             return model, trace
-        model = ReweightedModel(model, [(b, g)], memoize=config.memoize)
+        model = ReweightedModel(model, [(b, g)])
         current_loss = log_loss(model, corpus).log_loss
         t2 = time.perf_counter()
         trace.records.append(IterationRecord(t, b, current_loss, t1 - t0, t2 - t1))

@@ -41,7 +41,7 @@ from .exact import (
     sequence_index,
     total_variation,
 )
-from .models import LogLinearModel, TabularModel, UniformModel, kl_gradient, log_loss
+from .models import LogLinearModel, UniformModel, kl_gradient, log_loss
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def whole_reweight_suite(count: int = 200, seed: int = 1) -> PropertyResult:
         corpus = random_corpus(rng, vocab, 1, int(rng.integers(3, 26)))
         fvals = rng.random(vocab.n)
         f = Distinguisher(lambda x, fv=fvals: float(fv[x.token_ids[0]]))
-        a = training_advantage(f, corpus, TabularModel(vocab, 1, q.probs)).value
+        a = training_advantage(f, corpus, q).value
         if a < 0:
             fvals = 1.0 - fvals
             a = -a
@@ -124,7 +124,7 @@ def stepwise_reweight_suite(
     for _ in range(count):
         vocab = make_vocab(int(rng.integers(2, 6)))
         length = int(rng.integers(1, 4))
-        q = TabularModel(vocab, length, random_table(rng, vocab, length).probs)
+        q = random_table(rng, vocab, length)
         corpus = random_corpus(rng, vocab, length, int(rng.integers(3, 16)))
         g = random_step_distinguisher(rng, vocab, length)
         b = generalized_advantage(g, corpus, q).value
@@ -153,14 +153,12 @@ def log_ratio_suite(count: int = 200, seed: int = 3) -> PropertyResult:
         q2t = random_table(rng, vocab, length)
         corpus = random_corpus(rng, vocab, length, int(rng.integers(3, 16)))
         c = minimal_ratio_bound(qt, q2t)
-        qm = TabularModel(vocab, length, qt.probs)
-        q2m = TabularModel(vocab, length, q2t.probs)
-        f = log_ratio_distinguisher(qm, q2m, c)
+        f = log_ratio_distinguisher(qt, q2t, c)
         for x in qt.domain:
             v = f(x)  # raises on a ratio violation
             assert 0.0 <= v <= 1.0
-        alpha = training_advantage(f, corpus, qm).value
-        gap = log_loss(qm, corpus).log_loss - log_loss(q2m, corpus).log_loss
+        alpha = training_advantage(f, corpus, qt).value
+        gap = log_loss(qt, corpus).log_loss - log_loss(q2t, corpus).log_loss
         slack = alpha - gap / (2.0 * math.log(c))
         min_slack = min(min_slack, slack)
     return PropertyResult("log-ratio-advantage-bound", count, min_slack, min_slack >= -1e-9)

@@ -68,18 +68,24 @@ def default_outdir(cfg: dict[str, str]) -> Path:
     return path
 
 
-def _load_corpus_checked(path, length, vocab_path=None):
+def _load_corpus_checked(path, length, vocab=None):
     if path is None:
         raise click.UsageError("corpus path is required")
     if not Path(path).exists():
         raise click.UsageError(f"corpus file not found: {path}")
     if length is None:
         raise click.UsageError("sequence length is required")
-    vocab = Vocabulary.load(vocab_path) if vocab_path else None
     try:
         return load_corpus(path, int(length), vocab=vocab)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _load_heldout(path, length, model):
+    """A corpus read in the model's vocabulary; its length must be the model's."""
+    if length is not None and int(length) != model.length:
+        raise click.UsageError(f"length {length} does not match the model's length {model.length}")
+    return _load_corpus_checked(path, length, model.vocab)[0]
 
 
 @click.group()
@@ -102,7 +108,9 @@ def fit(config_path, corpus_path, length, order, lam, vocab_path, model_out):
     length = pick(length, cfg, "length", cast=int)
     order = pick(order, cfg, "order", default=1, cast=int)
     lam = pick(lam, cfg, "lambda", default=0.0, cast=float)
-    corpus, _ = _load_corpus_checked(corpus_path, length, pick(vocab_path, cfg, "vocab"))
+    vocab_path = pick(vocab_path, cfg, "vocab")
+    vocab = Vocabulary.load(vocab_path) if vocab_path else None
+    corpus, _ = _load_corpus_checked(corpus_path, length, vocab)
     model = ngram_mle_fit(corpus, order, lam)
     out = Path(pick(model_out, cfg, "model_out", default=default_outdir(cfg) / "model.txt"))
     save_model(model, out)
@@ -203,13 +211,15 @@ def _parse_step_distinguisher(spec: str, vocab: Vocabulary, q_model):
 def distinguish(config_path, corpus_path, length, model_path, dist_spec, estimator, samples, seed):
     """Evaluate a named distinguisher's whole-sequence and step-wise advantages."""
     cfg = read_config(config_path)
-    corpus, _ = _load_corpus_checked(pick(corpus_path, cfg, "corpus"),
-                                     pick(length, cfg, "length", cast=int))
     model_path = pick(model_path, cfg, "model")
     if model_path is None:
         raise click.UsageError("a model file is required")
     model = load_model(model_path)
-    g = _parse_step_distinguisher(dist_spec, corpus.vocab, model)
+    corpus = _load_heldout(pick(corpus_path, cfg, "corpus"), pick(length, cfg, "length", cast=int), model)
+    try:
+        g = _parse_step_distinguisher(dist_spec, model.vocab, model)
+    except KeyError as exc:
+        raise click.UsageError(exc.args[0])
     alpha = training_advantage(g.as_whole(), corpus, model, estimator=estimator,
                                samples=samples, seed=seed)
     beta = generalized_advantage(g, corpus, model)
@@ -250,7 +260,7 @@ def eval(config_path, model_path, corpus_path, length, table_path, budget):
     did_anything = False
     corpus_path = pick(corpus_path, cfg, "corpus")
     if corpus_path:
-        corpus, _ = _load_corpus_checked(corpus_path, pick(length, cfg, "length", cast=int))
+        corpus = _load_heldout(corpus_path, pick(length, cfg, "length", cast=int), model)
         try:
             loss = log_loss(model, corpus).log_loss
             click.echo(f"log-loss: {loss:.6g} nats ({loss * NATS_TO_BITS:.6g} bits)")

@@ -25,10 +25,12 @@ class Vocabulary:
     pad_token: str = DEFAULT_PAD
 
     def __post_init__(self) -> None:
-        if len(set(self.tokens)) != len(self.tokens):
+        ids = {t: i for i, t in enumerate(self.tokens)}
+        if len(ids) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
         if not self.tokens or self.tokens[0] != self.pad_token:
             raise ValueError("pad token must be present with id 0")
+        object.__setattr__(self, "_ids", ids)
 
     @classmethod
     def build(cls, tokens: Iterable[str], pad_token: str = DEFAULT_PAD) -> "Vocabulary":
@@ -47,8 +49,8 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         try:
-            return self.tokens.index(token)
-        except ValueError:
+            return self._ids[token]
+        except KeyError:
             raise KeyError(f"token {token!r} not in vocabulary") from None
 
     def token_of(self, token_id: int) -> str:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import Corpus, Sequence, Vocabulary
-from .exact import DEFAULT_BUDGET, JointTable, enumerate_joint
+from .exact import DEFAULT_BUDGET, JointTable, check_shared, enumerate_joint, sequence_index
 from .models import SequentialModel, sample_many, sequence_log_prob
 
 
@@ -68,8 +68,7 @@ class AdvantageEstimate:
 
 def advantage_exact(f: Distinguisher, p: JointTable, q: JointTable) -> float:
     """sum_x f(x) (q(x) - p(x)) over the shared domain."""
-    if p.vocab.tokens != q.vocab.tokens or p.length != q.length:
-        raise ValueError("mismatched domains")
+    check_shared(p, q)
     # Skip entries outside both supports so partial distinguishers (log-ratio)
     # never get evaluated where neither distribution puts mass.
     return float(
@@ -145,10 +144,7 @@ def generalized_advantage(
 
 def bayes_optimal_distinguisher(p: JointTable, q: JointTable) -> Distinguisher:
     """Indicator of q(x) > p(x); its exact advantage is the total variation."""
-    if p.vocab.tokens != q.vocab.tokens or p.length != q.length:
-        raise ValueError("mismatched domains")
-    from .exact import sequence_index
-
+    check_shared(p, q)
     bits = (q.probs > p.probs).astype(float)
     vocab = p.vocab
     return Distinguisher(
@@ -158,8 +154,7 @@ def bayes_optimal_distinguisher(p: JointTable, q: JointTable) -> Distinguisher:
 
 def minimal_ratio_bound(q: JointTable, q2: JointTable) -> float:
     """Smallest C >= 1 with q/C <= q2 <= C q on the (shared) support."""
-    if q.vocab.tokens != q2.vocab.tokens or q.length != q2.length:
-        raise ValueError("mismatched domains")
+    check_shared(q, q2)
     s1 = q.probs > 0
     s2 = q2.probs > 0
     if np.any(s1 != s2):

@@ -6,15 +6,17 @@ are desk-scale checks, not estimators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .corpus import Sequence, Vocabulary
-from .models import SequentialModel, sequence_log_prob
+from .models import SequentialModel
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -24,20 +26,12 @@ class BudgetExceededError(ValueError):
 
 
 def all_sequences(vocab: Vocabulary, length: int) -> list[Sequence]:
-    """All n^N raw sequences in lexicographic token-id order."""
-    n = vocab.n
-    out = []
-    for idx in range(n**length):
-        ids = []
-        rem = idx
-        for _ in range(length):
-            rem, t = divmod(rem, n)
-            ids.append(t)
-        out.append(Sequence.from_raw(tuple(reversed(ids))))
-    return out
+    """All n^N raw sequences, the i-th being the one with ``sequence_index`` i."""
+    return [Sequence.from_raw(ids) for ids in itertools.product(range(vocab.n), repeat=length)]
 
 
 def sequence_index(vocab: Vocabulary, ids: tuple[int, ...]) -> int:
+    """Lexicographic index of a token-id tuple: its ids read as base-n digits."""
     idx = 0
     for t in ids:
         idx = idx * vocab.n + t
@@ -45,8 +39,13 @@ def sequence_index(vocab: Vocabulary, ids: tuple[int, ...]) -> int:
 
 
 @dataclass
-class JointTable:
-    """Explicit probabilities for every sequence, in lexicographic order."""
+class JointTable(SequentialModel):
+    """Explicit probabilities for every sequence, in lexicographic order.
+
+    As a sequential model its conditionals come by marginalization: every
+    prefix owns a contiguous block of indices, so a conditional is a set of
+    block sums over a cumulative-sum array.
+    """
 
     vocab: Vocabulary
     length: int
@@ -61,13 +60,26 @@ class JointTable:
             raise ValueError("negative probability")
         if abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValueError("probabilities do not sum to 1")
-        self._domain: list[Sequence] | None = None
 
-    @property
+    @cached_property
     def domain(self) -> list[Sequence]:
-        if self._domain is None:
-            self._domain = all_sequences(self.vocab, self.length)
-        return self._domain
+        return all_sequences(self.vocab, self.length)
+
+    @cached_property
+    def _cumsum(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.probs)])
+
+    def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
+        n = self.vocab.n
+        width = n ** (self.length - len(prefix))
+        base = sequence_index(self.vocab, prefix) * width
+        masses = np.diff(self._cumsum[base : base + width + 1 : width // n])
+        total = masses.sum()
+        if total <= 0.0:
+            # Zero-mass prefix: conditional is undefined; fall back to uniform
+            # to keep the distribution contract intact.
+            return np.full(n, 1.0 / n)
+        return masses / total
 
     def prob_of(self, seq: Sequence) -> float:
         return float(self.probs[sequence_index(self.vocab, seq.token_ids)])
@@ -80,7 +92,7 @@ class JointTable:
                 fh.write(f"{label},{p:.17g}\n")
 
 
-def _check_shared(p: JointTable, q: JointTable) -> None:
+def check_shared(p: JointTable, q: JointTable) -> None:
     if p.vocab.tokens != q.vocab.tokens or p.length != q.length:
         raise ValueError("mismatched domains")
 
@@ -93,22 +105,18 @@ def enumerate_joint(
     if n**N > budget:
         raise BudgetExceededError(f"enumeration budget exceeded: {n}^{N} > {budget}")
     level = np.zeros(1)  # log-probabilities of all prefixes of the current length
-    prefixes: list[tuple[int, ...]] = [()]
-    for _ in range(N):
-        nxt = np.empty(len(prefixes) * n)
-        nxt_prefixes: list[tuple[int, ...]] = []
-        for i, prefix in enumerate(prefixes):
-            dist = model.next_token_dist(prefix)
-            with np.errstate(divide="ignore"):
-                nxt[i * n : (i + 1) * n] = level[i] + np.log(dist)
-            nxt_prefixes.extend(prefix + (t,) for t in range(n))
-        level, prefixes = nxt, nxt_prefixes
+    with np.errstate(divide="ignore"):
+        for j in range(N):
+            nxt = np.empty(n ** (j + 1))
+            for i, prefix in enumerate(itertools.product(range(n), repeat=j)):
+                nxt[i * n : (i + 1) * n] = level[i] + np.log(model.next_token_dist(prefix))
+            level = nxt
     return JointTable(model.vocab, N, np.exp(level))
 
 
 def kl_divergence(p: JointTable, q: JointTable) -> float:
     """KL(p || q) in nats; math.inf when q misses mass that p has."""
-    _check_shared(p, q)
+    check_shared(p, q)
     support = p.probs > 0
     if np.any(q.probs[support] <= 0):
         return math.inf
@@ -118,7 +126,7 @@ def kl_divergence(p: JointTable, q: JointTable) -> float:
 
 def cross_entropy(p: JointTable, q: JointTable) -> float:
     """-sum_x p(x) log q(x) = entropy(p) + KL(p || q)."""
-    _check_shared(p, q)
+    check_shared(p, q)
     support = p.probs > 0
     if np.any(q.probs[support] <= 0):
         return math.inf
@@ -126,7 +134,7 @@ def cross_entropy(p: JointTable, q: JointTable) -> float:
 
 
 def total_variation(p: JointTable, q: JointTable) -> float:
-    _check_shared(p, q)
+    check_shared(p, q)
     return float(0.5 * np.abs(p.probs - q.probs).sum())
 
 
@@ -135,7 +143,7 @@ def distinguishability_exhaustive(q: JointTable, p: JointTable, family):
 
     Returns (value, distinguisher); value is d(q) restricted to the family.
     """
-    _check_shared(p, q)
+    check_shared(p, q)
     family = list(family)
     if not family:
         raise ValueError("empty distinguisher family")

@@ -9,6 +9,7 @@ log space so N-length products cannot underflow.
 from __future__ import annotations
 
 import abc
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence as PySeq
@@ -18,8 +19,6 @@ import numpy as np
 from .corpus import Corpus, Sequence, Vocabulary
 
 PAD_ID = 0
-
-_DIST_TOL = 1e-9
 
 
 class SequentialModel(abc.ABC):
@@ -68,57 +67,6 @@ class UniformModel(SequentialModel):
         if prefix[-1] == PAD_ID:
             return self._pad_onehot
         return self._all
-
-
-class TabularModel(SequentialModel):
-    """Explicit distribution over all n^N sequences, conditionals by marginalization.
-
-    Sequences are indexed lexicographically by token id (base-n digits), so
-    every prefix owns a contiguous block of indices and conditionals reduce to
-    block sums over a cumulative-sum array.
-    """
-
-    def __init__(self, vocab: Vocabulary, length: int, probs: np.ndarray):
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (vocab.n**length,):
-            raise ValueError(f"need {vocab.n ** length} probabilities, got {probs.shape}")
-        if np.any(probs < -1e-12):
-            raise ValueError("negative probability in table")
-        if abs(probs.sum() - 1.0) > _DIST_TOL:
-            raise ValueError("table does not sum to 1")
-        self.vocab = vocab
-        self.length = length
-        self.probs = probs
-        self._cumsum = np.concatenate([[0.0], np.cumsum(probs)])
-
-    def _block(self, prefix: tuple[int, ...]) -> tuple[int, int]:
-        n = self.vocab.n
-        width = n ** (self.length - len(prefix))
-        base = 0
-        for t in prefix:
-            base = base * n + t
-        base *= width
-        return base, width
-
-    def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        n = self.vocab.n
-        base, width = self._block(prefix)
-        sub = width // n
-        edges = self._cumsum[base : base + width + 1 : sub]
-        masses = np.diff(edges)
-        total = masses.sum()
-        if total <= 0.0:
-            # Zero-mass prefix: conditional is undefined; fall back to uniform
-            # to keep the distribution contract intact.
-            return np.full(n, 1.0 / n)
-        return masses / total
-
-    def prob_of_ids(self, ids: tuple[int, ...]) -> float:
-        n = self.vocab.n
-        idx = 0
-        for t in ids:
-            idx = idx * n + t
-        return float(self.probs[idx])
 
 
 class NGramModel(SequentialModel):
@@ -275,14 +223,8 @@ class LogLinearModel:
         return self.theta.shape[0]
 
     def with_theta(self, theta: np.ndarray) -> "LogLinearModel":
-        out = object.__new__(LogLinearModel)
-        out.domain = self.domain
-        out.features = self.features
+        out = copy.copy(self)
         out.theta = np.asarray(theta, dtype=float)
-        out.vocab = self.vocab
-        out.length = self.length
-        out._index = self._index
-        out.feature_matrix = self.feature_matrix
         return out
 
     def scores(self) -> np.ndarray:
@@ -307,15 +249,6 @@ class LogLinearModel:
 
     def prob(self, x: Sequence) -> float:
         return math.exp(self.log_prob(x))
-
-
-def loglinear_partition(model: LogLinearModel) -> float:
-    """Partition function Z = sum_x exp(<theta, f(x)>), via log-sum-exp."""
-    return math.exp(model.log_partition())
-
-
-def loglinear_prob(model: LogLinearModel, x: Sequence) -> float:
-    return model.prob(x)
 
 
 def kl_gradient(model: LogLinearModel, p) -> np.ndarray:

@@ -88,9 +88,9 @@ def _parse_meta(lines: list[str], idx: int) -> tuple[dict[str, str], list[str], 
 def _rebuild_factor(b: float, payload: dict, vocab: Vocabulary) -> tuple[float, StepDistinguisher]:
     kind = payload["kind"]
     params = payload["params"]
-    flip = bool(params and params[-1] == "flip")
-    if flip:
-        params = params[:-1]
+    flip = False
+    while params and params[-1] == "flip":
+        params, flip = params[:-1], not flip
     if kind == "token-indicator":
         return b, token_indicator(vocab, int(params[0]), flip)
     if kind == "ngram-indicator":

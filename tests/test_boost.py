@@ -14,7 +14,6 @@ from seqboost.boost import (
     TokenIndicatorOracle,
     iteration_bound,
     make_oracle,
-    reweight_stepwise,
     reweight_whole,
     run_boost,
 )
@@ -27,7 +26,7 @@ from seqboost.distinguish import (
     token_indicator,
 )
 from seqboost.exact import JointTable, enumerate_joint, total_variation
-from seqboost.models import TabularModel, UniformModel, log_loss, ngram_mle_fit
+from seqboost.models import UniformModel, log_loss, ngram_mle_fit
 
 
 def ab_table(pa, pb):
@@ -65,21 +64,20 @@ class TestWholeReweight:
         f = Distinguisher(lambda x: 1.0 if x.token_ids[0] == 2 else 0.0)
         a = 0.25
         q2 = reweight_whole(q, f, a)
-        model = TabularModel(q.vocab, 1, q2.probs)
-        new_loss = log_loss(model, aaab_corpus).log_loss
+        new_loss = log_loss(q2, aaab_corpus).log_loss
         assert new_loss <= math.log(2) - a**2 / 2 + 1e-12
 
 
 class TestStepwiseReweight:
     def test_zero_weight_is_identity(self, ab_vocab, half_half):
         g = token_indicator(ab_vocab, 2)
-        model = reweight_stepwise(half_half(), g, 0.0)
+        model = ReweightedModel(half_half(), [(0.0, g)])
         np.testing.assert_allclose(model.next_token_dist(()), [0.0, 0.5, 0.5])
 
     def test_logistic_form_of_update(self, ab_vocab, half_half):
         b = 0.7
         g = token_indicator(ab_vocab, 2)
-        model = reweight_stepwise(half_half(), g, b)
+        model = ReweightedModel(half_half(), [(b, g)])
         expected_b = math.exp(-b) / (1 + math.exp(-b))
         np.testing.assert_allclose(
             model.next_token_dist(()), [0.0, 1 - expected_b, expected_b], atol=1e-12
@@ -87,14 +85,14 @@ class TestStepwiseReweight:
 
     def test_negative_weight_rejected(self, ab_vocab, half_half):
         with pytest.raises(ValueError, match="flip"):
-            reweight_stepwise(half_half(), token_indicator(ab_vocab, 2), -0.5)
+            ReweightedModel(half_half(), [(-0.5, token_indicator(ab_vocab, 2))])
 
     def test_conditionals_stay_normalized(self):
         rng = np.random.default_rng(21)
         vocab = make_vocab(4)
-        base = TabularModel(vocab, 3, random_table(rng, vocab, 3).probs)
+        base = random_table(rng, vocab, 3)
         g = token_indicator(vocab, 1)
-        model = reweight_stepwise(base, g, 0.8)
+        model = ReweightedModel(base, [(0.8, g)])
         corpus = random_corpus(rng, vocab, 3, 6)
         for seq in corpus.sequences:
             for j in range(3):
@@ -104,14 +102,14 @@ class TestStepwiseReweight:
 
     def test_zero_probability_tokens_stay_zero(self, ab_vocab):
         base = UniformModel(ab_vocab, 2)
-        model = reweight_stepwise(base, token_indicator(ab_vocab, 2), 1.0)
+        model = ReweightedModel(base, [(1.0, token_indicator(ab_vocab, 2))])
         assert model.next_token_dist(())[0] == 0.0
         np.testing.assert_allclose(model.next_token_dist((1, 0)), [1.0, 0.0, 0.0])
 
     def test_nested_factors_flatten(self, ab_vocab, half_half):
         g1 = token_indicator(ab_vocab, 1)
         g2 = token_indicator(ab_vocab, 2)
-        model = reweight_stepwise(reweight_stepwise(half_half(), g1, 0.3), g2, 0.4)
+        model = ReweightedModel(ReweightedModel(half_half(), [(0.3, g1)]), [(0.4, g2)])
         assert isinstance(model.base, type(half_half()))
         assert [b for b, _ in model.factors] == [0.3, 0.4]
 
@@ -125,18 +123,18 @@ class TestStepwiseReweight:
     def test_joint_of_reweighted_model_normalizes(self):
         rng = np.random.default_rng(22)
         vocab = make_vocab(3)
-        base = TabularModel(vocab, 2, random_table(rng, vocab, 2).probs)
-        model = reweight_stepwise(base, token_indicator(vocab, 2), 0.6)
+        base = random_table(rng, vocab, 2)
+        model = ReweightedModel(base, [(0.6, token_indicator(vocab, 2))])
         table = enumerate_joint(model)
         assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_memoization_returns_consistent_results(self, ab_vocab, half_half):
         g = token_indicator(ab_vocab, 2)
-        cached = reweight_stepwise(half_half(), g, 0.5, memoize=True)
-        fresh = reweight_stepwise(half_half(), g, 0.5, memoize=False)
+        cached = ReweightedModel(half_half(), [(0.5, g)])
         first = cached.next_token_dist(())
-        np.testing.assert_allclose(cached.next_token_dist(()), first)
-        np.testing.assert_allclose(fresh.next_token_dist(()), first, atol=1e-12)
+        assert cached.next_token_dist(()) is first
+        fresh = ReweightedModel(half_half(), [(0.5, g)])
+        np.testing.assert_array_equal(fresh.next_token_dist(()), first)
 
 
 class TestIterationBound:

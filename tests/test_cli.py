@@ -163,6 +163,18 @@ class TestDistinguish:
         assert result.exit_code == 0
         assert "(2000 samples)" in result.output
 
+    def test_distinguisher_is_parsed_in_the_model_vocabulary(self, runner, tmp_path):
+        model = fit_aab_unigram(runner, tmp_path)
+        held = tmp_path / "heldout.txt"
+        held.write_text("a a\n")
+        args = ["distinguish", "--corpus", str(held), "--model", str(model)]
+        result = runner.invoke(main, args + ["--length", "2", "--distinguisher", "token-indicator:b"])
+        assert result.exit_code == 0
+        assert "whole-sequence advantage: 0.214286 " in result.output  # q(last token b) = 1.5/7
+        for extra in (["--length", "3", "--distinguisher", "token-indicator:b"],
+                      ["--length", "2", "--distinguisher", "token-indicator:c"]):
+            assert runner.invoke(main, args + extra).exit_code == 2
+
     def test_unknown_kind_rejected(self, runner, corpus_file, tmp_path):
         model = tmp_path / "model.txt"
         runner.invoke(
@@ -174,6 +186,19 @@ class TestDistinguish:
              "--distinguisher", "telepathy:b"],
         )
         assert result.exit_code == 2
+
+
+def fit_aab_unigram(runner, tmp_path):
+    """A unigram fitted with lambda 0.5 on a a / a a / a b: q(a) = 5.5/7, q(b) = 1.5/7."""
+    corpus = tmp_path / "aab.txt"
+    corpus.write_text("a a\na a\na b\n")
+    model = tmp_path / "aab_model.txt"
+    result = runner.invoke(
+        main,
+        ["fit", "--corpus", str(corpus), "--length", "2", "--lam", "0.5", "--model-out", str(model)],
+    )
+    assert result.exit_code == 0
+    return model
 
 
 class TestEval:
@@ -190,6 +215,28 @@ class TestEval:
         assert result.exit_code == 0
         assert "kl(table||model): 0 nats" in result.output
         assert "tvd(table,model): 0" in result.output
+
+    @pytest.mark.parametrize(
+        "heldout, length, exit_code, loss",
+        [
+            ("b b\n", "2", 0, "3.08089"),  # -2 log(1.5/7), read in the model's vocabulary
+            ("b b\n", "3", 2, None),
+            ("b\n", "1", 2, None),
+            ("a c\n", "2", 2, None),
+        ],
+    )
+    def test_heldout_is_read_with_the_model_vocabulary_and_length(
+        self, runner, tmp_path, heldout, length, exit_code, loss
+    ):
+        model = fit_aab_unigram(runner, tmp_path)
+        held = tmp_path / "heldout.txt"
+        held.write_text(heldout)
+        result = runner.invoke(
+            main, ["eval", "--model", str(model), "--corpus", str(held), "--length", length]
+        )
+        assert result.exit_code == exit_code
+        if loss is not None:
+            assert f"log-loss: {loss} nats" in result.output
 
     def test_nothing_to_evaluate(self, runner, corpus_file, tmp_path):
         model = tmp_path / "model.txt"

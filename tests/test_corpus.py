@@ -65,6 +65,13 @@ def test_vocab_round_trip(tmp_path):
     assert Vocabulary.load(path).tokens == vocab.tokens
 
 
+def test_vocab_id_of_inverts_token_of():
+    vocab = Vocabulary.build(["x", "y", "z"])
+    assert [vocab.id_of(vocab.token_of(i)) for i in range(vocab.n)] == [0, 1, 2, 3]
+    with pytest.raises(KeyError, match="token 'w' not in vocabulary"):
+        vocab.id_of("w")
+
+
 def test_vocab_rejects_duplicates():
     with pytest.raises(ValueError):
         Vocabulary(("<pad>", "a", "a"))

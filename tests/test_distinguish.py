@@ -19,7 +19,7 @@ from seqboost.distinguish import (
     training_advantage,
 )
 from seqboost.exact import JointTable, total_variation
-from seqboost.models import TabularModel, UniformModel, ngram_mle_fit
+from seqboost.models import UniformModel, ngram_mle_fit
 
 from conftest import StubModel
 
@@ -164,7 +164,7 @@ class TestLogRatioDistinguisher:
 
     def test_hand_computed_values_and_advantage_bound(self, ab_vocab, aaab_corpus, half_half):
         q = half_half()
-        q2 = TabularModel(ab_vocab, 1, np.array([0.0, 0.75, 0.25]))
+        q2 = JointTable(ab_vocab, 1, np.array([0.0, 0.75, 0.25]))
         f = log_ratio_distinguisher(q, q2, C=2.0)
         assert f(Sequence.from_ids((1,), 1)) == pytest.approx(0.2075187496)
         assert f(Sequence.from_ids((2,), 1)) == pytest.approx(1.0)
@@ -179,7 +179,7 @@ class TestLogRatioDistinguisher:
             log_ratio_distinguisher(half_half(), half_half(), C=1.0)
 
     def test_ratio_violation_detected(self, ab_vocab, half_half):
-        q2 = TabularModel(ab_vocab, 1, np.array([0.0, 0.9, 0.1]))
+        q2 = JointTable(ab_vocab, 1, np.array([0.0, 0.9, 0.1]))
         f = log_ratio_distinguisher(half_half(), q2, C=1.5)  # true ratio needs C=5
         with pytest.raises(ValueError, match="ratio bound"):
             f(Sequence.from_ids((2,), 1))

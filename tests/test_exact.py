@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqboost.checks import make_vocab, random_table
 from seqboost.corpus import Vocabulary
@@ -10,14 +11,16 @@ from seqboost.exact import (
     BudgetExceededError,
     JointTable,
     all_indicator_distinguishers,
+    all_sequences,
     cross_entropy,
     distinguishability_exhaustive,
     enumerate_joint,
     finite_diff_gradient,
     kl_divergence,
+    sequence_index,
     total_variation,
 )
-from seqboost.models import TabularModel, UniformModel, sequence_log_prob
+from seqboost.models import UniformModel, sequence_log_prob
 
 from conftest import StubModel
 
@@ -38,11 +41,47 @@ def test_enumerate_uniform_pairs(ab_vocab):
 def test_enumerate_matches_product_rule():
     rng = np.random.default_rng(0)
     vocab = make_vocab(3)
-    model = TabularModel(vocab, 2, random_table(rng, vocab, 2).probs)
+    model = random_table(rng, vocab, 2)
     table = enumerate_joint(model)
     for seq, p in zip(table.domain, table.probs):
         assert p == pytest.approx(math.exp(sequence_log_prob(model, seq)), rel=1e-9)
     assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def tables(draw):
+    """Random tables, n in 2..5 and N in 1..3; some give a first token no mass."""
+    n, length = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n**length, max_size=n**length)))
+    block = n ** (length - 1)
+    if length > 1 and draw(st.booleans()):
+        t = draw(st.integers(0, n - 1))
+        weights[t * block : (t + 1) * block] = 0.0
+    if weights.sum() <= 0.0:
+        weights[-1] = 1.0
+    return JointTable(make_vocab(n), length, weights / weights.sum())
+
+
+@settings(deadline=None, max_examples=60)
+@given(tables())
+def test_joint_table_is_a_sequential_model(table):
+    n = table.vocab.n
+    for j in range(table.length):
+        for seq in all_sequences(table.vocab, j):
+            dist = table.next_token_dist(seq.token_ids)
+            assert dist.shape == (n,) and dist.min() >= 0.0
+            assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(enumerate_joint(table).probs, table.probs, rtol=0, atol=1e-12)
+    for i, seq in enumerate(table.domain):
+        assert sequence_index(table.vocab, seq.token_ids) == i
+        assert table.prob_of(seq) == table.probs[i]
+
+
+def test_zero_mass_prefix_has_uniform_conditional(ab_vocab):
+    table = JointTable(ab_vocab, 2, np.array([0, 0, 0, 0.5, 0, 0.5, 0, 0, 0.0]))
+    np.testing.assert_array_equal(table.next_token_dist((2,)), np.full(3, 1 / 3))
+    np.testing.assert_array_equal(table.next_token_dist((1,)), [0.5, 0.0, 0.5])
+    np.testing.assert_array_equal(table.next_token_dist(()), [0.0, 1.0, 0.0])
 
 
 def test_enumerate_budget():

@@ -2,24 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seqboost.boost import ReweightedModel
 from seqboost.checks import make_vocab, random_corpus, random_table
 from seqboost.corpus import Corpus, Sequence, Vocabulary
-from seqboost.exact import JointTable, kl_divergence
+from seqboost.distinguish import ngram_indicator, token_indicator
+from seqboost.exact import JointTable, all_sequences, kl_divergence
 from seqboost.models import (
     LogLinearModel,
-    TabularModel,
     UniformModel,
     kl_gradient,
     log_loss,
-    loglinear_partition,
-    loglinear_prob,
     ngram_mle_fit,
     sample_many,
     sample_sequence,
     sequence_log_prob,
 )
-from seqboost.serialize import load_model, save_model
+from seqboost.serialize import load_model, model_from_text, model_to_text, save_model
 
 from conftest import StubModel
 
@@ -123,8 +123,7 @@ class TestLogLoss:
         q2 = random_table(rng, vocab, 1)
         idx = rng.choice(p.probs.size, size=50_000, p=p.probs)
         corpus = Corpus(vocab, 1, tuple(Sequence.from_raw((int(i),)) for i in idx))
-        qm, q2m = TabularModel(vocab, 1, q.probs), TabularModel(vocab, 1, q2.probs)
-        observed = log_loss(qm, corpus).log_loss - log_loss(q2m, corpus).log_loss
+        observed = log_loss(q, corpus).log_loss - log_loss(q2, corpus).log_loss
         expected = kl_divergence(p, q) - kl_divergence(p, q2)
         assert observed == pytest.approx(expected, abs=0.02)
 
@@ -138,7 +137,7 @@ class TestConditionalContract:
         for model in (
             ngram_mle_fit(corpus, 2, 0.5),
             UniformModel(vocab, 3),
-            TabularModel(vocab, 3, random_table(rng, vocab, 3).probs),
+            random_table(rng, vocab, 3),
         ):
             for seq in corpus.sequences:
                 for j in range(3):
@@ -160,20 +159,20 @@ class TestLogLinear:
         # 4 domain elements, zero parameters: Z is the domain size.
         features = lambda x: np.array([0.5])
         model = LogLinearModel(domain[:4], features, np.array([0.0]))
-        assert loglinear_partition(model) == pytest.approx(4.0)
+        assert math.exp(model.log_partition()) == pytest.approx(4.0)
 
     def test_single_feature_partition(self):
         model = self.make_ab_model(math.log(1 / 3))
-        assert loglinear_partition(model) == pytest.approx(1 + 1 / 3)
+        assert math.exp(model.log_partition()) == pytest.approx(1 + 1 / 3)
 
     def test_probs_match_hand_computation(self):
         model = self.make_ab_model(math.log(1 / 3))
-        assert loglinear_prob(model, seq1(1)) == pytest.approx(0.75)
-        assert loglinear_prob(model, seq1(2)) == pytest.approx(0.25)
+        assert model.prob(seq1(1)) == pytest.approx(0.75)
+        assert model.prob(seq1(2)) == pytest.approx(0.25)
 
     def test_zero_theta_uniform(self):
         model = self.make_ab_model(0.0)
-        assert loglinear_prob(model, seq1(1)) == pytest.approx(0.5)
+        assert model.prob(seq1(1)) == pytest.approx(0.5)
 
     def test_probs_normalize(self):
         model = self.make_ab_model(1.7)
@@ -182,7 +181,7 @@ class TestLogLinear:
     def test_outside_domain_rejected(self):
         model = self.make_ab_model(0.0)
         with pytest.raises(ValueError, match="domain"):
-            loglinear_prob(model, Sequence.from_raw((0,)))
+            model.prob(Sequence.from_raw((0,)))
 
     def test_gradient_zero_when_model_equals_target(self, ab_vocab):
         model = self.make_ab_model(math.log(1 / 3))
@@ -209,8 +208,8 @@ class TestLogLinear:
         )
         theta = np.log(mle.next_token_dist(())[1:])
         model = LogLinearModel(domain, features, theta)
-        assert loglinear_prob(model, seq1(1)) == pytest.approx(0.75, abs=1e-9)
-        assert loglinear_prob(model, seq1(2)) == pytest.approx(0.25, abs=1e-9)
+        assert model.prob(seq1(1)) == pytest.approx(0.75, abs=1e-9)
+        assert model.prob(seq1(2)) == pytest.approx(0.25, abs=1e-9)
 
 
 class TestSampling:
@@ -252,3 +251,47 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.next_token_dist((1,)), model.next_token_dist((1,)))
+
+    def test_double_flip_round_trip(self, ab_vocab):
+        g = token_indicator(ab_vocab, 1).flipped().flipped()
+        model = ReweightedModel(UniformModel(ab_vocab, 2), [(0.3, g)])
+        loaded = model_from_text(model_to_text(model))
+        np.testing.assert_allclose(loaded.next_token_dist(()), [0.0, 0.426, 0.574], atol=1e-3)
+        np.testing.assert_array_equal(loaded.next_token_dist(()), model.next_token_dist(()))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 2.0), st.integers(0, 2), st.lists(st.integers(0, 3), max_size=2),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_reweighted_round_trip_keeps_conditionals(self, n, length, specs):
+        # Token indicators (empty context) and n-gram indicators, each with 0-3 flips.
+        vocab = make_vocab(n)
+        factors = []
+        for b, tok, ctx, flips in specs:
+            tok, ctx = tok % n, tuple(t % n for t in ctx)
+            g = ngram_indicator(vocab, ctx, tok) if ctx else token_indicator(vocab, tok)
+            for _ in range(flips):
+                g = g.flipped()
+            factors.append((b, g))
+        model = ReweightedModel(UniformModel(vocab, length), factors)
+        loaded = model_from_text(model_to_text(model))
+        for j in range(length):
+            for seq in all_sequences(vocab, j):
+                np.testing.assert_array_equal(
+                    loaded.next_token_dist(seq.token_ids), model.next_token_dist(seq.token_ids)
+                )
+
+    def test_negative_weight_in_file_rejected(self, ab_vocab):
+        model = ReweightedModel(UniformModel(ab_vocab, 1), [(0.3, token_indicator(ab_vocab, 1))])
+        text = model_to_text(model).replace("factor=0.29999999999999999|", "factor=-0.3|")
+        with pytest.raises(ValueError, match="flip"):
+            model_from_text(text)
