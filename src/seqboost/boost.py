@@ -18,8 +18,10 @@ import numpy as np
 from .corpus import Corpus, Vocabulary
 from .distinguish import (
     StepDistinguisher,
+    extension_values,
     generalized_advantage,
     ngram_indicator,
+    prefix_conditionals,
     step_log_ratio,
     token_indicator,
 )
@@ -76,6 +78,33 @@ class ReweightedModel(SequentialModel):
         dist = weights / (weights.sum() * self.partition_scale)
         self._cache[prefix] = dist
         return dist
+
+    def extended(self, b: float, g: StepDistinguisher) -> "ReweightedModel":
+        """This model with the factor (b, g) appended, its cache carried forward.
+
+        Each cached conditional is multiplied by exp(-b g(prefix, .)) and
+        renormalised, so a new factor costs one pass over the cached prefixes
+        however many factors came before.  Other prefixes are computed afresh.
+        """
+        child = ReweightedModel(self, [(b, g)], self.partition_scale)
+        n = self.vocab.n
+        by_length: dict[int, list[tuple[int, ...]]] = {}
+        for prefix in self._cache:
+            by_length.setdefault(len(prefix), []).append(prefix)
+        for length, prefixes in by_length.items():
+            dists = np.array([self._cache[p] for p in prefixes])
+            if g.values is not None:
+                block = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), length)
+                gvals = extension_values(g, block, n)
+            else:
+                gvals = np.array([
+                    [g(p + (w,)) if d[w] > 0 else 0.0 for w in range(n)]
+                    for p, d in zip(prefixes, dists)
+                ])
+            weights = dists * np.exp(-b * gvals)
+            dists = weights / (weights.sum(axis=1, keepdims=True) * self.partition_scale)
+            child._cache.update(zip(prefixes, dists))
+        return child
 
 
 def reweight_whole(q: JointTable, f, a: float) -> JointTable:
@@ -169,7 +198,7 @@ def run_boost(
             trace.records.append(IterationRecord(t, b, current_loss, t1 - t0, t2 - t1))
             trace.termination = "indistinguishable"
             return model, trace
-        model = ReweightedModel(model, [(b, g)])
+        model = model.extended(b, g)
         current_loss = log_loss(model, corpus).log_loss
         t2 = time.perf_counter()
         trace.records.append(IterationRecord(t, b, current_loss, t1 - t0, t2 - t1))
@@ -181,19 +210,61 @@ def run_boost(
 # Built-in oracles.
 
 
+# Advantages closer than this count as tied: far above the rounding of the
+# oracle's sums at desk scale (about m N 2^-52), far below any useful margin.
+TIE_TOLERANCE = 1e-13
+
+
+def best_indicator(
+    q: SequentialModel, corpus: Corpus, context_length: int
+) -> tuple[tuple[int, ...], int, bool]:
+    """The (context, token, flip) whose indicator has the largest step-wise advantage.
+
+    A candidate is 1 where the prefix ends with ``context_length`` context
+    tokens followed by the token.  All candidates are scored from one
+    conditional array Q (m, N, n): over the positions j >= k whose previous k
+    tokens are the context c,
+
+        adv[c, t] = (sum of Q[i, j, t] - count of t) / (m N),
+
+    and the flipped candidate scores (sum of Q - m N) / (m N) - adv[c, t].
+    Contexts rank in order of first appearance in the corpus, then tokens,
+    then unflipped before flipped, and the first maximum wins, as in a scan
+    that keeps a candidate only when it is strictly better (up to TIE_TOLERANCE).
+    """
+    ids, n, k = corpus.ids, corpus.vocab.n, context_length
+    m, N = ids.shape
+    if N <= k:
+        raise ValueError(f"no context of {k} tokens fits before a token in length {N}")
+    Q = prefix_conditionals(q, corpus)
+    # Context ids in order of first appearance, row by row.
+    contexts: dict[tuple[int, ...], int] = {}
+    rows = np.array([
+        contexts.setdefault(seq.token_ids[j - k : j], len(contexts))
+        for seq in corpus.sequences
+        for j in range(k, N)
+    ])
+    sums = np.zeros((len(contexts), n))
+    np.add.at(sums, rows, Q[:, k:].reshape(-1, n))
+    counts = np.zeros((len(contexts), n))
+    np.add.at(counts, (rows, ids[:, k:].reshape(-1)), 1.0)
+    total = m * N
+    adv = (sums - counts) / total
+    scores = np.stack([adv, (Q.sum() - total) / total - adv], axis=-1)
+    # Candidates tied in exact arithmetic can differ here by rounding, in either
+    # direction; the first in rank among those within TIE_TOLERANCE of the best
+    # wins, so ties do not depend on the order the sums were added in.
+    index = np.flatnonzero(scores.ravel() >= scores.max() - TIE_TOLERANCE)[0]
+    c, tok, flip = np.unravel_index(index, scores.shape)
+    return list(contexts)[c], int(tok), bool(flip)
+
+
 class TokenIndicatorOracle:
     """Search last-token indicators (and their flips) for the best advantage."""
 
     def propose(self, q: SequentialModel, corpus: Corpus) -> StepDistinguisher:
-        best_b, best_g = -math.inf, None
-        for tok in range(corpus.vocab.n):
-            for flip in (False, True):
-                g = token_indicator(corpus.vocab, tok, flip)
-                b = generalized_advantage(g, corpus, q).value
-                if b > best_b:
-                    best_b, best_g = b, g
-        assert best_g is not None
-        return best_g
+        _, tok, flip = best_indicator(q, corpus, 0)
+        return token_indicator(corpus.vocab, tok, flip)
 
 
 class NGramIndicatorOracle:
@@ -204,25 +275,9 @@ class NGramIndicatorOracle:
             raise ValueError("order must be >= 1")
         self.order = order
 
-    def _contexts(self, corpus: Corpus) -> list[tuple[int, ...]]:
-        k = self.order - 1
-        seen: dict[tuple[int, ...], None] = {}
-        for seq in corpus.sequences:
-            for j in range(k, corpus.length):
-                seen.setdefault(seq.prefix(j)[-k:] if k else (), None)
-        return list(seen)
-
     def propose(self, q: SequentialModel, corpus: Corpus) -> StepDistinguisher:
-        best_b, best_g = -math.inf, None
-        for ctx in self._contexts(corpus):
-            for tok in range(corpus.vocab.n):
-                for flip in (False, True):
-                    g = ngram_indicator(corpus.vocab, ctx, tok, flip)
-                    b = generalized_advantage(g, corpus, q).value
-                    if b > best_b:
-                        best_b, best_g = b, g
-        assert best_g is not None
-        return best_g
+        ctx, tok, flip = best_indicator(q, corpus, self.order - 1)
+        return ngram_indicator(corpus.vocab, ctx, tok, flip)
 
 
 class LogRatioOracle:

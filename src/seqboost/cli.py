@@ -81,6 +81,20 @@ def _load_corpus_checked(path, length, vocab=None):
         raise click.UsageError(str(exc))
 
 
+def _load_model_checked(path, vocab=None, length=None):
+    """A model file; a missing or malformed file, or one whose vocabulary or
+    length differs from the given ones, is a usage error."""
+    try:
+        model = load_model(path)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot load model {path}: {exc}")
+    if vocab is not None and model.vocab.tokens != vocab.tokens:
+        raise click.UsageError(f"model {path} has another vocabulary")
+    if length is not None and model.length != length:
+        raise click.UsageError(f"model {path} has length {model.length}, not {length}")
+    return model
+
+
 def _load_heldout(path, length, model):
     """A corpus read in the model's vocabulary; its length must be the model's."""
     if length is not None and int(length) != model.length:
@@ -163,11 +177,13 @@ def boost(config_path, corpus_path, length, init_kind, order, lam, oracle_kind,
         q0 = UniformModel(corpus.vocab, corpus.length)
     else:
         q0 = ngram_mle_fit(corpus, order, lam)
-    reference = load_model(ref_model) if ref_model else None
+    reference = _load_model_checked(ref_model, corpus.vocab, corpus.length) if ref_model else None
     try:
         oracle = make_oracle(oracle_kind, order=oracle_order, reference=reference)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    if oracle_kind == "ngram-indicator" and oracle_order > corpus.length:
+        raise click.UsageError(f"oracle order {oracle_order} exceeds the length {corpus.length}")
     try:
         model, trace = run_boost(q0, corpus, oracle, BoostConfig(epsilon=epsilon, max_iters=max_iters))
     except MaxItersExceededError as exc:
@@ -193,7 +209,7 @@ def _parse_step_distinguisher(spec: str, vocab: Vocabulary, q_model):
         ids = tuple(vocab.id_of(t) for t in arg.split(","))
         return ngram_indicator(vocab, ids[:-1], ids[-1], flip)
     if kind == "log-ratio":
-        ref = load_model(arg)
+        ref = _load_model_checked(arg, vocab, q_model.length)
         return step_log_ratio(q_model, ref, C=math.e, flip=flip)
     raise click.UsageError(f"unknown distinguisher kind {kind!r}")
 
@@ -214,7 +230,7 @@ def distinguish(config_path, corpus_path, length, model_path, dist_spec, estimat
     model_path = pick(model_path, cfg, "model")
     if model_path is None:
         raise click.UsageError("a model file is required")
-    model = load_model(model_path)
+    model = _load_model_checked(model_path)
     corpus = _load_heldout(pick(corpus_path, cfg, "corpus"), pick(length, cfg, "length", cast=int), model)
     try:
         g = _parse_step_distinguisher(dist_spec, model.vocab, model)
@@ -256,7 +272,7 @@ def eval(config_path, model_path, corpus_path, length, table_path, budget):
     model_path = pick(model_path, cfg, "model")
     if model_path is None:
         raise click.UsageError("a model file is required")
-    model = load_model(model_path)
+    model = _load_model_checked(model_path)
     did_anything = False
     corpus_path = pick(corpus_path, cfg, "corpus")
     if corpus_path:

@@ -7,8 +7,11 @@ The pad token always has id 0 so that padded tails are cheap to detect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 DEFAULT_PAD = "<pad>"
 
@@ -130,6 +133,13 @@ class Corpus:
     @property
     def m(self) -> int:
         return len(self.sequences)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The token ids as an (m, N) int array, built on first use."""
+        return np.array([seq.token_ids for seq in self.sequences], dtype=np.int64).reshape(
+            self.m, self.length
+        )
 
     @property
     def has_padding(self) -> bool:

@@ -35,23 +35,31 @@ class StepDistinguisher:
     """Maps token-id prefixes of any length 1..N to [0, 1].
 
     ``kind``/``params`` carry serialization metadata for the built-in
-    families; custom distinguishers leave them empty.
+    families; custom distinguishers leave them empty.  ``values``, when set,
+    is the same function on every row of an (..., L) id array (L >= 1),
+    returning an array of shape (...); the built-in indicator families set it
+    so that advantages and reweighting run as array arithmetic.
     """
 
     fn: Callable[[tuple[int, ...]], float]
     label: str = ""
     kind: str = "custom"
     params: tuple = ()
+    values: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __call__(self, prefix: tuple[int, ...]) -> float:
         return float(self.fn(prefix))
 
     def flipped(self) -> "StepDistinguisher":
+        values = self.values
         return StepDistinguisher(
             lambda prefix: 1.0 - self.fn(prefix),
             label=f"1-({self.label})",
             kind=self.kind,
             params=self.params + ("flip",),
+            values=None if values is None else (lambda ids: 1.0 - values(ids)),
         )
 
     def as_whole(self) -> Distinguisher:
@@ -117,20 +125,63 @@ def training_advantage(
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
+def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
+    """Q[i, j] = q(. | first j tokens of sequence i): an (m, N, n) array.
+
+    ``next_token_dist`` is called once per distinct corpus prefix.
+    """
+    seen: dict[tuple[int, ...], int] = {}
+    dists: list[np.ndarray] = []
+    index: list[int] = []
+    for seq in corpus.sequences:
+        for j in range(corpus.length):
+            prefix = seq.token_ids[:j]
+            k = seen.get(prefix)
+            if k is None:
+                k = seen[prefix] = len(dists)
+                dists.append(q.next_token_dist(prefix))
+            index.append(k)
+    return np.array(dists)[index].reshape(corpus.m, corpus.length, corpus.vocab.n)
+
+
+def extension_values(g: StepDistinguisher, prefixes: np.ndarray, n: int) -> np.ndarray:
+    """g(prefix + (w,)) for every row of a (k, L) prefix array and every token w.
+
+    Returns a (k, n) array; ``g`` must have a vectorised ``values``.
+    """
+    k, L = prefixes.shape
+    ext = np.empty((k, n, L + 1), dtype=np.int64)
+    ext[:, :, :L] = prefixes[:, None, :]
+    ext[:, :, L] = np.arange(n)
+    return g.values(ext)
+
+
 def generalized_advantage(
     g: StepDistinguisher, corpus: Corpus, q: SequentialModel
 ) -> AdvantageEstimate:
     """Per-position advantage of a step-wise distinguisher, averaged over positions.
 
     For each position j the model-side expectation over the replacement token
-    is computed exactly by summing the n conditional probabilities.
+    is computed exactly by summing the n conditional probabilities.  A
+    distinguisher with vectorised ``values`` is evaluated on whole arrays;
+    its sums add tokens and then rows in the same order as the scalar loop.
     """
     if corpus.m < 1:
         raise ValueError("empty corpus")
-    N = corpus.length
+    if g.values is None:
+        per_position = _scalar_per_position(g, corpus, q)
+    else:
+        per_position = _batched_per_position(g, corpus, q)
+    value = sum(per_position) / corpus.length
+    return AdvantageEstimate(value, "stepwise-exact", per_position=tuple(per_position))
+
+
+def _scalar_per_position(
+    g: StepDistinguisher, corpus: Corpus, q: SequentialModel
+) -> list[float]:
     n = corpus.vocab.n
     per_position = []
-    for j in range(1, N + 1):
+    for j in range(1, corpus.length + 1):
         acc = 0.0
         for seq in corpus.sequences:
             prefix = seq.prefix(j - 1)
@@ -138,8 +189,22 @@ def generalized_advantage(
             model_side = sum(float(dist[w]) * g(prefix + (w,)) for w in range(n) if dist[w] > 0)
             acc += model_side - g(seq.prefix(j))
         per_position.append(acc / corpus.m)
-    value = sum(per_position) / N
-    return AdvantageEstimate(value, "stepwise-exact", per_position=tuple(per_position))
+    return per_position
+
+
+def _batched_per_position(
+    g: StepDistinguisher, corpus: Corpus, q: SequentialModel
+) -> list[float]:
+    ids, n = corpus.ids, corpus.vocab.n
+    Q = prefix_conditionals(q, corpus)
+    terms = np.empty(ids.shape)
+    for j in range(corpus.length):
+        dist = Q[:, j]
+        weighted = np.where(dist > 0, dist * extension_values(g, ids[:, :j], n), 0.0)
+        # accumulate adds strictly left to right, like the scalar sums
+        model_side = np.add.accumulate(weighted, axis=1)[:, -1]
+        terms[:, j] = model_side - g.values(ids[:, : j + 1])
+    return [float(acc) / corpus.m for acc in np.add.accumulate(terms, axis=0)[-1]]
 
 
 def bayes_optimal_distinguisher(p: JointTable, q: JointTable) -> Distinguisher:
@@ -201,6 +266,7 @@ def token_indicator(vocab: Vocabulary, token_id: int, flip: bool = False) -> Ste
         label=f"token[{vocab.token_of(token_id)}]",
         kind="token-indicator",
         params=(token_id,),
+        values=lambda ids: (ids[..., -1] == token_id).astype(float),
     )
     return base.flipped() if flip else base
 
@@ -211,11 +277,18 @@ def ngram_indicator(
     """1 iff the prefix ends with the given (context, token) run."""
     tail = context + (token_id,)
     label = "ngram[" + " ".join(vocab.token_of(t) for t in tail) + "]"
+
+    def values(ids: np.ndarray) -> np.ndarray:
+        if ids.shape[-1] < len(tail):
+            return np.zeros(ids.shape[:-1])
+        return np.all(ids[..., -len(tail) :] == tail, axis=-1).astype(float)
+
     base = StepDistinguisher(
         lambda prefix: 1.0 if prefix[-len(tail) :] == tail and len(prefix) >= len(tail) else 0.0,
         label=label,
         kind="ngram-indicator",
         params=tail,
+        values=values,
     )
     return base.flipped() if flip else base
 

@@ -100,7 +100,14 @@ def _rebuild_factor(b: float, payload: dict, vocab: Vocabulary) -> tuple[float, 
 
 
 def model_from_text(text: str) -> SequentialModel:
-    lines = text.splitlines()
+    """Parse a model file; a malformed one raises ValueError."""
+    try:
+        return _model_from_lines(text.splitlines())
+    except (KeyError, IndexError) as exc:
+        raise ValueError(f"malformed model file: missing {exc}") from None
+
+
+def _model_from_lines(lines: list[str]) -> SequentialModel:
     if not lines or lines[0] != FORMAT_HEADER:
         raise ValueError("not a recognized model file")
     meta, tokens, idx = _parse_meta(lines, 1)
@@ -115,7 +122,7 @@ def model_from_text(text: str) -> SequentialModel:
             idx += 1
         if idx >= len(lines) or lines[idx] != "base:":
             raise ValueError("reweighted model file missing base section")
-        base = model_from_text("\n".join(lines[idx + 1 :]))
+        base = _model_from_lines(lines[idx + 1 :])
         factors = [_rebuild_factor(b, payload, base.vocab) for b, payload in raw_factors]
         return ReweightedModel(base, factors)
     vocab = Vocabulary(tuple(tokens), pad_token=tokens[0])

@@ -133,6 +133,14 @@ class TestBoost:
         result = run_boost_cli(runner, corpus_file, tmp_path, extra=["--oracle", "psychic"])
         assert result.exit_code == 2
 
+    def test_ngram_order_beyond_the_length_is_usage_error(self, runner, corpus_file, tmp_path):
+        result = run_boost_cli(
+            runner, corpus_file, tmp_path,
+            extra=["--oracle", "ngram-indicator", "--oracle-order", "2"],
+        )
+        assert result.exit_code == 2
+        assert "exceeds the length 1" in result.output
+
 
 class TestDistinguish:
     def test_token_indicator_against_fitted_model(self, runner, corpus_file, tmp_path):
@@ -266,6 +274,101 @@ class TestAgeExperiment:
         ages = tmp_path / "ages.txt"
         ages.write_text("0.5\n0.5\n")
         result = runner.invoke(main, ["age-experiment", "--ages", str(ages)])
+        assert result.exit_code == 2
+
+
+def fit_xy_unigram(runner, tmp_path):
+    """A unigram fitted on x y / y x at length 3: another vocabulary and length than aab."""
+    corpus = tmp_path / "xy.txt"
+    corpus.write_text("x y\ny x\n")
+    model = tmp_path / "xy_model.txt"
+    result = runner.invoke(
+        main, ["fit", "--corpus", str(corpus), "--length", "3", "--model-out", str(model)]
+    )
+    assert result.exit_code == 0
+    return model
+
+
+class TestModelFiles:
+    """Every path that reads a model file exits 2 on a missing or malformed one."""
+
+    @pytest.fixture(params=["missing", "not-a-model", "truncated"])
+    def bad_model(self, request, tmp_path):
+        path = tmp_path / "bad_model.txt"
+        if request.param == "not-a-model":
+            path.write_text("a\nb\n")
+        elif request.param == "truncated":
+            path.write_text("seqboost-model v1\nkind=ngram\n")
+        return str(path)
+
+    def test_eval_model(self, runner, tmp_path, bad_model):
+        held = tmp_path / "held.txt"
+        held.write_text("a a\n")
+        result = runner.invoke(
+            main, ["eval", "--model", bad_model, "--corpus", str(held), "--length", "2"]
+        )
+        assert result.exit_code == 2
+        assert "cannot load model" in result.output
+
+    def test_distinguish_model(self, runner, tmp_path, bad_model):
+        held = tmp_path / "held.txt"
+        held.write_text("a a\n")
+        result = runner.invoke(
+            main,
+            ["distinguish", "--model", bad_model, "--corpus", str(held), "--length", "2",
+             "--distinguisher", "token-indicator:a"],
+        )
+        assert result.exit_code == 2
+        assert "cannot load model" in result.output
+
+    def test_distinguish_log_ratio_reference(self, runner, tmp_path, bad_model):
+        model = fit_aab_unigram(runner, tmp_path)
+        held = tmp_path / "held.txt"
+        held.write_text("a a\n")
+        result = runner.invoke(
+            main,
+            ["distinguish", "--model", str(model), "--corpus", str(held), "--length", "2",
+             "--distinguisher", f"log-ratio:{bad_model}"],
+        )
+        assert result.exit_code == 2
+        assert "cannot load model" in result.output
+
+    def test_boost_ref_model(self, runner, tmp_path, bad_model):
+        corpus = tmp_path / "aab.txt"
+        corpus.write_text("a a\na a\na b\n")
+        result = runner.invoke(
+            main,
+            ["boost", "--corpus", str(corpus), "--length", "2", "--oracle", "log-ratio",
+             "--ref-model", bad_model, "--trace-out", str(tmp_path / "trace.csv"),
+             "--model-out", str(tmp_path / "boosted.txt")],
+        )
+        assert result.exit_code == 2
+        assert "cannot load model" in result.output
+
+    def test_boost_ref_model_of_another_vocabulary_and_length(self, runner, tmp_path):
+        reference = fit_xy_unigram(runner, tmp_path)
+        corpus = tmp_path / "aab.txt"
+        corpus.write_text("a a\na a\na b\n")
+        result = runner.invoke(
+            main,
+            ["boost", "--corpus", str(corpus), "--length", "2", "--oracle", "log-ratio",
+             "--ref-model", str(reference), "--trace-out", str(tmp_path / "trace.csv"),
+             "--model-out", str(tmp_path / "boosted.txt")],
+        )
+        assert result.exit_code == 2
+        assert "another vocabulary" in result.output
+        assert not (tmp_path / "boosted.txt").exists()
+
+    def test_distinguish_log_ratio_reference_of_another_vocabulary(self, runner, tmp_path):
+        model = fit_aab_unigram(runner, tmp_path)
+        reference = fit_xy_unigram(runner, tmp_path)
+        held = tmp_path / "held.txt"
+        held.write_text("a a\n")
+        result = runner.invoke(
+            main,
+            ["distinguish", "--model", str(model), "--corpus", str(held), "--length", "2",
+             "--distinguisher", f"log-ratio:{reference}"],
+        )
         assert result.exit_code == 2
 
 
