@@ -38,7 +38,9 @@ class StepDistinguisher:
     families; custom distinguishers leave them empty.  ``values``, when set,
     is the same function on every row of an (..., L) id array (L >= 1),
     returning an array of shape (...); the built-in indicator families set it
-    so that advantages and reweighting run as array arithmetic.
+    so that advantages and reweighting run as array arithmetic.  ``models``
+    is the (model, reference) pair a log-ratio distinguisher compares, which
+    a model file needs to rebuild it.
     """
 
     fn: Callable[[tuple[int, ...]], float]
@@ -48,6 +50,7 @@ class StepDistinguisher:
     values: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
+    models: tuple = field(default=(), compare=False, repr=False)
 
     def __call__(self, prefix: tuple[int, ...]) -> float:
         return float(self.fn(prefix))
@@ -60,6 +63,7 @@ class StepDistinguisher:
             kind=self.kind,
             params=self.params + ("flip",),
             values=None if values is None else (lambda ids: 1.0 - values(ids)),
+            models=self.models,
         )
 
     def as_whole(self) -> Distinguisher:
@@ -314,5 +318,7 @@ def step_log_ratio(
         val = (log_c + math.log(pq) - math.log(pr)) / (2.0 * log_c)
         return min(max(val, 0.0), 1.0)
 
-    base = StepDistinguisher(fn, label=f"step-log-ratio(C={C:g})", kind="log-ratio", params=(C,))
+    base = StepDistinguisher(
+        fn, label=f"step-log-ratio(C={C:g})", kind="log-ratio", params=(C,), models=(q, ref)
+    )
     return base.flipped() if flip else base

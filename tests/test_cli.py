@@ -372,6 +372,87 @@ class TestModelFiles:
         assert result.exit_code == 2
 
 
+def fit_abb_bigram(runner, tmp_path):
+    """A bigram fitted with lambda 0.5 on a a / a b / b at length 2."""
+    corpus = tmp_path / "abb.txt"
+    corpus.write_text("a a\na b\nb\n")
+    model = tmp_path / "abb_model.txt"
+    result = runner.invoke(
+        main,
+        ["fit", "--corpus", str(corpus), "--length", "2", "--order", "2", "--lam", "0.5",
+         "--model-out", str(model)],
+    )
+    assert result.exit_code == 0
+    return model
+
+
+class TestNGramRows:
+    """A malformed n-gram row is a usage error, not a crash or a wrong number."""
+
+    def test_fitted_rows(self, runner, tmp_path):
+        model = fit_abb_bigram(runner, tmp_path)
+        # The fill is the row's most frequent value, the smallest on a tie.
+        assert model.read_text().splitlines()[-3:] == [
+            "context=|0.1111111111111111|1:0.55555555555555558 2:0.33333333333333331",
+            "context=1|0.42857142857142855|0:0.14285714285714285",
+            "context=2|0.20000000000000001|0:0.59999999999999998",
+        ]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("context=1|0.42857142857142855|0:0.14285714285714285",
+             "context=1|0.14285714285714285 0.42857142857142855"),  # a short dense row
+            ("context=1|", "context=7|"),  # a context id outside 0..n-1
+            ("context=1|", "context=1,1|"),  # a context longer than order - 1
+            ("0:0.59999999999999998", "0:0.59999999999999998 3:0.1"),  # a token id outside 0..n-1
+            ("0:0.59999999999999998", "-1:0.59999999999999998"),  # a negative token id
+            ("1:0.55555555555555558 2:0.33333333333333331",
+             "2:0.33333333333333331 1:0.55555555555555558"),  # token ids out of order
+            ("0:0.14285714285714285", "0=0.14285714285714285"),  # a pair without its id
+            ("context=1|0.42857142857142855|0:0.14285714285714285",
+             "context=1|-0.5 1.0 0.5"),  # a negative entry
+            ("0:0.59999999999999998", "0:0.5"),  # a row summing to 0.9
+            ("n=3", "n=4"),  # n differs from the token lines
+        ],
+    )
+    def test_malformed_row_exits_2(self, runner, tmp_path, old, new):
+        model = fit_abb_bigram(runner, tmp_path)
+        text = model.read_text()
+        assert old in text
+        model.write_text(text.replace(old, new, 1))
+        held = tmp_path / "held.txt"
+        held.write_text("a b\n")
+        result = runner.invoke(
+            main, ["eval", "--model", str(model), "--corpus", str(held), "--length", "2"]
+        )
+        assert result.exit_code == 2
+        assert "cannot load model" in result.output
+
+
+class TestLogRatioModel:
+    def test_boosted_model_evaluates_to_the_traced_loss(self, runner, tmp_path):
+        reference = fit_aab_unigram(runner, tmp_path)
+        corpus = tmp_path / "aab.txt"
+        trace, boosted = tmp_path / "trace.csv", tmp_path / "boosted.txt"
+        result = runner.invoke(
+            main,
+            ["boost", "--corpus", str(corpus), "--length", "2", "--oracle", "log-ratio",
+             "--ref-model", str(reference), "--epsilon", "0.2", "--trace-out", str(trace),
+             "--model-out", str(boosted)],
+        )
+        assert result.exit_code == 0
+        records = trace.read_text().splitlines()[1:]
+        assert len(records) == 4
+        final_loss = float(records[-1].split(",")[2])
+        result = runner.invoke(
+            main, ["eval", "--model", str(boosted), "--corpus", str(corpus), "--length", "2"]
+        )
+        assert result.exit_code == 0
+        assert f"log-loss: {final_loss:.6g} nats" in result.output
+        assert "log-loss: 1.30262 nats" in result.output
+
+
 class TestOracleCheck:
     def test_all_suites_pass(self, runner, tmp_path):
         out = tmp_path / "check.csv"

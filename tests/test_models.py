@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from seqboost.boost import ReweightedModel
 from seqboost.checks import make_vocab, random_corpus, random_table
 from seqboost.corpus import Corpus, Sequence, Vocabulary
-from seqboost.distinguish import ngram_indicator, token_indicator
+from seqboost.distinguish import ngram_indicator, step_log_ratio, token_indicator
 from seqboost.exact import JointTable, all_sequences, kl_divergence
 from seqboost.models import (
     LogLinearModel,
+    NGramModel,
     UniformModel,
     kl_gradient,
     log_loss,
@@ -295,3 +296,139 @@ class TestSerialization:
         text = model_to_text(model).replace("factor=0.29999999999999999|", "factor=-0.3|")
         with pytest.raises(ValueError, match="flip"):
             model_from_text(text)
+
+
+def random_row(rng, n, shape):
+    if shape == "distinct":
+        row = rng.random(n) + 0.01
+    elif shape == "equal":
+        row = np.ones(n)
+    elif shape == "zero-padded":
+        row = rng.random(n) * (rng.random(n) < 0.5)
+        row[rng.integers(n)] = 1.0
+    else:  # the pad one-hot
+        row = np.zeros(n)
+        row[0] = 1.0
+    return row / row.sum()
+
+
+def random_bigram(rng, vocab, length):
+    cond = {(): random_row(rng, vocab.n, "distinct")}
+    cond.update({(t,): random_row(rng, vocab.n, "distinct") for t in range(vocab.n)})
+    return NGramModel(vocab, length, 2, cond)
+
+
+class TestNGramFile:
+    """The sparse n-gram rows: ``context=<ids>|<fill>|<id>:<p> ...``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 3),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.sampled_from(["distinct", "equal", "zero-padded", "pad-one-hot"]),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_rows_round_trip_bit_for_bit(self, order, n, seed, shapes):
+        rng = np.random.default_rng(seed)
+        vocab = make_vocab(n)
+        cond = {}
+        for shape in shapes:
+            ctx = tuple(int(t) for t in rng.integers(0, n, size=rng.integers(0, order)))
+            cond[ctx] = random_row(rng, n, shape)
+        model = NGramModel(vocab, 3, order, cond, lam=float(rng.random()))
+        loaded = model_from_text(model_to_text(model))
+        assert (loaded.order, loaded.lam, loaded.length, loaded.vocab) == (
+            model.order, model.lam, model.length, model.vocab)
+        assert loaded.cond.keys() == cond.keys()
+        for ctx, row in cond.items():
+            assert loaded.cond[ctx].tobytes() == row.tobytes()
+
+    def test_dense_v1_file_still_loads(self):
+        # The bigram fitted with lambda 0.5 on a a / a b / b at length 2, as v1 wrote it.
+        text = "\n".join([
+            "seqboost-model v1", "kind=ngram", "order=2", "lambda=0.5", "n=3", "length=2",
+            "token=<pad>", "token=a", "token=b",
+            "context=|0.1111111111111111 0.55555555555555558 0.33333333333333331",
+            "context=1|0.14285714285714285 0.42857142857142855 0.42857142857142855",
+            "context=2|0.59999999999999998 0.20000000000000001 0.20000000000000001",
+        ])
+        corpus = Corpus(
+            make_vocab(3), 2,
+            tuple(Sequence.from_ids(ids, 2) for ids in [(1, 1), (1, 2), (2,)]),
+        )
+        fitted = ngram_mle_fit(corpus, 2, 0.5)
+        loaded = model_from_text(text)
+        assert loaded.cond.keys() == fitted.cond.keys()
+        for ctx, row in fitted.cond.items():
+            assert loaded.cond[ctx].tobytes() == row.tobytes()
+
+    def test_fitted_bigram_writes_its_seen_pairs_not_n_per_context(self):
+        rng = np.random.default_rng(5)
+        vocab = Vocabulary.build([f"w{i}" for i in range(100)])
+        corpus = random_corpus(rng, vocab, 6, 80)  # about 280 tokens
+        model = ngram_mle_fit(corpus, 2, 0.1)
+        seen = {
+            (seq.token_ids[j - 1 : j], seq.token_ids[j])
+            for seq in corpus.sequences
+            for j in range(corpus.length)
+            if not (j and seq.token_ids[j - 1] == 0)
+        }
+        rows = [line for line in model_to_text(model).splitlines() if line.startswith("context=")]
+        reals = sum(1 + line.count(":") for line in rows)
+        # One fill per row, one pair per seen (context, token), at most one pad entry per row.
+        assert reals <= len(seen) + 2 * len(rows)
+        assert reals < vocab.n * len(rows) / 4
+
+
+class TestLogRatioFile:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 2.0), st.booleans(), st.integers(0, 3), st.floats(1.5, 20.0),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_chain_with_log_ratio_factors_round_trips(self, n, length, seed, specs):
+        # Built as run_boost builds it: each factor against the model so far,
+        # appended by `extended`, which rounds differently from a fresh chain.
+        vocab = make_vocab(n)
+        reference = random_bigram(np.random.default_rng(seed), vocab, length)
+        prefixes = [seq.token_ids for j in range(length) for seq in all_sequences(vocab, j)]
+        model = ReweightedModel(UniformModel(vocab, length), [])
+        for b, log_ratio, tok, C, flips in specs:
+            if log_ratio:
+                g = step_log_ratio(model, reference, C)
+            else:
+                g = token_indicator(vocab, tok % n)
+            for _ in range(flips):
+                g = g.flipped()
+            for prefix in prefixes:
+                model.next_token_dist(prefix)
+            model = model.extended(b, g)
+        loaded = model_from_text(model_to_text(model))
+        for prefix in prefixes:
+            np.testing.assert_allclose(
+                loaded.next_token_dist(prefix), model.next_token_dist(prefix), rtol=1e-12, atol=0
+            )
+
+    def test_writer_refuses_factors_it_cannot_rebuild(self, ab_vocab):
+        base = UniformModel(ab_vocab, 2)
+        ref, other = (random_bigram(np.random.default_rng(s), ab_vocab, 2) for s in (1, 2))
+        foreign = ReweightedModel(base, [(0.3, step_log_ratio(other, ref, 2.0))])
+        with pytest.raises(ValueError, match="chain before it"):
+            model_to_text(foreign)
+        first = ReweightedModel(base, [(0.3, step_log_ratio(base, ref, 2.0))])
+        two_refs = first.extended(0.2, step_log_ratio(first, other, 2.0))
+        with pytest.raises(ValueError, match="more than one reference"):
+            model_to_text(two_refs)
