@@ -19,23 +19,27 @@ from .corpus import Corpus, Vocabulary
 from .distinguish import (
     StepDistinguisher,
     extension_values,
+    extensions,
     generalized_advantage,
     ngram_indicator,
-    prefix_conditionals,
     step_log_ratio,
     token_indicator,
 )
 from .exact import JointTable
-from .models import LossReport, SequentialModel, log_loss
+from .models import SequentialModel, log_loss, prefix_conditionals
+
+
+# The most token ids one block of ReweightedModel's batched rows extends to (2 MB).
+EXTENSION_BLOCK = 1 << 18
 
 
 class ReweightedModel(SequentialModel):
     """A base model with an ordered list of (weight, step distinguisher) factors.
 
     Conditionals are the base conditionals times exp(-sum_t b_t g_t), with a
-    per-prefix partition, cached per prefix.  Computed in log space; an empty
-    factor list leaves the base untouched.  Weights must be nonnegative (a
-    negative weight is a flipped distinguisher).  ``partition_scale`` is a
+    per-prefix partition, memoised per prefix.  Computed in log space; an
+    empty factor list leaves the base untouched.  Weights must be nonnegative
+    (a negative weight is a flipped distinguisher).  ``partition_scale`` is a
     test hook that deliberately mis-scales the partition (1.0 in all real use).
     """
 
@@ -59,25 +63,66 @@ class ReweightedModel(SequentialModel):
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        if prefix in self._cache:
-            return self._cache[prefix]
-        base_dist = self.base.next_token_dist(prefix)
         if not self.factors:
-            return base_dist
-        n = self.vocab.n
+            return self.base.next_token_dist(prefix)
+        if prefix not in self._cache:
+            self.conditionals(np.array(prefix, dtype=np.int64).reshape(1, len(prefix)))
+        return self._cache[prefix]
+
+    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+        """Memoised rows where there are any; the others from ``_reweighted``,
+        each distinct prefix once, kept in the memo unless ``memo`` is false."""
+        prefixes = np.asarray(prefixes, dtype=np.int64)
+        if not self.factors:
+            return self.base.conditionals(prefixes, memo)
+        if not self._cache and not memo:
+            return self._reweighted(prefixes)
+        cache = self._cache
+        keys = list(map(tuple, prefixes.tolist()))
+        missing = {key: i for i, key in enumerate(keys) if key not in cache}
+        fresh = {}
+        if missing:
+            fresh = dict(zip(missing, self._reweighted(prefixes[list(missing.values())])))
+            if memo:
+                cache.update(fresh)
+        rows = [fresh[key] if key in fresh else cache[key] for key in keys]
+        return np.array(rows).reshape(len(keys), self.vocab.n)
+
+    def _reweighted(self, prefixes: np.ndarray) -> np.ndarray:
+        """The conditionals of a (k, L) prefix array, computed from the base.
+
+        Row by row, the scalar formula: the factor terms b_t g_t are added in
+        factor order, subtracted from the log of the base row, and exponentiated
+        against the row's largest finite log.  A factor without vectorised
+        ``values`` is called per prefix and token, only where the base is
+        positive.  Rows go in blocks whose (rows, n, L + 1) token extensions
+        hold at most EXTENSION_BLOCK ids, so a level of ``enumerate_joint``
+        needs little memory.
+        """
+        (k, L), n = prefixes.shape, self.vocab.n
+        step = max(1, EXTENSION_BLOCK // (n * (L + 1)))
+        if k > step:
+            return np.concatenate([self._reweighted(prefixes[i : i + step])
+                                   for i in range(0, k, step)])
+        base = self.base.conditionals(prefixes)
+        live = base > 0.0
         with np.errstate(divide="ignore"):
-            logs = np.log(base_dist.astype(float))
-        for w in range(n):
-            if base_dist[w] <= 0.0:
-                continue
-            logs[w] -= sum(b * g(prefix + (w,)) for b, g in self.factors)
-        finite = logs > -math.inf
-        shift = logs[finite].max()
-        weights = np.zeros(n)
-        weights[finite] = np.exp(logs[finite] - shift)
-        dist = weights / (weights.sum() * self.partition_scale)
-        self._cache[prefix] = dist
-        return dist
+            logs = np.log(base)
+        terms = np.zeros(base.shape)
+        ext = None
+        for b, g in self.factors:
+            if g.values is not None:
+                ext = extensions(prefixes, n) if ext is None else ext
+                terms += b * g.values(ext)
+            else:
+                for i, prefix in enumerate(map(tuple, prefixes.tolist())):
+                    for w in np.flatnonzero(live[i]).tolist():
+                        terms[i, w] += b * g(prefix + (w,))
+        logs[live] -= terms[live]
+        shift = logs.max(axis=1, keepdims=True)
+        weights = np.zeros(base.shape)
+        weights[live] = np.exp((logs - shift)[live])
+        return weights / (weights.sum(axis=1, keepdims=True) * self.partition_scale)
 
     def extended(self, b: float, g: StepDistinguisher) -> "ReweightedModel":
         """This model with the factor (b, g) appended, its cache carried forward.
@@ -288,16 +333,13 @@ class LogRatioOracle:
         self.ratio_cap = ratio_cap
 
     def _bound(self, q: SequentialModel, corpus: Corpus) -> float:
-        worst = 1.0
-        for seq in corpus.sequences:
-            for j in range(corpus.length):
-                ctx = seq.prefix(j)
-                dq = q.next_token_dist(ctx)
-                dr = self.reference.next_token_dist(ctx)
-                both = (dq > 0) & (dr > 0)
-                if np.any(both):
-                    r = dq[both] / dr[both]
-                    worst = max(worst, float(r.max()), float((1.0 / r).max()))
+        """The largest ratio either way between q and the reference at the
+        corpus prefixes, where both are positive, clamped to (1, ratio_cap]."""
+        dq = prefix_conditionals(q, corpus)
+        dr = prefix_conditionals(self.reference, corpus)
+        both = (dq > 0) & (dr > 0)
+        r = dq[both] / dr[both]
+        worst = max(1.0, float(r.max()), float((1.0 / r).max())) if r.size else 1.0
         return min(max(worst, 1.0 + 1e-12), self.ratio_cap)
 
     def propose(self, q: SequentialModel, corpus: Corpus) -> StepDistinguisher:

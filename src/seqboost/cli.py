@@ -27,8 +27,16 @@ from .distinguish import (
     token_indicator,
     training_advantage,
 )
-from .exact import DEFAULT_BUDGET, JointTable, enumerate_joint, kl_divergence, sequence_index, total_variation
-from .models import UniformModel, log_loss, ngram_mle_fit
+from .exact import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    JointTable,
+    enumerate_joint,
+    kl_divergence,
+    sequence_index,
+    total_variation,
+)
+from .models import PAD_ID, UniformModel, log_loss, ngram_mle_fit
 from .serialize import load_model, save_model
 
 NATS_TO_BITS = 1.0 / math.log(2.0)
@@ -247,15 +255,42 @@ def distinguish(config_path, corpus_path, length, model_path, dist_spec, estimat
 
 
 def _load_table_csv(path: str, vocab: Vocabulary, length: int) -> JointTable:
+    """A 'sequence,prob' CSV over the model's domain; sequences it omits get 0.
+
+    A label shorter than the length is padded, as a corpus line is.  An
+    unreadable file, an unknown token, a label of no tokens or more than the
+    length, a sequence listed twice, a value that is not a finite real, and
+    probabilities that are not a distribution are usage errors.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise click.UsageError(f"cannot read table {path}: {exc}")
     probs = np.zeros(vocab.n**length)
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for raw in lines[1:]:
+    listed: set[int] = set()
+    for no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         label, _, value = raw.rpartition(",")
-        ids = tuple(vocab.id_of(t) for t in label.split())
-        probs[sequence_index(vocab, ids)] = float(value)
-    return JointTable(vocab, length, probs)
+        tokens = label.split()
+        if not 1 <= len(tokens) <= length:
+            raise click.UsageError(f"table line {no}: {len(tokens)} tokens, need 1..{length}")
+        try:
+            ids = [vocab.id_of(t) for t in tokens]
+            p = float(value)
+        except (KeyError, ValueError) as exc:
+            raise click.UsageError(f"table line {no}: {exc.args[0]}")
+        if not math.isfinite(p):
+            raise click.UsageError(f"table line {no}: probability {value!r} is not finite")
+        index = sequence_index(vocab, tuple(ids + [PAD_ID] * (length - len(ids))))
+        if index in listed:
+            raise click.UsageError(f"table line {no}: sequence {label.strip()!r} listed twice")
+        listed.add(index)
+        probs[index] = p
+    try:
+        return JointTable(vocab, length, probs)
+    except ValueError as exc:
+        raise click.UsageError(f"table {path}: {exc}")
 
 
 @main.command()
@@ -285,8 +320,11 @@ def eval(config_path, model_path, corpus_path, length, table_path, budget):
         did_anything = True
     table_path = pick(table_path, cfg, "table")
     if table_path:
-        joint = enumerate_joint(model, budget=budget)
         table = _load_table_csv(table_path, model.vocab, model.length)
+        try:
+            joint = enumerate_joint(model, budget=budget)
+        except BudgetExceededError as exc:
+            raise click.UsageError(str(exc))
         click.echo(f"kl(table||model): {kl_divergence(table, joint):.6g} nats")
         click.echo(f"tvd(table,model): {total_variation(table, joint):.6g}")
         did_anything = True

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, Sequence, Vocabulary
 from .exact import DEFAULT_BUDGET, JointTable, check_shared, enumerate_joint, sequence_index
-from .models import SequentialModel, sample_many, sequence_log_prob
+from .models import SequentialModel, prefix_conditionals, sample_many, sequence_log_prob
 
 
 @dataclass(frozen=True)
@@ -129,23 +129,13 @@ def training_advantage(
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
-    """Q[i, j] = q(. | first j tokens of sequence i): an (m, N, n) array.
-
-    ``next_token_dist`` is called once per distinct corpus prefix.
-    """
-    seen: dict[tuple[int, ...], int] = {}
-    dists: list[np.ndarray] = []
-    index: list[int] = []
-    for seq in corpus.sequences:
-        for j in range(corpus.length):
-            prefix = seq.token_ids[:j]
-            k = seen.get(prefix)
-            if k is None:
-                k = seen[prefix] = len(dists)
-                dists.append(q.next_token_dist(prefix))
-            index.append(k)
-    return np.array(dists)[index].reshape(corpus.m, corpus.length, corpus.vocab.n)
+def extensions(prefixes: np.ndarray, n: int) -> np.ndarray:
+    """Every row of a (k, L) prefix array followed by every token: (k, n, L + 1)."""
+    k, L = prefixes.shape
+    ext = np.empty((k, n, L + 1), dtype=np.int64)
+    ext[:, :, :L] = prefixes[:, None, :]
+    ext[:, :, L] = np.arange(n)
+    return ext
 
 
 def extension_values(g: StepDistinguisher, prefixes: np.ndarray, n: int) -> np.ndarray:
@@ -153,11 +143,7 @@ def extension_values(g: StepDistinguisher, prefixes: np.ndarray, n: int) -> np.n
 
     Returns a (k, n) array; ``g`` must have a vectorised ``values``.
     """
-    k, L = prefixes.shape
-    ext = np.empty((k, n, L + 1), dtype=np.int64)
-    ext[:, :, :L] = prefixes[:, None, :]
-    ext[:, :, L] = np.arange(n)
-    return g.values(ext)
+    return g.values(extensions(prefixes, n))
 
 
 def generalized_advantage(
@@ -300,15 +286,16 @@ def ngram_indicator(
 def step_log_ratio(
     q: SequentialModel, ref: SequentialModel, C: float, flip: bool = False
 ) -> StepDistinguisher:
-    """Conditional log-ratio of q vs a reference model, scaled and clamped to [0,1]."""
+    """Conditional log-ratio of q vs a reference model, scaled and clamped to [0,1].
+
+    ``values`` takes both models' probabilities from ``token_probs``, one call
+    each for a whole id array, and applies the same scalar formula to each.
+    """
     if C <= 1.0:
         raise ValueError("C must exceed 1")
     log_c = math.log(C)
 
-    def fn(prefix: tuple[int, ...]) -> float:
-        ctx, tok = prefix[:-1], prefix[-1]
-        pq = float(q.next_token_dist(ctx)[tok])
-        pr = float(ref.next_token_dist(ctx)[tok])
+    def scaled(pq: float, pr: float) -> float:
         if pq <= 0.0 and pr <= 0.0:
             return 0.5
         if pq <= 0.0:
@@ -318,7 +305,24 @@ def step_log_ratio(
         val = (log_c + math.log(pq) - math.log(pr)) / (2.0 * log_c)
         return min(max(val, 0.0), 1.0)
 
+    def fn(prefix: tuple[int, ...]) -> float:
+        ctx, tok = prefix[:-1], prefix[-1]
+        return scaled(float(q.next_token_dist(ctx)[tok]), float(ref.next_token_dist(ctx)[tok]))
+
+    def values(ids: np.ndarray) -> np.ndarray:
+        rows = ids.reshape(-1, ids.shape[-1])
+        pq = q.token_probs(rows[:, :-1], rows[:, -1])
+        pr = ref.token_probs(rows[:, :-1], rows[:, -1])
+        out = np.where(pq > 0.0, 1.0, np.where(pr > 0.0, 0.0, 0.5))
+        both = (pq > 0.0) & (pr > 0.0)
+        # math.log, as in fn: numpy's log can differ from it in the last bit.
+        lq = np.array([math.log(x) for x in pq[both].tolist()])
+        lr = np.array([math.log(x) for x in pr[both].tolist()])
+        out[both] = np.clip((log_c + lq - lr) / (2.0 * log_c), 0.0, 1.0)
+        return out.reshape(ids.shape[:-1])
+
     base = StepDistinguisher(
-        fn, label=f"step-log-ratio(C={C:g})", kind="log-ratio", params=(C,), models=(q, ref)
+        fn, label=f"step-log-ratio(C={C:g})", kind="log-ratio", params=(C,),
+        values=values, models=(q, ref),
     )
     return base.flipped() if flip else base

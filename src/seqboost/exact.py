@@ -81,6 +81,19 @@ class JointTable(SequentialModel):
             return np.full(n, 1.0 / n)
         return masses / total
 
+    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+        """The same block sums for every row at once."""
+        prefixes = np.asarray(prefixes)
+        n, L = self.vocab.n, prefixes.shape[1]
+        width = n ** (self.length - L)
+        starts = (prefixes @ n ** np.arange(L - 1, -1, -1, dtype=np.int64)) * width
+        edges = self._cumsum[starts[:, None] + np.arange(n + 1) * (width // n)]
+        masses = np.diff(edges, axis=1)
+        totals = masses.sum(axis=1, keepdims=True)
+        # A zero-mass prefix gets the uniform conditional, as in next_token_dist.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(totals > 0.0, masses / totals, 1.0 / n)
+
     def prob_of(self, seq: Sequence) -> float:
         return float(self.probs[sequence_index(self.vocab, seq.token_ids)])
 
@@ -100,17 +113,21 @@ def check_shared(p: JointTable, q: JointTable) -> None:
 def enumerate_joint(
     model: SequentialModel, budget: int = DEFAULT_BUDGET
 ) -> JointTable:
-    """Expand a sequential model into its full joint table by the chain rule."""
+    """Expand a sequential model into its full joint table by the chain rule.
+
+    Level j holds the log-probabilities of all n^j prefixes of length j in
+    lexicographic order; one ``conditionals`` call per level extends them.
+    The model keeps none of the rows in its memo.
+    """
     n, N = model.vocab.n, model.length
     if n**N > budget:
         raise BudgetExceededError(f"enumeration budget exceeded: {n}^{N} > {budget}")
     level = np.zeros(1)  # log-probabilities of all prefixes of the current length
     with np.errstate(divide="ignore"):
         for j in range(N):
-            nxt = np.empty(n ** (j + 1))
-            for i, prefix in enumerate(itertools.product(range(n), repeat=j)):
-                nxt[i * n : (i + 1) * n] = level[i] + np.log(model.next_token_dist(prefix))
-            level = nxt
+            # Row i of the level's prefixes is i written as j base-n digits.
+            prefixes = np.arange(n**j)[:, None] // n ** np.arange(j - 1, -1, -1) % n
+            level = (level[:, None] + np.log(model.conditionals(prefixes, memo=False))).ravel()
     return JointTable(model.vocab, N, np.exp(level))
 
 

@@ -4,6 +4,14 @@ Every model exposes ``next_token_dist(prefix)``: the conditional distribution
 of the next token given a prefix of 0..N-1 token ids.  The joint probability
 of a sequence is the product of these conditionals; all arithmetic is done in
 log space so N-length products cannot underflow.
+
+Two array methods give the same numbers for many prefixes at once:
+``conditionals(prefixes)`` maps a (k, L) array of equal-length prefixes to
+the (k, n) array of their conditionals, and ``token_probs(prefixes, tokens)``
+to the (k,) probabilities of one given next token per prefix.  The defaults
+loop over ``next_token_dist``; the built-in models override them with array
+arithmetic that returns the same rows.  Corpus-wide layers (``log_loss``,
+``prefix_conditionals``, ``enumerate_joint``) make one call per position.
 """
 
 from __future__ import annotations
@@ -25,7 +33,9 @@ class SequentialModel(abc.ABC):
     """Behavioral contract: a next-token conditional per prefix.
 
     Implementations must be deterministic for a given prefix and return n
-    nonnegative reals summing to 1 within 1e-9.
+    nonnegative reals summing to 1 within 1e-9.  ``conditionals`` and
+    ``token_probs`` must agree with ``next_token_dist`` row by row; an
+    override may change how the rows are computed, not what they are.
     """
 
     vocab: Vocabulary
@@ -34,6 +44,23 @@ class SequentialModel(abc.ABC):
     @abc.abstractmethod
     def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Conditional distribution q(. | prefix) as an array of n reals."""
+
+    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+        """q(. | row) for every row of a (k, L) array of prefixes: a (k, n) array.
+
+        A model that memoises its conditionals keeps the rows computed here
+        unless ``memo`` is false; a sweep that visits each prefix once
+        (``enumerate_joint``) passes false so its rows do not stay in memory.
+        """
+        prefixes = np.asarray(prefixes)
+        out = np.empty((len(prefixes), self.vocab.n))
+        for i, row in enumerate(prefixes.tolist()):
+            out[i] = self.next_token_dist(tuple(row))
+        return out
+
+    def token_probs(self, prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """q(tokens[i] | prefixes[i]) for every row of a (k, L) prefix array: (k,)."""
+        return self.conditionals(prefixes)[np.arange(len(prefixes)), tokens]
 
 
 @dataclass(frozen=True)
@@ -67,6 +94,14 @@ class UniformModel(SequentialModel):
         if prefix[-1] == PAD_ID:
             return self._pad_onehot
         return self._all
+
+    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+        prefixes = np.asarray(prefixes)
+        if prefixes.shape[1] == 0:
+            return np.tile(self._content, (len(prefixes), 1))
+        out = np.tile(self._all, (len(prefixes), 1))
+        out[prefixes[:, -1] == PAD_ID] = self._pad_onehot
+        return out
 
 
 class NGramModel(SequentialModel):
@@ -108,6 +143,36 @@ class NGramModel(SequentialModel):
         dist = self.cond.get(self.context_of(prefix))
         return dist if dist is not None else self._uniform
 
+    def _contexts(self, prefixes: np.ndarray) -> np.ndarray:
+        """The context columns of a (k, L) prefix array: its last order-1 (at most L)."""
+        return prefixes[:, prefixes.shape[1] - min(self.order - 1, prefixes.shape[1]) :]
+
+    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+        """One dictionary lookup per distinct context, then a gather."""
+        prefixes = np.asarray(prefixes)
+        contexts, rows = np.unique(self._contexts(prefixes), axis=0, return_inverse=True)
+        table = np.array([
+            self.cond.get(ctx, self._uniform) for ctx in map(tuple, contexts.tolist())
+        ]).reshape(len(contexts), self.vocab.n)
+        out = table[rows.reshape(-1)]
+        if prefixes.shape[1]:
+            out[prefixes[:, -1] == PAD_ID] = self._pad_onehot
+        return out
+
+    def token_probs(self, prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """One row lookup per prefix: no (k, n) array, which at a large n would
+        cost more than the lookups."""
+        prefixes = np.asarray(prefixes)
+        cond, uniform = self.cond, self._uniform
+        out = np.array([
+            cond.get(ctx, uniform)[tok]
+            for ctx, tok in zip(map(tuple, self._contexts(prefixes).tolist()), tokens.tolist())
+        ]).reshape(len(prefixes))
+        if prefixes.shape[1]:
+            after_pad = prefixes[:, -1] == PAD_ID
+            out[after_pad] = self._pad_onehot[tokens[after_pad]]
+        return out
+
 
 def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
     """Fit an order-k model by counting, with optional Laplace smoothing.
@@ -123,25 +188,51 @@ def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     n = corpus.vocab.n
-    counts: dict[tuple[int, ...], np.ndarray] = {}
-    for seq in corpus.sequences:
-        for j in range(corpus.length):
-            prefix = seq.prefix(j)
-            if prefix and prefix[-1] == PAD_ID:
-                break  # pad-after-pad is forced, not counted
-            ctx = prefix[-(order - 1) :] if order > 1 else ()
-            if ctx not in counts:
-                counts[ctx] = np.zeros(n)
-            counts[ctx][seq.token_ids[j]] += 1.0
     smooth = np.full(n, lam)
     if not corpus.has_padding:
         smooth[PAD_ID] = 0.0
     cond: dict[tuple[int, ...], np.ndarray] = {}
-    for ctx, c in counts.items():
-        numer = c + smooth
+    contexts, tokens, ends = _tokens_by_context(corpus, order - 1)
+    for ctx, start, end in zip(contexts, [0] + ends, ends):
+        numer = np.bincount(tokens[start:end], minlength=n) + smooth
         denom = numer.sum()
         cond[ctx] = numer / denom if denom > 0 else np.full(n, 1.0 / n)
     return NGramModel(corpus.vocab, corpus.length, order, cond, lam)
+
+
+def _tokens_by_context(corpus: Corpus, c: int) -> tuple[list[tuple[int, ...]], np.ndarray, list[int]]:
+    """Every context of c tokens (fewer at the start of a sequence) in order of
+    first appearance, the tokens that follow them grouped in that order, and
+    the end of each group.
+
+    Position j counts unless a pad came before it: pad-after-pad is forced,
+    not counted.
+    """
+    ids, n = corpus.ids, corpus.vocab.n
+    m, N = ids.shape
+    counted = np.ones((m, N), dtype=bool)
+    counted[:, 1:] = ~np.logical_or.accumulate(ids[:, :-1] == PAD_ID, axis=1)
+    # padded[i, j : j + c] is the context of position j: the c ids before it,
+    # with -1 before the start of the sequence.
+    padded = np.concatenate([np.full((m, c), -1, dtype=np.int64), ids], axis=1)
+    # Number the contexts 0, 1, ... one column at a time, renumbering after
+    # each column so that the numbers stay below the count of positions.
+    codes = np.zeros(int(counted.sum()), dtype=np.int64)
+    for k in range(c):
+        column = padded[:, k : k + N][counted]
+        codes = np.unique(codes * (n + 1) + column + 1, return_inverse=True)[1].reshape(-1)
+    first = np.unique(codes, return_index=True)[1]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    group = rank[codes]
+    rows, cols = np.nonzero(counted)  # the positions in the order codes has them
+    contexts = [
+        tuple(t for t in padded[i, j : j + c].tolist() if t >= 0)
+        for i, j in zip(rows[first[by_first]].tolist(), cols[first[by_first]].tolist())
+    ]
+    tokens = ids[counted][np.argsort(group, kind="stable")]
+    return contexts, tokens, np.cumsum(np.bincount(group)).tolist()
 
 
 def sequence_log_prob(model: SequentialModel, seq: Sequence) -> float:
@@ -155,16 +246,39 @@ def sequence_log_prob(model: SequentialModel, seq: Sequence) -> float:
     return total
 
 
+def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
+    """Q[i, j] = q(. | first j tokens of sequence i): an (m, N, n) array,
+    from one ``conditionals`` call per position."""
+    ids = corpus.ids
+    Q = np.empty(ids.shape + (corpus.vocab.n,))
+    for j in range(corpus.length):
+        Q[:, j] = q.conditionals(ids[:, :j])
+    return Q
+
+
 def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
-    """Negative mean log-likelihood of the corpus, in nats per sequence."""
+    """Negative mean log-likelihood of the corpus, in nats per sequence.
+
+    One ``token_probs`` call per position; the logs are ``math.log`` and are
+    added position by position, then sequence by sequence, so the result is
+    the same float as a scalar loop over sequences and positions.
+    """
     if corpus.m < 1:
         raise ValueError("empty corpus")
-    per: list[float] = []
-    for i, seq in enumerate(corpus.sequences):
-        lp = sequence_log_prob(model, seq)
-        if lp == -math.inf:
-            raise ValueError(f"sequence {i} is impossible under the model (infinite loss)")
-        per.append(-lp)
+    ids = corpus.ids
+    probs = np.empty(ids.shape)
+    for j in range(corpus.length):
+        probs[:, j] = model.token_probs(ids[:, :j], ids[:, j])
+    impossible = np.flatnonzero((probs <= 0.0).any(axis=1))
+    if impossible.size:
+        raise ValueError(
+            f"sequence {impossible[0]} is impossible under the model (infinite loss)"
+        )
+    logs = np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(probs.shape)
+    total = np.zeros(corpus.m)
+    for j in range(corpus.length):
+        total += logs[:, j]
+    per = (-total).tolist()
     # Fixed index order keeps the mean bit-reproducible.
     return LossReport(sum(per) / corpus.m, tuple(per))
 

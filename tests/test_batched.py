@@ -1,33 +1,48 @@
-"""The array-native boosting round against the scalar loops it replaces.
+"""The array-native code paths against the scalar loops they replace.
 
 The built-in indicator families carry a vectorised ``values``; wrapping the
 same ``fn`` as a custom distinguisher gives the scalar loop, which serves as
-the reference throughout.
+the reference for the boosting round.  The models' batched ``conditionals``
+and ``token_probs``, and the layers built on them (``enumerate_joint``,
+``log_loss``, ``ngram_mle_fit``, the log-ratio oracle's bound), are checked
+against scalar references written out here.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from seqboost.boost import (
     BoostConfig,
+    LogRatioOracle,
     NGramIndicatorOracle,
     ReweightedModel,
     TokenIndicatorOracle,
     run_boost,
 )
 from seqboost.checks import make_vocab
+from seqboost.cli import main
 from seqboost.corpus import Corpus, Sequence
 from seqboost.distinguish import (
     StepDistinguisher,
     generalized_advantage,
     ngram_indicator,
-    prefix_conditionals,
+    step_log_ratio,
     token_indicator,
 )
-from seqboost.exact import JointTable
-from seqboost.models import UniformModel, log_loss
+from seqboost.exact import JointTable, enumerate_joint
+from seqboost.models import (
+    PAD_ID,
+    NGramModel,
+    UniformModel,
+    log_loss,
+    ngram_mle_fit,
+    prefix_conditionals,
+)
 
 
 def scalar(g):
@@ -232,3 +247,354 @@ def test_token_indicator_run_matches_the_scalar_reference():
         "a\na c\nc b c\nc a c a\na\na b\nb b c\na b a b\na\na a\nb a a\nb c a c", 4
     )
     assert_same_run(corpus, order=1, epsilon=0.003, rounds=60)
+
+
+# ---------------------------------------------------------------------------
+# Batched conditionals under every model.
+
+
+@st.composite
+def base_models(draw, vocab, length):
+    """A uniform model, an n-gram of order 1-3 with some contexts unseen, or a
+    joint table with zero-mass prefixes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "ngram", "table"]))
+    if kind == "uniform":
+        return UniformModel(vocab, length)
+    if kind == "ngram":
+        order = draw(st.integers(1, 3))
+        cond = {}
+        for width in range(order):
+            for ctx in itertools.product(range(vocab.n), repeat=width):
+                if rng.random() < 0.6:
+                    row = rng.random(vocab.n) * (rng.random(vocab.n) < 0.8)
+                    row[rng.integers(vocab.n)] += 0.1
+                    cond[ctx] = row / row.sum()
+        return NGramModel(vocab, length, order, cond)
+    probs = rng.random(vocab.n**length) * (rng.random(vocab.n**length) < 0.6)
+    # Whole blocks of zeros: prefixes of length N-1 with no mass.
+    probs.reshape(-1, vocab.n)[rng.random(vocab.n ** (length - 1)) < 0.4] = 0.0
+    probs[rng.integers(probs.size)] += 0.1
+    return JointTable(vocab, length, probs / probs.sum())
+
+
+@st.composite
+def models(draw):
+    """A base model, or one reweighted by 0-3 factors of every kind: indicators
+    (flipped or not), custom distinguishers and log-ratio distinguishers, with
+    a partition_scale that may differ from 1."""
+    n = draw(st.integers(2, 4))
+    length = draw(st.integers(1, 3))
+    vocab = make_vocab(n)
+    base = draw(base_models(vocab, length))
+    if draw(st.booleans()):
+        return base
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        b = draw(st.floats(0.0, 2.0))
+        kind = draw(st.sampled_from(["indicator", "custom", "log-ratio"]))
+        if kind == "log-ratio":
+            reference = draw(base_models(vocab, length))
+            g = step_log_ratio(ReweightedModel(base, factors), reference,
+                               draw(st.floats(1.5, 10.0)), flip=draw(st.booleans()))
+        else:
+            g = draw(indicators(vocab))
+            g = scalar(g) if kind == "custom" else g
+        factors.append((b, g))
+    return ReweightedModel(base, factors, draw(st.sampled_from([1.0, 1.0, 1.01, 0.9])))
+
+
+def fresh(model):
+    """The same model with an empty memo."""
+    if isinstance(model, ReweightedModel):
+        return ReweightedModel(model.base, model.factors, model.partition_scale)
+    return model
+
+
+def scalar_reweighted(model, prefix):
+    """A reweighted model's conditional by the scalar formula, one token at a time."""
+    base_dist = model.base.next_token_dist(prefix)
+    if not model.factors:
+        return base_dist
+    with np.errstate(divide="ignore"):
+        logs = np.log(base_dist)
+    for w in range(model.vocab.n):
+        if base_dist[w] > 0.0:
+            logs[w] -= sum(b * g(prefix + (w,)) for b, g in model.factors)
+    finite = logs > -math.inf
+    weights = np.zeros(model.vocab.n)
+    weights[finite] = np.exp(logs[finite] - logs[finite].max())
+    return weights / (weights.sum() * model.partition_scale)
+
+
+@st.composite
+def prefix_arrays(draw, model):
+    """A (k, L) array of prefixes of one length, pads anywhere, rows repeated."""
+    width = draw(st.integers(0, model.length - 1))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, model.vocab.n - 1), min_size=width, max_size=width),
+        min_size=0, max_size=6,
+    ))
+    rows = rows + rows[: draw(st.integers(0, len(rows)))]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_conditionals_and_token_probs_are_stacked_next_token_dist_rows(data):
+    model = data.draw(models())
+    prefixes = data.draw(prefix_arrays(model))
+    tokens = np.array(data.draw(st.lists(st.integers(0, model.vocab.n - 1),
+                                         min_size=len(prefixes), max_size=len(prefixes))),
+                      dtype=np.int64)
+    rows = fresh(model)
+    stacked = np.array([rows.next_token_dist(tuple(p)) for p in prefixes.tolist()])
+    stacked = stacked.reshape(len(prefixes), model.vocab.n)
+    batched = fresh(model).conditionals(prefixes)
+    assert batched.shape == stacked.shape
+    assert batched.tobytes() == stacked.tobytes()
+    probs = fresh(model).token_probs(prefixes, tokens)
+    assert probs.tobytes() == stacked[np.arange(len(prefixes)), tokens].tobytes()
+    if isinstance(model, ReweightedModel):
+        reference = [scalar_reweighted(fresh(model), tuple(p)) for p in prefixes.tolist()]
+        for got, want in zip(batched, reference):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_log_ratio_values_are_its_scalar_calls_bit_for_bit(data):
+    q = data.draw(models())
+    reference = data.draw(base_models(q.vocab, q.length))
+    g = step_log_ratio(q, reference, data.draw(st.floats(1.01, 100.0)), flip=data.draw(st.booleans()))
+    width = data.draw(st.integers(1, q.length))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, q.vocab.n - 1), min_size=width, max_size=width),
+        min_size=1, max_size=6,
+    ))
+    ids = np.array(rows, dtype=np.int64)
+    want = np.array([g(tuple(row)) for row in rows])
+    assert g.values(ids).tobytes() == want.tobytes()
+    assert g.values(ids[None]).tobytes() == want[None].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_memo_false_leaves_the_memo_as_it_was(data):
+    model = data.draw(models())
+    if not isinstance(model, ReweightedModel):
+        model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
+    model.conditionals(data.draw(prefix_arrays(model)))
+    before = dict(model._cache)
+    model.conditionals(data.draw(prefix_arrays(model)), memo=False)
+    assert model._cache.keys() == before.keys()
+    assert all(model._cache[key] is row for key, row in before.items())
+
+
+def chain_rule_table(model):
+    """The joint by the chain rule, one sequence and one prefix at a time:
+    log-probabilities summed from 0 in position order, then exponentiated."""
+    n, N = model.vocab.n, model.length
+    logs = []
+    with np.errstate(divide="ignore"):
+        for ids in itertools.product(range(n), repeat=N):
+            lp = np.float64(0.0)
+            for j in range(N):
+                lp = lp + np.log(model.next_token_dist(ids[:j]))[ids[j]]
+            logs.append(lp)
+    return np.exp(np.array(logs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_enumerate_joint_is_the_scalar_chain_rule_bit_for_bit(data):
+    model = data.draw(models())
+    want = chain_rule_table(fresh(model))
+    if abs(want.sum() - 1.0) > 1e-9:  # a mis-scaled partition is not a joint table
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            enumerate_joint(fresh(model))
+    else:
+        assert enumerate_joint(fresh(model)).probs.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_enumerate_joint_leaves_the_memo_unchanged(data):
+    corpus, q = data.draw(instances())
+    model = ReweightedModel(q, [(0.7, token_indicator(corpus.vocab, 1))])
+    log_loss(model, corpus)
+    before = dict(model._cache)
+    enumerate_joint(model)
+    assert model._cache.keys() == before.keys()
+    assert all(model._cache[key] is row for key, row in before.items())
+
+
+@st.composite
+def corpora_over(draw, vocab, length, max_size=8):
+    """A padded corpus over a given vocabulary and length."""
+    seqs = []
+    for _ in range(draw(st.integers(1, max_size))):
+        true_length = draw(st.integers(1, length))
+        ids = draw(st.lists(st.integers(1, vocab.n - 1), min_size=true_length,
+                            max_size=true_length))
+        seqs.append(Sequence.from_ids(ids, length))
+    return Corpus(vocab, length, tuple(seqs))
+
+
+def scalar_log_loss(model, corpus):
+    """The mean of -sum(math.log(q(x_j | x_<j))) over the corpus, or the index
+    of the first sequence with a zero-probability token."""
+    per = []
+    for i, seq in enumerate(corpus.sequences):
+        probs = [float(model.next_token_dist(seq.prefix(j))[seq.token_ids[j]])
+                 for j in range(corpus.length)]
+        if min(probs) <= 0.0:
+            return i
+        per.append(-sum(math.log(p) for p in probs))
+    return sum(per) / corpus.m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_log_loss_matches_the_scalar_loop(data):
+    model = data.draw(models())
+    corpus = data.draw(corpora_over(model.vocab, model.length))
+    want = scalar_log_loss(fresh(model), corpus)
+    if isinstance(want, int):
+        with pytest.raises(ValueError, match=f"^sequence {want} is impossible"):
+            log_loss(fresh(model), corpus)
+    else:
+        got = log_loss(fresh(model), corpus)
+        assert abs(got.log_loss - want) <= 1e-12 * abs(want)
+        assert got.log_loss == sum(got.per_sequence) / corpus.m
+
+
+def test_log_loss_reports_the_first_impossible_sequence():
+    train = corpus_of("a b\na b\nb a", 2)
+    model = ngram_mle_fit(train, 2)
+    vocab = train.vocab
+    held = Corpus(vocab, 2, tuple(
+        Sequence.from_ids([vocab.id_of(t) for t in line.split()], 2)
+        for line in ["a b", "b a", "a a", "b b", "a a"]
+    ))
+    assert scalar_log_loss(model, held) == 2
+    with pytest.raises(ValueError, match="^sequence 2 is impossible"):
+        log_loss(model, held)
+
+
+def loop_ngram_fit(corpus, order, lam):
+    """Counting one prefix at a time: the fit's reference, rows in first-appearance order."""
+    n = corpus.vocab.n
+    counts = {}
+    for seq in corpus.sequences:
+        for j in range(corpus.length):
+            prefix = seq.prefix(j)
+            if prefix and prefix[-1] == PAD_ID:
+                break
+            ctx = prefix[-(order - 1):] if order > 1 else ()
+            counts.setdefault(ctx, np.zeros(n))[seq.token_ids[j]] += 1.0
+    smooth = np.full(n, lam)
+    if not corpus.has_padding:
+        smooth[PAD_ID] = 0.0
+    cond = {}
+    for ctx, c in counts.items():
+        numer = c + smooth
+        denom = numer.sum()
+        cond[ctx] = numer / denom if denom > 0 else np.full(n, 1.0 / n)
+    return cond
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), st.integers(1, 3), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_ngram_fit_rows_are_the_loops_bit_for_bit(corpus, order, lam):
+    fitted = ngram_mle_fit(corpus, order, lam).cond
+    want = loop_ngram_fit(corpus, order, lam)
+    assert list(fitted) == list(want)
+    for ctx, row in want.items():
+        assert fitted[ctx].tobytes() == row.tobytes()
+
+
+def scalar_bound(q, reference, corpus, ratio_cap):
+    worst = 1.0
+    for seq in corpus.sequences:
+        for j in range(corpus.length):
+            dq = q.next_token_dist(seq.prefix(j))
+            dr = reference.next_token_dist(seq.prefix(j))
+            both = (dq > 0) & (dr > 0)
+            if np.any(both):
+                r = dq[both] / dr[both]
+                worst = max(worst, float(r.max()), float((1.0 / r).max()))
+    return min(max(worst, 1.0 + 1e-12), ratio_cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_log_ratio_bound_is_the_scalar_loops(data):
+    model = data.draw(models())
+    reference = data.draw(base_models(model.vocab, model.length))
+    corpus = data.draw(corpora_over(model.vocab, model.length))
+    cap = data.draw(st.sampled_from([1e6, 3.0]))
+    oracle = LogRatioOracle(reference, ratio_cap=cap)
+    assert oracle._bound(fresh(model), corpus) == scalar_bound(fresh(model), reference, corpus, cap)
+
+
+# ---------------------------------------------------------------------------
+# seqboost eval --table: the batched enumeration through the CLI.
+
+
+@pytest.fixture
+def bigram_file(tmp_path):
+    corpus = tmp_path / "aab.txt"
+    corpus.write_text("a\na a\na b\n")
+    model = tmp_path / "bigram.txt"
+    result = CliRunner().invoke(main, ["fit", "--corpus", str(corpus), "--length", "2",
+                                       "--order", "2", "--lam", "0.1", "--model-out", str(model)])
+    assert result.exit_code == 0
+    return model
+
+
+def eval_table(tmp_path, model, rows):
+    table = tmp_path / "table.csv"
+    table.write_text("sequence,prob\n" + "".join(row + "\n" for row in rows))
+    return CliRunner().invoke(main, ["eval", "--model", str(model), "--table", str(table)])
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["x a,1"], "token 'x' not in vocabulary"),
+    (["a a b,1"], "3 tokens, need 1..2"),
+    (["<pad> <pad> a,1"], "3 tokens, need 1..2"),
+    ([",1"], "0 tokens, need 1..2"),
+    (["a a,0.5"], "do not sum to 1"),
+    (["a a,1.5", "a b,-0.5"], "negative probability"),
+    (["a a,nan"], "not finite"),
+    (["a a,half"], "could not convert"),
+    (["a,0.5", "a <pad>,0.5"], "listed twice"),
+])
+def test_malformed_tables_are_usage_errors(tmp_path, bigram_file, rows, message):
+    result = eval_table(tmp_path, bigram_file, rows)
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_missing_table_is_a_usage_error(tmp_path, bigram_file):
+    result = CliRunner().invoke(main, ["eval", "--model", str(bigram_file),
+                                       "--table", str(tmp_path / "nope.csv")])
+    assert result.exit_code == 2
+    assert "cannot read table" in result.output
+
+
+def test_table_past_the_budget_is_a_usage_error(tmp_path, bigram_file):
+    table = tmp_path / "table.csv"
+    table.write_text("sequence,prob\na a,1\n")
+    result = CliRunner().invoke(main, ["eval", "--model", str(bigram_file),
+                                       "--table", str(table), "--budget", "8"])
+    assert result.exit_code == 2
+    assert "budget exceeded" in result.output
+
+
+def test_short_label_is_padded_like_a_corpus_line(tmp_path, bigram_file):
+    short = eval_table(tmp_path, bigram_file, ["a,0.5", "a a,0.25", "a b,0.25"])
+    padded = eval_table(tmp_path, bigram_file, ["a <pad>,0.5", "a a,0.25", "a b,0.25"])
+    assert short.exit_code == 0
+    assert short.output == padded.output
+    assert "inf" not in short.output
