@@ -18,7 +18,6 @@ import numpy as np
 from .corpus import Corpus, Vocabulary
 from .distinguish import (
     StepDistinguisher,
-    extension_values,
     extensions,
     generalized_advantage,
     ngram_indicator,
@@ -93,11 +92,9 @@ class ReweightedModel(SequentialModel):
 
         Row by row, the scalar formula: the factor terms b_t g_t are added in
         factor order, subtracted from the log of the base row, and exponentiated
-        against the row's largest finite log.  A factor without vectorised
-        ``values`` is called per prefix and token, only where the base is
-        positive.  Rows go in blocks whose (rows, n, L + 1) token extensions
-        hold at most EXTENSION_BLOCK ids, so a level of ``enumerate_joint``
-        needs little memory.
+        against the row's largest finite log.  Rows go in blocks whose
+        (rows, n, L + 1) token extensions hold at most EXTENSION_BLOCK ids, so
+        a level of ``enumerate_joint`` needs little memory.
         """
         (k, L), n = prefixes.shape, self.vocab.n
         step = max(1, EXTENSION_BLOCK // (n * (L + 1)))
@@ -109,15 +106,9 @@ class ReweightedModel(SequentialModel):
         with np.errstate(divide="ignore"):
             logs = np.log(base)
         terms = np.zeros(base.shape)
-        ext = None
+        ext = extensions(prefixes, n)
         for b, g in self.factors:
-            if g.values is not None:
-                ext = extensions(prefixes, n) if ext is None else ext
-                terms += b * g.values(ext)
-            else:
-                for i, prefix in enumerate(map(tuple, prefixes.tolist())):
-                    for w in np.flatnonzero(live[i]).tolist():
-                        terms[i, w] += b * g(prefix + (w,))
+            terms += b * g.values(ext)
         logs[live] -= terms[live]
         shift = logs.max(axis=1, keepdims=True)
         weights = np.zeros(base.shape)
@@ -138,15 +129,8 @@ class ReweightedModel(SequentialModel):
             by_length.setdefault(len(prefix), []).append(prefix)
         for length, prefixes in by_length.items():
             dists = np.array([self._cache[p] for p in prefixes])
-            if g.values is not None:
-                block = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), length)
-                gvals = extension_values(g, block, n)
-            else:
-                gvals = np.array([
-                    [g(p + (w,)) if d[w] > 0 else 0.0 for w in range(n)]
-                    for p, d in zip(prefixes, dists)
-                ])
-            weights = dists * np.exp(-b * gvals)
+            block = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), length)
+            weights = dists * np.exp(-b * g.values(extensions(block, n)))
             dists = weights / (weights.sum(axis=1, keepdims=True) * self.partition_scale)
             child._cache.update(zip(prefixes, dists))
         return child
@@ -156,8 +140,7 @@ def reweight_whole(q: JointTable, f, a: float) -> JointTable:
     """Whole-sequence update q'(x) = q(x) exp(-a f(x)) / Z over an explicit table."""
     if a < 0:
         raise ValueError("weight must be nonnegative")
-    factors = np.array([math.exp(-a * f(x)) for x in q.domain])
-    unnorm = q.probs * factors
+    unnorm = q.probs * np.exp(-a * f.values(q.ids))
     return JointTable(q.vocab, q.length, unnorm / unnorm.sum())
 
 

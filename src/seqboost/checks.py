@@ -85,11 +85,12 @@ def _table_loss(table: JointTable, corpus: Corpus) -> float:
 def random_step_distinguisher(
     rng: np.random.Generator, vocab: Vocabulary, length: int
 ) -> StepDistinguisher:
-    values: dict[tuple[int, ...], float] = {}
-    for j in range(1, length + 1):
-        for seq in all_sequences(vocab, j):
-            values[seq.token_ids] = float(rng.random())
-    return StepDistinguisher(lambda prefix: values[prefix], label="random-step")
+    """A uniform random value for every prefix of length 1..length."""
+    tables = [rng.random(vocab.n**j) for j in range(1, length + 1)]
+    return StepDistinguisher(
+        label="random-step",
+        values=lambda ids: tables[ids.shape[-1] - 1][sequence_index(vocab, ids)],
+    )
 
 
 def whole_reweight_suite(count: int = 200, seed: int = 1) -> PropertyResult:
@@ -103,12 +104,12 @@ def whole_reweight_suite(count: int = 200, seed: int = 1) -> PropertyResult:
         q = random_table(rng, vocab, 1)
         corpus = random_corpus(rng, vocab, 1, int(rng.integers(3, 26)))
         fvals = rng.random(vocab.n)
-        f = Distinguisher(lambda x, fv=fvals: float(fv[x.token_ids[0]]))
+        f = Distinguisher(values=lambda ids, fv=fvals: fv[ids[..., 0]])
         a = training_advantage(f, corpus, q).value
         if a < 0:
             fvals = 1.0 - fvals
             a = -a
-        f = Distinguisher(lambda x, fv=fvals: float(fv[x.token_ids[0]]))
+        f = Distinguisher(values=lambda ids, fv=fvals: fv[ids[..., 0]])
         q2 = reweight_whole(q, f, a)
         slack = _table_loss(q, corpus) - a * a / 2.0 - _table_loss(q2, corpus)
         min_slack = min(min_slack, slack)
@@ -154,9 +155,8 @@ def log_ratio_suite(count: int = 200, seed: int = 3) -> PropertyResult:
         corpus = random_corpus(rng, vocab, length, int(rng.integers(3, 16)))
         c = minimal_ratio_bound(qt, q2t)
         f = log_ratio_distinguisher(qt, q2t, c)
-        for x in qt.domain:
-            v = f(x)  # raises on a ratio violation
-            assert 0.0 <= v <= 1.0
+        v = f.values(qt.ids)  # raises on a ratio violation
+        assert np.all((0.0 <= v) & (v <= 1.0))
         alpha = training_advantage(f, corpus, qt).value
         gap = log_loss(qt, corpus).log_loss - log_loss(q2t, corpus).log_loss
         slack = alpha - gap / (2.0 * math.log(c))
@@ -220,7 +220,7 @@ def advantage_tvd_suite(count: int = 500, seed: int = 6) -> PropertyResult:
         p = random_table(rng, vocab, length)
         q = random_table(rng, vocab, length)
         fvals = rng.random(vocab.n**length)
-        f = Distinguisher(lambda x, fv=fvals, v=vocab: float(fv[sequence_index(v, x.token_ids)]))
+        f = Distinguisher(values=lambda ids, fv=fvals, v=vocab: fv[sequence_index(v, ids)])
         slack = total_variation(p, q) + 1e-12 - abs(advantage_exact(f, p, q))
         min_slack = min(min_slack, slack)
     return PropertyResult("advantage-below-tvd", count, min_slack, min_slack >= 0.0)

@@ -131,9 +131,15 @@ def fit(config_path, corpus_path, length, order, lam, vocab_path, model_out):
     order = pick(order, cfg, "order", default=1, cast=int)
     lam = pick(lam, cfg, "lambda", default=0.0, cast=float)
     vocab_path = pick(vocab_path, cfg, "vocab")
-    vocab = Vocabulary.load(vocab_path) if vocab_path else None
+    try:
+        vocab = Vocabulary.load(vocab_path) if vocab_path else None
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read vocabulary {vocab_path}: {exc}")
     corpus, _ = _load_corpus_checked(corpus_path, length, vocab)
-    model = ngram_mle_fit(corpus, order, lam)
+    try:
+        model = ngram_mle_fit(corpus, order, lam)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     out = Path(pick(model_out, cfg, "model_out", default=default_outdir(cfg) / "model.txt"))
     save_model(model, out)
     try:
@@ -157,12 +163,11 @@ def fit(config_path, corpus_path, length, order, lam, vocab_path, model_out):
 @click.option("--ref-model", type=str, default=None, help="Reference model for the log-ratio oracle.")
 @click.option("--epsilon", type=float, default=None)
 @click.option("--max-iters", type=int, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--trace-out", type=str, default=None)
 @click.option("--model-out", type=str, default=None)
 @click.option("--timings", is_flag=True, help="Record wall times in the trace (breaks byte-reproducibility).")
 def boost(config_path, corpus_path, length, init_kind, order, lam, oracle_kind,
-          oracle_order, ref_model, epsilon, max_iters, seed, trace_out, model_out, timings):
+          oracle_order, ref_model, epsilon, max_iters, trace_out, model_out, timings):
     """Boost an initial model against a distinguisher oracle."""
     cfg = read_config(config_path)
     corpus_path = pick(corpus_path, cfg, "corpus")
@@ -175,25 +180,25 @@ def boost(config_path, corpus_path, length, init_kind, order, lam, oracle_kind,
     ref_model = pick(ref_model, cfg, "ref_model")
     epsilon = pick(epsilon, cfg, "epsilon", default=0.01, cast=float)
     max_iters = pick(max_iters, cfg, "max_iters", cast=int)
-    pick(seed, cfg, "seed", default=0, cast=int)  # reserved for stochastic oracles
     corpus, _ = _load_corpus_checked(corpus_path, length)
     outdir = default_outdir(cfg)
     trace_out = Path(pick(trace_out, cfg, "trace_out", default=outdir / "trace.csv"))
     model_out = Path(pick(model_out, cfg, "model_out", default=outdir / "boosted_model.txt"))
 
-    if init_kind == "uniform":
-        q0 = UniformModel(corpus.vocab, corpus.length)
-    else:
-        q0 = ngram_mle_fit(corpus, order, lam)
     reference = _load_model_checked(ref_model, corpus.vocab, corpus.length) if ref_model else None
     try:
+        if init_kind == "uniform":
+            q0 = UniformModel(corpus.vocab, corpus.length)
+        else:
+            q0 = ngram_mle_fit(corpus, order, lam)
         oracle = make_oracle(oracle_kind, order=oracle_order, reference=reference)
+        config = BoostConfig(epsilon=epsilon, max_iters=max_iters)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if oracle_kind == "ngram-indicator" and oracle_order > corpus.length:
         raise click.UsageError(f"oracle order {oracle_order} exceeds the length {corpus.length}")
     try:
-        model, trace = run_boost(q0, corpus, oracle, BoostConfig(epsilon=epsilon, max_iters=max_iters))
+        model, trace = run_boost(q0, corpus, oracle, config)
     except MaxItersExceededError as exc:
         trace_out.write_text(exc.trace.to_csv_text(include_timings=timings), encoding="utf-8")
         click.echo(str(exc), err=True)
@@ -230,7 +235,7 @@ def _parse_step_distinguisher(spec: str, vocab: Vocabulary, q_model):
 @click.option("--distinguisher", "dist_spec", type=str, required=True,
               help="kind:arg, e.g. token-indicator:b, ngram-indicator:a,b, log-ratio:model.txt")
 @click.option("--estimator", type=click.Choice(["exact", "monte-carlo"]), default="exact")
-@click.option("--samples", type=int, default=10000)
+@click.option("--samples", type=click.IntRange(min=1), default=10000)
 @click.option("--seed", type=int, default=0)
 def distinguish(config_path, corpus_path, length, model_path, dist_spec, estimator, samples, seed):
     """Evaluate a named distinguisher's whole-sequence and step-wise advantages."""
@@ -244,8 +249,11 @@ def distinguish(config_path, corpus_path, length, model_path, dist_spec, estimat
         g = _parse_step_distinguisher(dist_spec, model.vocab, model)
     except KeyError as exc:
         raise click.UsageError(exc.args[0])
-    alpha = training_advantage(g.as_whole(), corpus, model, estimator=estimator,
-                               samples=samples, seed=seed)
+    try:
+        alpha = training_advantage(g.as_whole(), corpus, model, estimator=estimator,
+                                   samples=samples, seed=seed)
+    except ValueError as exc:  # e.g. the exact estimator's enumeration budget
+        raise click.UsageError(str(exc))
     beta = generalized_advantage(g, corpus, model)
     click.echo(f"distinguisher: {g.label}")
     suffix = f" ({alpha.sample_count} samples)" if alpha.sample_count else ""
@@ -341,11 +349,13 @@ def age_experiment(config_path, ages_path, report_out):
     """Weak-family demonstration: likelihood-best vs least-distinguishable age caps."""
     cfg = read_config(config_path)
     ages_path = pick(ages_path, cfg, "ages")
+    probs = None
     if ages_path is not None:
-        values = [float(v) for v in Path(ages_path).read_text(encoding="utf-8").split()]
-        probs = np.array(values)
-    else:
-        probs = None
+        try:
+            text = Path(ages_path).read_text(encoding="utf-8")
+            probs = np.array([float(v) for v in text.split()])
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(f"cannot read ages {ages_path}: {exc}")
     try:
         report = age_mod.run_age_experiment(probs)
     except ValueError as exc:

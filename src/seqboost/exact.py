@@ -30,12 +30,17 @@ def all_sequences(vocab: Vocabulary, length: int) -> list[Sequence]:
     return [Sequence.from_raw(ids) for ids in itertools.product(range(vocab.n), repeat=length)]
 
 
-def sequence_index(vocab: Vocabulary, ids: tuple[int, ...]) -> int:
-    """Lexicographic index of a token-id tuple: its ids read as base-n digits."""
-    idx = 0
-    for t in ids:
-        idx = idx * vocab.n + t
-    return idx
+def all_ids(n: int, length: int) -> np.ndarray:
+    """The (n^length, length) array whose row i is i written as base-n digits:
+    every id sequence, in ``sequence_index`` order."""
+    return np.arange(n**length)[:, None] // n ** np.arange(length - 1, -1, -1) % n
+
+
+def sequence_index(vocab: Vocabulary, ids) -> np.ndarray:
+    """Lexicographic index of a token-id tuple (an integer), or of every row of
+    an (..., L) id array (an array of shape (...)): its ids read as base-n digits."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return ids @ vocab.n ** np.arange(ids.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass
@@ -62,8 +67,10 @@ class JointTable(SequentialModel):
             raise ValueError("probabilities do not sum to 1")
 
     @cached_property
-    def domain(self) -> list[Sequence]:
-        return all_sequences(self.vocab, self.length)
+    def ids(self) -> np.ndarray:
+        """Every sequence of the domain as an (n^N, N) id array, row i the one
+        with ``sequence_index`` i."""
+        return all_ids(self.vocab.n, self.length)
 
     @cached_property
     def _cumsum(self) -> np.ndarray:
@@ -84,9 +91,9 @@ class JointTable(SequentialModel):
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
         """The same block sums for every row at once."""
         prefixes = np.asarray(prefixes)
-        n, L = self.vocab.n, prefixes.shape[1]
-        width = n ** (self.length - L)
-        starts = (prefixes @ n ** np.arange(L - 1, -1, -1, dtype=np.int64)) * width
+        n = self.vocab.n
+        width = n ** (self.length - prefixes.shape[1])
+        starts = sequence_index(self.vocab, prefixes) * width
         edges = self._cumsum[starts[:, None] + np.arange(n + 1) * (width // n)]
         masses = np.diff(edges, axis=1)
         totals = masses.sum(axis=1, keepdims=True)
@@ -100,8 +107,8 @@ class JointTable(SequentialModel):
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("sequence,prob\n")
-            for seq, p in zip(self.domain, self.probs):
-                label = " ".join(self.vocab.token_of(t) for t in seq.token_ids)
+            for ids, p in zip(self.ids.tolist(), self.probs):
+                label = " ".join(self.vocab.token_of(t) for t in ids)
                 fh.write(f"{label},{p:.17g}\n")
 
 
@@ -125,9 +132,7 @@ def enumerate_joint(
     level = np.zeros(1)  # log-probabilities of all prefixes of the current length
     with np.errstate(divide="ignore"):
         for j in range(N):
-            # Row i of the level's prefixes is i written as j base-n digits.
-            prefixes = np.arange(n**j)[:, None] // n ** np.arange(j - 1, -1, -1) % n
-            level = (level[:, None] + np.log(model.conditionals(prefixes, memo=False))).ravel()
+            level = (level[:, None] + np.log(model.conditionals(all_ids(n, j), memo=False))).ravel()
     return JointTable(model.vocab, N, np.exp(level))
 
 
@@ -155,42 +160,31 @@ def total_variation(p: JointTable, q: JointTable) -> float:
     return float(0.5 * np.abs(p.probs - q.probs).sum())
 
 
-def distinguishability_exhaustive(q: JointTable, p: JointTable, family):
+def distinguishability_exhaustive(
+    q: JointTable, p: JointTable, family: np.ndarray
+) -> tuple[float, int]:
     """Max advantage over a finite distinguisher family, with the argmax.
 
-    Returns (value, distinguisher); value is d(q) restricted to the family.
+    ``family`` holds one distinguisher per row, as its values over the domain
+    in ``sequence_index`` order.  Returns (value, index of the first maximum
+    row); value is d(q) restricted to the family.
     """
     check_shared(p, q)
-    family = list(family)
-    if not family:
+    family = np.asarray(family, dtype=float)
+    if len(family) == 0:
         raise ValueError("empty distinguisher family")
-    from .distinguish import advantage_exact
-
-    best_val, best_f = -math.inf, None
-    for f in family:
-        a = advantage_exact(f, p, q)
-        if a > best_val:
-            best_val, best_f = a, f
-    return best_val, best_f
+    advantages = family @ (q.probs - p.probs)
+    best = int(np.argmax(advantages))
+    return float(advantages[best]), best
 
 
-def all_indicator_distinguishers(vocab: Vocabulary, length: int, budget: int = 12):
-    """Every 0/1-valued distinguisher over the domain (2^(n^N) of them)."""
-    from .distinguish import Distinguisher
-
+def all_indicator_distinguishers(vocab: Vocabulary, length: int, budget: int = 12) -> np.ndarray:
+    """Every 0/1-valued distinguisher over the domain (2^(n^N) of them), as
+    the bit matrix whose row ``mask`` holds bit i of mask at sequence i."""
     size = vocab.n**length
     if size > budget:
         raise BudgetExceededError(f"indicator family budget exceeded: {size} > {budget}")
-    out = []
-    for mask in range(2**size):
-        bits = tuple((mask >> i) & 1 for i in range(size))
-        out.append(
-            Distinguisher(
-                lambda x, bits=bits, vocab=vocab: float(bits[sequence_index(vocab, x.token_ids)]),
-                label=f"indicator-{mask:0{size}b}",
-            )
-        )
-    return out
+    return (np.arange(2**size)[:, None] >> np.arange(size) & 1).astype(float)
 
 
 def finite_diff_gradient(

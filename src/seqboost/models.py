@@ -235,15 +235,28 @@ def _tokens_by_context(corpus: Corpus, c: int) -> tuple[list[tuple[int, ...]], n
     return contexts, tokens, np.cumsum(np.bincount(group)).tolist()
 
 
+def sequence_log_probs(model: SequentialModel, ids: np.ndarray) -> np.ndarray:
+    """Sum of conditional log-probabilities for every row of an (m, N) id
+    array; -inf marks an impossible sequence.
+
+    One ``token_probs`` call per position; the logs are ``math.log`` and are
+    added position by position, so each sum is the same float as a scalar loop.
+    """
+    probs = np.empty(ids.shape)
+    for j in range(ids.shape[1]):
+        probs[:, j] = model.token_probs(ids[:, :j], ids[:, j])
+    logs = np.full(ids.shape, -math.inf)
+    possible = probs > 0.0
+    logs[possible] = [math.log(p) for p in probs[possible].tolist()]
+    total = np.zeros(len(ids))
+    for j in range(ids.shape[1]):
+        total += logs[:, j]
+    return total
+
+
 def sequence_log_prob(model: SequentialModel, seq: Sequence) -> float:
     """Sum of conditional log-probabilities; -inf marks an impossible sequence."""
-    total = 0.0
-    for j in range(model.length):
-        p = float(model.next_token_dist(seq.prefix(j))[seq.token_ids[j]])
-        if p <= 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
+    return float(sequence_log_probs(model, np.array([seq.token_ids], dtype=np.int64))[0])
 
 
 def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
@@ -259,25 +272,18 @@ def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
 def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
     """Negative mean log-likelihood of the corpus, in nats per sequence.
 
-    One ``token_probs`` call per position; the logs are ``math.log`` and are
-    added position by position, then sequence by sequence, so the result is
-    the same float as a scalar loop over sequences and positions.
+    The per-sequence terms come from ``sequence_log_probs`` and are added
+    sequence by sequence, so the result is the same float as a scalar loop
+    over sequences and positions.
     """
     if corpus.m < 1:
         raise ValueError("empty corpus")
-    ids = corpus.ids
-    probs = np.empty(ids.shape)
-    for j in range(corpus.length):
-        probs[:, j] = model.token_probs(ids[:, :j], ids[:, j])
-    impossible = np.flatnonzero((probs <= 0.0).any(axis=1))
+    total = sequence_log_probs(model, corpus.ids)
+    impossible = np.flatnonzero(np.isneginf(total))
     if impossible.size:
         raise ValueError(
             f"sequence {impossible[0]} is impossible under the model (infinite loss)"
         )
-    logs = np.array([math.log(p) for p in probs.ravel().tolist()]).reshape(probs.shape)
-    total = np.zeros(corpus.m)
-    for j in range(corpus.length):
-        total += logs[:, j]
     per = (-total).tolist()
     # Fixed index order keeps the mean bit-reproducible.
     return LossReport(sum(per) / corpus.m, tuple(per))

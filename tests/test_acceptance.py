@@ -139,7 +139,6 @@ def test_boost_cli_is_byte_deterministic(tmp_path):
                 "--init", "uniform",
                 "--oracle", "token-indicator",
                 "--epsilon", "0.01",
-                "--seed", "0",
                 "--trace-out", str(out),
                 "--model-out", str(tmp_path / "model.txt"),
             ],

@@ -1,11 +1,12 @@
 """The array-native code paths against the scalar loops they replace.
 
-The built-in indicator families carry a vectorised ``values``; wrapping the
-same ``fn`` as a custom distinguisher gives the scalar loop, which serves as
-the reference for the boosting round.  The models' batched ``conditionals``
-and ``token_probs``, and the layers built on them (``enumerate_joint``,
-``log_loss``, ``ngram_mle_fit``, the log-ratio oracle's bound), are checked
-against scalar references written out here.
+Every distinguisher is read through its ``values``; the scalar loops written
+out here, which call it one prefix or sequence at a time, are the reference
+for the step-wise advantage, the boosting round and the exact advantages.  A
+custom distinguisher given as a scalar ``fn`` runs through the same array
+code.  The models' batched ``conditionals`` and ``token_probs``, and the
+layers built on them (``enumerate_joint``, ``log_loss``, ``ngram_mle_fit``,
+the log-ratio oracle's bound), are checked against scalar references too.
 """
 
 import itertools
@@ -22,19 +23,26 @@ from seqboost.boost import (
     NGramIndicatorOracle,
     ReweightedModel,
     TokenIndicatorOracle,
+    reweight_whole,
     run_boost,
 )
 from seqboost.checks import make_vocab
 from seqboost.cli import main
 from seqboost.corpus import Corpus, Sequence
 from seqboost.distinguish import (
+    Distinguisher,
     StepDistinguisher,
+    advantage_exact,
+    bayes_optimal_distinguisher,
     generalized_advantage,
+    log_ratio_distinguisher,
+    minimal_ratio_bound,
     ngram_indicator,
     step_log_ratio,
     token_indicator,
+    training_advantage,
 )
-from seqboost.exact import JointTable, enumerate_joint
+from seqboost.exact import JointTable, all_sequences, enumerate_joint, sequence_index
 from seqboost.models import (
     PAD_ID,
     NGramModel,
@@ -46,8 +54,23 @@ from seqboost.models import (
 
 
 def scalar(g):
-    """The same function without its vectorised form: the scalar loop's input."""
-    return StepDistinguisher(g.fn, label=g.label)
+    """The same function as a custom distinguisher with a scalar ``fn``."""
+    return StepDistinguisher(lambda prefix: g(prefix), label=g.label)
+
+
+def scalar_per_position(g, corpus, q):
+    """The step-wise advantage per position, one prefix and token at a time."""
+    n = corpus.vocab.n
+    per_position = []
+    for j in range(1, corpus.length + 1):
+        acc = 0.0
+        for seq in corpus.sequences:
+            prefix = seq.prefix(j - 1)
+            dist = q.next_token_dist(prefix)
+            model_side = sum(float(dist[w]) * g(prefix + (w,)) for w in range(n) if dist[w] > 0)
+            acc += model_side - g(seq.prefix(j))
+        per_position.append(acc / corpus.m)
+    return per_position
 
 
 def corpus_prefixes(corpus):
@@ -76,7 +99,7 @@ def scalar_best(q, corpus, cands):
     """The scalar oracle: the first candidate with the largest scalar advantage."""
     best_b, best_g = -math.inf, None
     for g in cands:
-        b = generalized_advantage(scalar(g), corpus, q).value
+        b = sum(scalar_per_position(g, corpus, q)) / corpus.length
         if b > best_b:
             best_b, best_g = b, g
     return best_g, best_b
@@ -137,11 +160,18 @@ def instances(draw):
 @given(st.data())
 def test_batched_advantage_matches_the_scalar_loop(data):
     corpus, q = data.draw(instances())
-    g = data.draw(indicators(corpus.vocab))
+    kind = data.draw(st.sampled_from(["indicator", "custom", "log-ratio"]))
+    if kind == "log-ratio":
+        reference_model = UniformModel(corpus.vocab, corpus.length)
+        g = step_log_ratio(q, reference_model, data.draw(st.floats(1.5, 10.0)),
+                           flip=data.draw(st.booleans()))
+    else:
+        g = data.draw(indicators(corpus.vocab))
+        g = scalar(g) if kind == "custom" else g
     batched = generalized_advantage(g, corpus, q)
-    reference = generalized_advantage(scalar(g), corpus, q)
-    assert np.allclose(batched.per_position, reference.per_position, rtol=0.0, atol=1e-12)
-    assert abs(batched.value - reference.value) <= 1e-12
+    reference = scalar_per_position(g, corpus, q)
+    assert list(batched.per_position) == reference
+    assert batched.value == sum(reference) / corpus.length
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,7 +193,7 @@ def test_oracles_choose_the_scalar_maximum(data):
     oracle = TokenIndicatorOracle() if order == 1 else NGramIndicatorOracle(order)
     chosen = oracle.propose(q, corpus)
     _, best_b = scalar_best(q, corpus, candidates(corpus, order))
-    assert generalized_advantage(scalar(chosen), corpus, q).value >= best_b - 1e-12
+    assert sum(scalar_per_position(chosen, corpus, q)) / corpus.length >= best_b - 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,7 +207,7 @@ def test_extended_matches_a_fresh_model(data):
     for b, g in data.draw(factor_lists(corpus.vocab)):
         for prefix in prefixes:
             model.next_token_dist(prefix)
-        # A custom distinguisher takes the scalar path through extended().
+        # A custom distinguisher's values come from its scalar fn.
         g = scalar(g) if data.draw(st.booleans()) else g
         model = model.extended(b, g)
         factors.append((b, g))
@@ -361,21 +391,40 @@ def test_conditionals_and_token_probs_are_stacked_next_token_dist_rows(data):
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def scalar_log_ratio(q, reference, C, flip, prefix):
+    """The step log-ratio of one prefix from the two models' next_token_dist rows."""
+    log_c = math.log(C)
+    ctx, tok = prefix[:-1], prefix[-1]
+    pq = float(q.next_token_dist(ctx)[tok])
+    pr = float(reference.next_token_dist(ctx)[tok])
+    if pq <= 0.0 and pr <= 0.0:
+        val = 0.5
+    elif pq <= 0.0:
+        val = 0.0
+    elif pr <= 0.0:
+        val = 1.0
+    else:
+        val = min(max((log_c + math.log(pq) - math.log(pr)) / (2.0 * log_c), 0.0), 1.0)
+    return 1.0 - val if flip else val
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_log_ratio_values_are_its_scalar_calls_bit_for_bit(data):
     q = data.draw(models())
     reference = data.draw(base_models(q.vocab, q.length))
-    g = step_log_ratio(q, reference, data.draw(st.floats(1.01, 100.0)), flip=data.draw(st.booleans()))
+    C, flip = data.draw(st.floats(1.01, 100.0)), data.draw(st.booleans())
+    g = step_log_ratio(q, reference, C, flip=flip)
     width = data.draw(st.integers(1, q.length))
     rows = data.draw(st.lists(
         st.lists(st.integers(0, q.vocab.n - 1), min_size=width, max_size=width),
         min_size=1, max_size=6,
     ))
     ids = np.array(rows, dtype=np.int64)
-    want = np.array([g(tuple(row)) for row in rows])
+    want = np.array([scalar_log_ratio(fresh(q), reference, C, flip, tuple(row)) for row in rows])
     assert g.values(ids).tobytes() == want.tobytes()
     assert g.values(ids[None]).tobytes() == want[None].tobytes()
+    assert [g(tuple(row)) for row in rows] == want.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -536,6 +585,100 @@ def test_log_ratio_bound_is_the_scalar_loops(data):
     cap = data.draw(st.sampled_from([1e6, 3.0]))
     oracle = LogRatioOracle(reference, ratio_cap=cap)
     assert oracle._bound(fresh(model), corpus) == scalar_bound(fresh(model), reference, corpus, cap)
+
+
+# ---------------------------------------------------------------------------
+# Whole-sequence distinguishers over an enumerated domain.
+
+
+@st.composite
+def enumerated_instances(draw):
+    """Tables p, q and q2 over one domain (n 2..5, N 1..3), each with some zero
+    entries: q2 shares q's support, and r's support is a part of q's.  Also a
+    corpus over the whole domain and one over q's support."""
+    n, length = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    vocab, size = make_vocab(n), n**length
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def support():
+        live = rng.random(size) < 0.7
+        live[rng.integers(size)] = True
+        return live
+
+    def table(live):
+        probs = rng.random(size) * live
+        return JointTable(vocab, length, probs / probs.sum())
+
+    def corpus(rows):
+        seqs = tuple(Sequence.from_raw(ids) for ids in q.ids[rows].tolist())
+        return Corpus(vocab, length, seqs)
+
+    q_live = support()
+    q, q2, p = table(q_live), table(q_live), table(support())
+    r_live = q_live & support()
+    r_live[np.flatnonzero(q_live)[0]] = True
+    r = table(r_live)
+    m = draw(st.integers(1, 8))
+    anywhere = corpus(rng.integers(size, size=m))
+    inside = corpus(rng.choice(np.flatnonzero(q_live), size=m))
+    return p, q, q2, r, anywhere, inside, rng.random(size)
+
+
+def scalar_sequence_log_prob(model, ids):
+    total = 0.0
+    for j in range(len(ids)):
+        p = float(model.next_token_dist(tuple(ids[:j]))[ids[j]])
+        if p <= 0.0:
+            return -math.inf
+        total += math.log(p)
+    return total
+
+
+def scalar_advantage(f, p, q):
+    domain = all_sequences(p.vocab, p.length)
+    return sum(f(x) * (qx - px) for x, px, qx in zip(domain, p.probs, q.probs) if px > 0 or qx > 0)
+
+
+def scalar_training_advantage(f, corpus, q):
+    table = enumerate_joint(q)
+    domain = all_sequences(q.vocab, q.length)
+    model_mean = sum(f(x) * px for x, px in zip(domain, table.probs) if px > 0)
+    return model_mean - sum(f(x) for x in corpus.sequences) / corpus.m
+
+
+@settings(max_examples=150, deadline=None)
+@given(enumerated_instances(), st.floats(0.0, 3.0))
+def test_exact_advantages_match_the_scalar_loops(instance, a):
+    p, q, q2, r, anywhere, inside, fvals = instance
+    vocab = q.vocab
+    array_f = Distinguisher(values=lambda ids: fvals[sequence_index(vocab, ids)])
+    custom_f = Distinguisher(lambda x: float(fvals[sequence_index(vocab, x.token_ids)]))
+    domain = all_sequences(vocab, q.length)
+    for f in (array_f, custom_f):
+        assert abs(advantage_exact(f, p, q) - scalar_advantage(f, p, q)) <= 1e-12
+        got = training_advantage(f, anywhere, q)
+        assert abs(got.value - scalar_training_advantage(f, anywhere, q)) <= 1e-12
+        want = q.probs * np.array([math.exp(-a * f(x)) for x in domain])
+        np.testing.assert_allclose(reweight_whole(q, f, a).probs, want / want.sum(),
+                                   rtol=0.0, atol=1e-12)
+    bayes = bayes_optimal_distinguisher(p, q)
+    assert [bayes(x) for x in domain] == [float(qx > px) for px, qx in zip(p.probs, q.probs)]
+    assert abs(advantage_exact(bayes, p, q) - scalar_advantage(bayes, p, q)) <= 1e-12
+    C = minimal_ratio_bound(q, q2)
+    log_ratio = log_ratio_distinguisher(q, q2, C)
+    for ids in q.ids[q.probs > 0].tolist():
+        lq, lq2 = scalar_sequence_log_prob(q, ids), scalar_sequence_log_prob(q2, ids)
+        want = (math.log(C) + lq - lq2) / (2.0 * math.log(C))
+        assert log_ratio.values(np.array(ids)) == min(max(want, 0.0), 1.0)
+    # The log-ratio raises on a sequence outside q's support, so these pass
+    # only if nothing is evaluated outside both tables' supports.
+    assert abs(advantage_exact(log_ratio, r, q) - scalar_advantage(log_ratio, r, q)) <= 1e-12
+    got = training_advantage(log_ratio, inside, q)
+    assert abs(got.value - scalar_training_advantage(log_ratio, inside, q)) <= 1e-12
+    dead = np.flatnonzero(q.probs == 0)
+    if dead.size:
+        with pytest.raises(ValueError, match="outside the shared support"):
+            log_ratio.values(q.ids[dead])
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,43 @@ class TestAgeExperiment:
         assert result.exit_code == 2
 
 
+AAB = ["--corpus", "{aab}", "--length", "2"]
+MC = ["--distinguisher", "token-indicator:a", "--estimator", "monte-carlo"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit", *AAB, "--order", "0"], "order must be >= 1"),
+    (["fit", *AAB, "--lam", "-1"], "lambda must be nonnegative"),
+    (["fit", *AAB, "--vocab", "{missing}"], "cannot read vocabulary"),
+    (["boost", *AAB, "--epsilon", "0"], "epsilon must be positive"),
+    (["boost", *AAB, "--max-iters", "0"], "max_iters must be >= 1"),
+    (["boost", *AAB, "--init", "ngram", "--order", "0"], "order must be >= 1"),
+    (["age-experiment", "--ages", "{missing}"], "cannot read ages"),
+    (["age-experiment", "--ages", "{xy}"], "could not convert"),
+    (["distinguish", "--model", "{wide_model}", "--corpus", "{wide}", "--length", "4",
+      "--distinguisher", "token-indicator:t0"], "budget exceeded: 41^4 > 2000000"),
+    (["distinguish", "--model", "{aab_model}", *AAB, *MC, "--samples", "0"], "--samples"),
+    (["distinguish", "--model", "{aab_model}", *AAB, *MC, "--samples", "-3"], "--samples"),
+])
+def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    files = {"aab": tmp_path / "aab.txt", "missing": tmp_path / "missing.txt",
+             "xy": tmp_path / "xy_ages.txt", "wide": tmp_path / "wide.txt",
+             "wide_model": tmp_path / "wide_model.txt", "aab_model": tmp_path / "aab_model.txt"}
+    files["aab"].write_text("a a\na a\na b\n")
+    files["xy"].write_text("x y\n")
+    # 40 tokens at length 4: 41^4 sequences, past the default enumeration budget.
+    files["wide"].write_text("".join(f"t{i % 40} t{(i * 7) % 40}\n" for i in range(60)))
+    for corpus, model, length in (("aab", "aab_model", "2"), ("wide", "wide_model", "4")):
+        fitted = runner.invoke(main, ["fit", "--corpus", str(files[corpus]), "--length", length,
+                                      "--model-out", str(files[model])])
+        assert fitted.exit_code == 0
+    result = runner.invoke(main, [arg.format(**files) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
 def fit_xy_unigram(runner, tmp_path):
     """A unigram fitted on x y / y x at length 3: another vocabulary and length than aab."""
     corpus = tmp_path / "xy.txt"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqboost.checks import make_vocab, random_table
-from seqboost.corpus import Vocabulary
+from seqboost.corpus import Sequence, Vocabulary
 from seqboost.distinguish import Distinguisher, advantage_exact
 from seqboost.exact import (
     BudgetExceededError,
@@ -32,7 +32,7 @@ def ab_table(pa, pb):
 def test_enumerate_uniform_pairs(ab_vocab):
     model = StubModel(ab_vocab, 2, [0.0, 0.5, 0.5])
     table = enumerate_joint(model)
-    by_ids = {seq.token_ids: p for seq, p in zip(table.domain, table.probs)}
+    by_ids = {tuple(ids): p for ids, p in zip(table.ids.tolist(), table.probs)}
     for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
         assert by_ids[pair] == pytest.approx(0.25)
     assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -43,7 +43,8 @@ def test_enumerate_matches_product_rule():
     vocab = make_vocab(3)
     model = random_table(rng, vocab, 2)
     table = enumerate_joint(model)
-    for seq, p in zip(table.domain, table.probs):
+    for ids, p in zip(table.ids.tolist(), table.probs):
+        seq = Sequence.from_raw(ids)
         assert p == pytest.approx(math.exp(sequence_log_prob(model, seq)), rel=1e-9)
     assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -72,9 +73,15 @@ def test_joint_table_is_a_sequential_model(table):
             assert dist.shape == (n,) and dist.min() >= 0.0
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(enumerate_joint(table).probs, table.probs, rtol=0, atol=1e-12)
-    for i, seq in enumerate(table.domain):
-        assert sequence_index(table.vocab, seq.token_ids) == i
-        assert table.prob_of(seq) == table.probs[i]
+    assert table.ids.shape == (n**table.length, table.length)
+    assert [tuple(ids) for ids in table.ids.tolist()] == [
+        seq.token_ids for seq in all_sequences(table.vocab, table.length)
+    ]
+    indices = sequence_index(table.vocab, table.ids)
+    np.testing.assert_array_equal(indices, np.arange(n**table.length))
+    for i, ids in enumerate(table.ids.tolist()):
+        assert sequence_index(table.vocab, tuple(ids)) == i
+        assert table.prob_of(Sequence.from_raw(ids)) == table.probs[i]
 
 
 def test_zero_mass_prefix_has_uniform_conditional(ab_vocab):
@@ -139,7 +146,10 @@ class TestExhaustive:
         family = all_indicator_distinguishers(p.vocab, 1)
         value, best = distinguishability_exhaustive(q, p, family)
         assert value == pytest.approx(total_variation(p, q), abs=1e-12)
-        assert advantage_exact(best, p, q) == pytest.approx(value)
+        row = Distinguisher(values=lambda ids: family[best][sequence_index(p.vocab, ids)])
+        assert advantage_exact(row, p, q) == pytest.approx(value)
+        # Row 0b100: the indicator of "b" (id 2), where q has more mass than p.
+        assert best == 0b100
 
     def test_flip_closed_family_never_negative(self):
         p = ab_table(0.6, 0.4)
@@ -149,13 +159,26 @@ class TestExhaustive:
 
     def test_constant_half_family(self):
         p, q = ab_table(0.75, 0.25), ab_table(0.5, 0.5)
-        value, _ = distinguishability_exhaustive(q, p, [Distinguisher(lambda x: 0.5)])
+        value, best = distinguishability_exhaustive(q, p, np.full((1, 3), 0.5))
+        assert best == 0
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_family_rejected(self):
         p = ab_table(0.5, 0.5)
         with pytest.raises(ValueError, match="empty"):
             distinguishability_exhaustive(p, p, [])
+
+    @pytest.mark.parametrize("n, length", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+    def test_bit_matrix_rows_are_the_per_mask_indicators(self, n, length):
+        vocab = make_vocab(n)
+        family = all_indicator_distinguishers(vocab, length)
+        size = n**length
+        assert family.shape == (2**size, size)
+        for mask in range(2**size):
+            bits = tuple((mask >> i) & 1 for i in range(size))
+            want = [float(bits[sequence_index(vocab, seq.token_ids)])
+                    for seq in all_sequences(vocab, length)]
+            assert family[mask].tolist() == want
 
     def test_indicator_budget(self):
         with pytest.raises(BudgetExceededError):
