@@ -61,13 +61,6 @@ class ReweightedModel(SequentialModel):
         self.partition_scale = partition_scale
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
-    def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        if not self.factors:
-            return self.base.next_token_dist(prefix)
-        if prefix not in self._cache:
-            self.conditionals(np.array(prefix, dtype=np.int64).reshape(1, len(prefix)))
-        return self._cache[prefix]
-
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
         """Memoised rows where there are any; the others from ``_reweighted``,
         each distinct prefix once, kept in the memo unless ``memo`` is false."""
@@ -150,7 +143,7 @@ class BoostConfig:
     max_iters: int | None = None  # default: 10 x the iteration bound
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN too
             raise ValueError("epsilon must be positive")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -193,7 +186,7 @@ class Oracle(Protocol):
 
 def iteration_bound(initial_loss: float, length: int, epsilon: float) -> int:
     """ceil(2 L0 / (N eps^2)): max iterations before the loss would go negative."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     if initial_loss < 0 or length < 1:
         raise ValueError("need initial_loss >= 0 and length >= 1")

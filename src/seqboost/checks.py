@@ -77,8 +77,8 @@ def random_corpus(
 
 def _table_loss(table: JointTable, corpus: Corpus) -> float:
     total = 0.0
-    for seq in corpus.sequences:
-        total -= math.log(table.prob_of(seq))
+    for p in table.probs[sequence_index(table.vocab, corpus.ids)].tolist():
+        total -= math.log(p)
     return total / corpus.m
 
 

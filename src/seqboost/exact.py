@@ -76,20 +76,8 @@ class JointTable(SequentialModel):
     def _cumsum(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum(self.probs)])
 
-    def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        n = self.vocab.n
-        width = n ** (self.length - len(prefix))
-        base = sequence_index(self.vocab, prefix) * width
-        masses = np.diff(self._cumsum[base : base + width + 1 : width // n])
-        total = masses.sum()
-        if total <= 0.0:
-            # Zero-mass prefix: conditional is undefined; fall back to uniform
-            # to keep the distribution contract intact.
-            return np.full(n, 1.0 / n)
-        return masses / total
-
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
-        """The same block sums for every row at once."""
+        """Block sums over the cumsum for every row at once."""
         prefixes = np.asarray(prefixes)
         n = self.vocab.n
         width = n ** (self.length - prefixes.shape[1])
@@ -97,12 +85,9 @@ class JointTable(SequentialModel):
         edges = self._cumsum[starts[:, None] + np.arange(n + 1) * (width // n)]
         masses = np.diff(edges, axis=1)
         totals = masses.sum(axis=1, keepdims=True)
-        # A zero-mass prefix gets the uniform conditional, as in next_token_dist.
+        # A zero-mass prefix has no conditional: it gets the uniform one.
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(totals > 0.0, masses / totals, 1.0 / n)
-
-    def prob_of(self, seq: Sequence) -> float:
-        return float(self.probs[sequence_index(self.vocab, seq.token_ids)])
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

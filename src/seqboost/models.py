@@ -1,17 +1,13 @@
 """Sequential probability models with exact conditional next-token distributions.
 
-Every model exposes ``next_token_dist(prefix)``: the conditional distribution
-of the next token given a prefix of 0..N-1 token ids.  The joint probability
-of a sequence is the product of these conditionals; all arithmetic is done in
-log space so N-length products cannot underflow.
-
-Two array methods give the same numbers for many prefixes at once:
-``conditionals(prefixes)`` maps a (k, L) array of equal-length prefixes to
-the (k, n) array of their conditionals, and ``token_probs(prefixes, tokens)``
-to the (k,) probabilities of one given next token per prefix.  The defaults
-loop over ``next_token_dist``; the built-in models override them with array
-arithmetic that returns the same rows.  Corpus-wide layers (``log_loss``,
-``prefix_conditionals``, ``enumerate_joint``) make one call per position.
+A model implements one method, ``conditionals(prefixes)``: a (k, L) array of
+equal-length prefixes of token ids to the (k, n) array of their next-token
+conditionals.  ``next_token_dist(prefix)`` is one row of it, and
+``token_probs(prefixes, tokens)`` picks one given next token per row.  The
+joint probability of a sequence is the product of its conditionals; all
+arithmetic is done in log space so N-length products cannot underflow.
+Corpus-wide layers (``log_loss``, ``prefix_conditionals``,
+``enumerate_joint``, ``sample_many``) make one call per position.
 """
 
 from __future__ import annotations
@@ -32,19 +28,16 @@ PAD_ID = 0
 class SequentialModel(abc.ABC):
     """Behavioral contract: a next-token conditional per prefix.
 
-    Implementations must be deterministic for a given prefix and return n
-    nonnegative reals summing to 1 within 1e-9.  ``conditionals`` and
-    ``token_probs`` must agree with ``next_token_dist`` row by row; an
-    override may change how the rows are computed, not what they are.
+    Implementations must be deterministic for a given prefix and return rows
+    of n nonnegative reals summing to 1 within 1e-9.  A row may not depend on
+    the other rows of the call.  ``token_probs`` may be overridden to compute
+    its entries another way, not to change them.
     """
 
     vocab: Vocabulary
     length: int
 
     @abc.abstractmethod
-    def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        """Conditional distribution q(. | prefix) as an array of n reals."""
-
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
         """q(. | row) for every row of a (k, L) array of prefixes: a (k, n) array.
 
@@ -52,11 +45,10 @@ class SequentialModel(abc.ABC):
         unless ``memo`` is false; a sweep that visits each prefix once
         (``enumerate_joint``) passes false so its rows do not stay in memory.
         """
-        prefixes = np.asarray(prefixes)
-        out = np.empty((len(prefixes), self.vocab.n))
-        for i, row in enumerate(prefixes.tolist()):
-            out[i] = self.next_token_dist(tuple(row))
-        return out
+
+    def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
+        """Conditional distribution q(. | prefix): one row of ``conditionals``."""
+        return self.conditionals(np.array(prefix, dtype=np.int64).reshape(1, len(prefix)))[0]
 
     def token_probs(self, prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """q(tokens[i] | prefixes[i]) for every row of a (k, L) prefix array: (k,)."""
@@ -87,13 +79,6 @@ class UniformModel(SequentialModel):
         self._content[PAD_ID] = 0.0
         self._pad_onehot = np.zeros(vocab.n)
         self._pad_onehot[PAD_ID] = 1.0
-
-    def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        if not prefix:
-            return self._content
-        if prefix[-1] == PAD_ID:
-            return self._pad_onehot
-        return self._all
 
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
         prefixes = np.asarray(prefixes)
@@ -131,17 +116,6 @@ class NGramModel(SequentialModel):
         self._uniform = np.full(vocab.n, 1.0 / vocab.n)
         self._pad_onehot = np.zeros(vocab.n)
         self._pad_onehot[PAD_ID] = 1.0
-
-    def context_of(self, prefix: tuple[int, ...]) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        return tuple(prefix[-(self.order - 1) :]) if prefix else ()
-
-    def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        if prefix and prefix[-1] == PAD_ID:
-            return self._pad_onehot
-        dist = self.cond.get(self.context_of(prefix))
-        return dist if dist is not None else self._uniform
 
     def _contexts(self, prefixes: np.ndarray) -> np.ndarray:
         """The context columns of a (k, L) prefix array: its last order-1 (at most L)."""
@@ -185,8 +159,8 @@ def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
         raise ValueError("order must be >= 1")
     if corpus.m < 1:
         raise ValueError("empty corpus")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:  # NaN too
+        raise ValueError("lambda must be nonnegative and finite")
     n = corpus.vocab.n
     smooth = np.full(n, lam)
     if not corpus.has_padding:
@@ -291,20 +265,26 @@ def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
 
 def sample_sequence(model: SequentialModel, rng_seed: int) -> Sequence:
     """Ancestral sampling, token by token; deterministic for a fixed seed."""
-    return _sample_one(model, np.random.default_rng(rng_seed))
+    return sample_many(model, 1, rng_seed)[0]
 
 
 def sample_many(model: SequentialModel, k: int, rng_seed: int) -> list[Sequence]:
+    """k sequences by ancestral sampling, one ``conditionals`` call per position.
+
+    Token j of sample i inverts its conditional's CDF at uniform (i, j) of
+    one (k, N) block, as ``rng.choice`` does (normalise, cumsum, divide by
+    the last entry, count the entries <= u), so the draws are those of k
+    samples drawn one after another, token by token, with ``rng.choice``.
+    """
     rng = np.random.default_rng(rng_seed)
-    return [_sample_one(model, rng) for _ in range(k)]
-
-
-def _sample_one(model: SequentialModel, rng: np.random.Generator) -> Sequence:
-    ids: list[int] = []
-    for _ in range(model.length):
-        dist = model.next_token_dist(tuple(ids))
-        ids.append(int(rng.choice(model.vocab.n, p=dist / dist.sum())))
-    return Sequence.from_raw(ids)
+    uniforms = rng.random((k, model.length))
+    ids = np.zeros((k, model.length), dtype=np.int64)
+    for j in range(model.length):
+        dists = model.conditionals(ids[:, :j])
+        cdf = np.cumsum(dists / dists.sum(axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        ids[:, j] = (cdf <= uniforms[:, j : j + 1]).sum(axis=1)
+    return [Sequence.from_raw(row) for row in ids.tolist()]
 
 
 class LogLinearModel:
@@ -381,7 +361,10 @@ def kl_gradient(model: LogLinearModel, p) -> np.ndarray:
         raise ValueError("mismatched domains: different vocabularies")
     if p.length != model.length:
         raise ValueError("mismatched domains: different sequence lengths")
-    p_vec = np.array([p.prob_of(x) for x in model.domain])
+    from .exact import sequence_index  # exact imports this module
+
+    domain_ids = np.array([x.token_ids for x in model.domain], dtype=np.int64)
+    p_vec = p.probs[sequence_index(p.vocab, domain_ids)]
     if abs(p_vec.sum() - 1.0) > 1e-9:
         raise ValueError("mismatched domains: p has mass outside the model domain")
     return model.feature_matrix.T @ (model.all_probs() - p_vec)

@@ -13,8 +13,8 @@ class StubModel(SequentialModel):
         self.length = length
         self._dist = np.asarray(dist, dtype=float)
 
-    def next_token_dist(self, prefix):
-        return self._dist
+    def conditionals(self, prefixes, memo=True):
+        return np.tile(self._dist, (len(prefixes), 1))
 
 
 @pytest.fixture

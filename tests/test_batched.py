@@ -6,7 +6,8 @@ for the step-wise advantage, the boosting round and the exact advantages.  A
 custom distinguisher given as a scalar ``fn`` runs through the same array
 code.  The models' batched ``conditionals`` and ``token_probs``, and the
 layers built on them (``enumerate_joint``, ``log_loss``, ``ngram_mle_fit``,
-the log-ratio oracle's bound), are checked against scalar references too.
+the log-ratio oracle's bound, ``sample_many``), are checked against scalar
+references too.
 """
 
 import itertools
@@ -46,10 +47,13 @@ from seqboost.exact import JointTable, all_sequences, enumerate_joint, sequence_
 from seqboost.models import (
     PAD_ID,
     NGramModel,
+    SequentialModel,
     UniformModel,
     log_loss,
     ngram_mle_fit,
     prefix_conditionals,
+    sample_many,
+    sample_sequence,
 )
 
 
@@ -389,6 +393,49 @@ def test_conditionals_and_token_probs_are_stacked_next_token_dist_rows(data):
         reference = [scalar_reweighted(fresh(model), tuple(p)) for p in prefixes.tolist()]
         for got, want in zip(batched, reference):
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_a_model_without_conditionals_cannot_be_built():
+    class ScalarOnly(SequentialModel):
+        def next_token_dist(self, prefix):
+            return np.full(2, 0.5)
+
+    with pytest.raises(TypeError):
+        ScalarOnly()
+
+
+def loop_samples(model, k, seed):
+    """k samples one after another, token by token, each drawn with rng.choice."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        ids = []
+        for _ in range(model.length):
+            dist = model.next_token_dist(tuple(ids))
+            ids.append(int(rng.choice(model.vocab.n, p=dist / dist.sum())))
+        out.append(Sequence.from_raw(ids).token_ids)
+    return out
+
+
+@st.composite
+def sampled_models(draw):
+    """A model ``models`` draws, or an n-gram fitted to a padded corpus,
+    reweighted by 0-3 indicator factors or not."""
+    if draw(st.booleans()):
+        return draw(models())
+    corpus = draw(corpora())
+    q = ngram_mle_fit(corpus, draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.5])))
+    return ReweightedModel(q, draw(factor_lists(corpus.vocab))) if draw(st.booleans()) else q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sample_many_draws_the_loops_tokens(data):
+    model = data.draw(sampled_models())
+    k, seed = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 2**32 - 1))
+    want = loop_samples(fresh(model), k, seed)
+    assert [x.token_ids for x in sample_many(fresh(model), k, seed)] == want
+    assert sample_sequence(fresh(model), seed).token_ids == loop_samples(fresh(model), 1, seed)[0]
 
 
 def scalar_log_ratio(q, reference, C, flip, prefix):

@@ -132,7 +132,13 @@ class TestStepwiseReweight:
         g = token_indicator(ab_vocab, 2)
         cached = ReweightedModel(half_half(), [(0.5, g)])
         first = cached.next_token_dist(())
-        assert cached.next_token_dist(()) is first
+        assert () in cached._cache
+        # A planted row is what both forms return: the memo is read, not recomputed.
+        sentinel = np.array([0.25, 0.25, 0.5])
+        cached._cache[()] = sentinel
+        np.testing.assert_array_equal(cached.next_token_dist(()), sentinel)
+        np.testing.assert_array_equal(cached.conditionals(np.zeros((2, 0), dtype=np.int64)),
+                                      [sentinel, sentinel])
         fresh = ReweightedModel(half_half(), [(0.5, g)])
         np.testing.assert_array_equal(fresh.next_token_dist(()), first)
 
@@ -152,6 +158,8 @@ class TestIterationBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             iteration_bound(1.0, 1, 0.0)
+        with pytest.raises(ValueError):
+            iteration_bound(1.0, 1, math.nan)
         with pytest.raises(ValueError):
             iteration_bound(-1.0, 1, 0.1)
 
@@ -263,5 +271,7 @@ class TestBoostConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BoostConfig(0.0)
+        with pytest.raises(ValueError):
+            BoostConfig(math.nan)
         with pytest.raises(ValueError):
             BoostConfig(0.1, max_iters=0)

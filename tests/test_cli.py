@@ -294,6 +294,10 @@ MC = ["--distinguisher", "token-indicator:a", "--estimator", "monte-carlo"]
       "--distinguisher", "token-indicator:t0"], "budget exceeded: 41^4 > 2000000"),
     (["distinguish", "--model", "{aab_model}", *AAB, *MC, "--samples", "0"], "--samples"),
     (["distinguish", "--model", "{aab_model}", *AAB, *MC, "--samples", "-3"], "--samples"),
+    (["boost", *AAB, "--epsilon", "nan"], "epsilon must be positive"),
+    (["fit", *AAB, "--lam", "nan"], "lambda must be nonnegative and finite"),
+    (["fit", *AAB, "--lam", "inf"], "lambda must be nonnegative and finite"),
+    (["boost", *AAB, "--init", "ngram", "--lam", "nan"], "lambda must be nonnegative and finite"),
 ])
 def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)

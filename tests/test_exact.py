@@ -81,7 +81,8 @@ def test_joint_table_is_a_sequential_model(table):
     np.testing.assert_array_equal(indices, np.arange(n**table.length))
     for i, ids in enumerate(table.ids.tolist()):
         assert sequence_index(table.vocab, tuple(ids)) == i
-        assert table.prob_of(Sequence.from_raw(ids)) == table.probs[i]
+        seq = Sequence.from_raw(ids)
+        assert table.probs[sequence_index(table.vocab, seq.token_ids)] == table.probs[i]
 
 
 def test_zero_mass_prefix_has_uniform_conditional(ab_vocab):
