@@ -8,6 +8,7 @@ flags override file values.  Exit codes: 0 success, 2 configuration error,
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 from . import age as age_mod
 from .boost import BoostConfig, MaxItersExceededError, make_oracle, run_boost
 from .checks import default_suites
-from .corpus import Corpus, Vocabulary, load_corpus
+from .corpus import Vocabulary, load_corpus
 from .distinguish import (
     generalized_advantage,
     ngram_indicator,
@@ -42,14 +43,26 @@ from .serialize import load_model, save_model
 NATS_TO_BITS = 1.0 / math.log(2.0)
 
 
-def read_config(path: str | None) -> dict[str, str]:
+# The one config key that is not its flag's name.
+CONFIG_ALIASES = {"lambda": "lam"}
+
+
+def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Load a flat ``key = value`` file as the command's default map.
+
+    A key is a flag's name with ``_`` for ``-`` (``lambda`` for ``--lam``), or
+    ``outdir``; click casts and checks a file value as it does the flag's, and
+    an explicit flag wins.  Any subcommand's key is accepted, so one file can
+    serve a whole pipeline; any other key is a usage error.
+    """
     if path is None:
-        return {}
-    cfg: dict[str, str] = {}
+        return
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
+    known = {p.name for cmd in main.commands.values() for p in cmd.params} - {"config"}
+    cfg: dict[str, str] = {}
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -57,22 +70,33 @@ def read_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise click.UsageError(f"config line {no}: expected 'key = value'")
         key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
+        key = CONFIG_ALIASES.get(key.strip(), key.strip())
+        if key not in known and key != "outdir":
+            raise click.UsageError(f"config line {no}: unknown key {key!r}")
+        if key in cfg:
+            raise click.UsageError(f"config line {no}: {key!r} already set")
+        cfg[key] = value.strip()
+    ctx.default_map = cfg
 
 
-def pick(flag, cfg: dict[str, str], key: str, default=None, cast=str):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cast(cfg[key])
+config_option = click.option(
+    "--config", type=str, is_eager=True, expose_value=False, callback=_read_config,
+    help="Flat key = value file of flag defaults.",
+)
+
+
+def in_outdir(name: str):
+    """An output flag's default: ``name`` in the config's ``outdir``, else in
+    ``$SEQBOOST_OUTDIR``, else in the working directory."""
+    def default() -> Path:
+        ctx = click.get_current_context()
+        return Path(ctx.lookup_default("outdir") or os.environ.get("SEQBOOST_OUTDIR") or ".") / name
     return default
 
 
-def default_outdir(cfg: dict[str, str]) -> Path:
-    out = cfg.get("outdir") or os.environ.get("SEQBOOST_OUTDIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+def _created(path: Path) -> Path:
+    """An output path whose directory exists, made when the file is written."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -84,7 +108,7 @@ def _load_corpus_checked(path, length, vocab=None):
     if length is None:
         raise click.UsageError("sequence length is required")
     try:
-        return load_corpus(path, int(length), vocab=vocab)
+        return load_corpus(path, length, vocab=vocab)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -105,7 +129,7 @@ def _load_model_checked(path, vocab=None, length=None):
 
 def _load_heldout(path, length, model):
     """A corpus read in the model's vocabulary; its length must be the model's."""
-    if length is not None and int(length) != model.length:
+    if length is not None and length != model.length:
         raise click.UsageError(f"length {length} does not match the model's length {model.length}")
     return _load_corpus_checked(path, length, model.vocab)[0]
 
@@ -116,95 +140,74 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None, help="Flat key=value config file.")
-@click.option("--corpus", "corpus_path", type=str, default=None)
+@config_option
+@click.option("--corpus", type=str, default=None)
 @click.option("--length", type=int, default=None, help="Padded sequence length N.")
-@click.option("--order", type=int, default=None, help="n-gram order (default 1).")
-@click.option("--lam", type=float, default=None, help="Laplace smoothing weight (default 0).")
-@click.option("--vocab", "vocab_path", type=str, default=None)
-@click.option("--model-out", type=str, default=None)
-def fit(config_path, corpus_path, length, order, lam, vocab_path, model_out):
+@click.option("--order", type=int, default=1, help="n-gram order (default 1).")
+@click.option("--lam", type=float, default=0.0, help="Laplace smoothing weight (default 0).")
+@click.option("--vocab", type=str, default=None)
+@click.option("--model-out", type=Path, default=in_outdir("model.txt"))
+def fit(corpus, length, order, lam, vocab, model_out):
     """Fit an n-gram model by (smoothed) counting and report its log-loss."""
-    cfg = read_config(config_path)
-    corpus_path = pick(corpus_path, cfg, "corpus")
-    length = pick(length, cfg, "length", cast=int)
-    order = pick(order, cfg, "order", default=1, cast=int)
-    lam = pick(lam, cfg, "lambda", default=0.0, cast=float)
-    vocab_path = pick(vocab_path, cfg, "vocab")
     try:
-        vocab = Vocabulary.load(vocab_path) if vocab_path else None
+        vocabulary = Vocabulary.load(vocab) if vocab else None
     except (OSError, ValueError) as exc:
-        raise click.UsageError(f"cannot read vocabulary {vocab_path}: {exc}")
-    corpus, _ = _load_corpus_checked(corpus_path, length, vocab)
+        raise click.UsageError(f"cannot read vocabulary {vocab}: {exc}")
+    corpus, _ = _load_corpus_checked(corpus, length, vocabulary)
     try:
         model = ngram_mle_fit(corpus, order, lam)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    out = Path(pick(model_out, cfg, "model_out", default=default_outdir(cfg) / "model.txt"))
-    save_model(model, out)
+    save_model(model, _created(model_out))
     try:
         loss = log_loss(model, corpus).log_loss
     except ValueError as exc:
         click.echo(f"log-loss: infinite ({exc})")
         sys.exit(3)
-    click.echo(f"model written to {out}")
+    click.echo(f"model written to {model_out}")
     click.echo(f"log-loss: {loss:.6g} nats ({loss * NATS_TO_BITS:.6g} bits)")
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--corpus", "corpus_path", type=str, default=None)
+@config_option
+@click.option("--corpus", type=str, default=None)
 @click.option("--length", type=int, default=None)
-@click.option("--init", "init_kind", type=click.Choice(["uniform", "ngram"]), default=None)
-@click.option("--order", type=int, default=None)
-@click.option("--lam", type=float, default=None)
-@click.option("--oracle", "oracle_kind", type=str, default=None)
-@click.option("--oracle-order", type=int, default=None)
+@click.option("--init", type=click.Choice(["uniform", "ngram"]), default="uniform")
+@click.option("--order", type=int, default=1)
+@click.option("--lam", type=float, default=0.0)
+@click.option("--oracle", type=str, default="token-indicator")
+@click.option("--oracle-order", type=int, default=2)
 @click.option("--ref-model", type=str, default=None, help="Reference model for the log-ratio oracle.")
-@click.option("--epsilon", type=float, default=None)
+@click.option("--epsilon", type=float, default=0.01)
 @click.option("--max-iters", type=int, default=None)
-@click.option("--trace-out", type=str, default=None)
-@click.option("--model-out", type=str, default=None)
+@click.option("--trace-out", type=Path, default=in_outdir("trace.csv"))
+@click.option("--model-out", type=Path, default=in_outdir("boosted_model.txt"))
 @click.option("--timings", is_flag=True, help="Record wall times in the trace (breaks byte-reproducibility).")
-def boost(config_path, corpus_path, length, init_kind, order, lam, oracle_kind,
-          oracle_order, ref_model, epsilon, max_iters, trace_out, model_out, timings):
+def boost(corpus, length, init, order, lam, oracle, oracle_order, ref_model, epsilon,
+          max_iters, trace_out, model_out, timings):
     """Boost an initial model against a distinguisher oracle."""
-    cfg = read_config(config_path)
-    corpus_path = pick(corpus_path, cfg, "corpus")
-    length = pick(length, cfg, "length", cast=int)
-    init_kind = pick(init_kind, cfg, "init", default="uniform")
-    order = pick(order, cfg, "order", default=1, cast=int)
-    lam = pick(lam, cfg, "lambda", default=0.0, cast=float)
-    oracle_kind = pick(oracle_kind, cfg, "oracle", default="token-indicator")
-    oracle_order = pick(oracle_order, cfg, "oracle_order", default=2, cast=int)
-    ref_model = pick(ref_model, cfg, "ref_model")
-    epsilon = pick(epsilon, cfg, "epsilon", default=0.01, cast=float)
-    max_iters = pick(max_iters, cfg, "max_iters", cast=int)
-    corpus, _ = _load_corpus_checked(corpus_path, length)
-    outdir = default_outdir(cfg)
-    trace_out = Path(pick(trace_out, cfg, "trace_out", default=outdir / "trace.csv"))
-    model_out = Path(pick(model_out, cfg, "model_out", default=outdir / "boosted_model.txt"))
-
+    corpus, _ = _load_corpus_checked(corpus, length)
+    if oracle == "ngram-indicator" and oracle_order > corpus.length:
+        raise click.UsageError(f"oracle order {oracle_order} exceeds the length {corpus.length}")
     reference = _load_model_checked(ref_model, corpus.vocab, corpus.length) if ref_model else None
     try:
-        if init_kind == "uniform":
+        if init == "uniform":
             q0 = UniformModel(corpus.vocab, corpus.length)
         else:
             q0 = ngram_mle_fit(corpus, order, lam)
-        oracle = make_oracle(oracle_kind, order=oracle_order, reference=reference)
+        oracle = make_oracle(oracle, order=oracle_order, reference=reference)
         config = BoostConfig(epsilon=epsilon, max_iters=max_iters)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if oracle_kind == "ngram-indicator" and oracle_order > corpus.length:
-        raise click.UsageError(f"oracle order {oracle_order} exceeds the length {corpus.length}")
     try:
         model, trace = run_boost(q0, corpus, oracle, config)
     except MaxItersExceededError as exc:
-        trace_out.write_text(exc.trace.to_csv_text(include_timings=timings), encoding="utf-8")
+        _created(trace_out).write_text(exc.trace.to_csv_text(include_timings=timings),
+                                       encoding="utf-8")
         click.echo(str(exc), err=True)
         sys.exit(3)
-    trace_out.write_text(trace.to_csv_text(include_timings=timings), encoding="utf-8")
-    save_model(model, model_out)
+    _created(trace_out).write_text(trace.to_csv_text(include_timings=timings), encoding="utf-8")
+    save_model(model, _created(model_out))
     final_loss = trace.records[-1].log_loss
     click.echo(f"trace written to {trace_out} ({len(trace.records)} iterations)")
     click.echo(f"model written to {model_out}")
@@ -228,25 +231,21 @@ def _parse_step_distinguisher(spec: str, vocab: Vocabulary, q_model):
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--corpus", "corpus_path", type=str, default=None)
+@config_option
+@click.option("--corpus", type=str, default=None)
 @click.option("--length", type=int, default=None)
-@click.option("--model", "model_path", type=str, default=None, required=False)
-@click.option("--distinguisher", "dist_spec", type=str, required=True,
+@click.option("--model", type=str, required=True)
+@click.option("--distinguisher", type=str, required=True,
               help="kind:arg, e.g. token-indicator:b, ngram-indicator:a,b, log-ratio:model.txt")
 @click.option("--estimator", type=click.Choice(["exact", "monte-carlo"]), default="exact")
 @click.option("--samples", type=click.IntRange(min=1), default=10000)
 @click.option("--seed", type=int, default=0)
-def distinguish(config_path, corpus_path, length, model_path, dist_spec, estimator, samples, seed):
+def distinguish(corpus, length, model, distinguisher, estimator, samples, seed):
     """Evaluate a named distinguisher's whole-sequence and step-wise advantages."""
-    cfg = read_config(config_path)
-    model_path = pick(model_path, cfg, "model")
-    if model_path is None:
-        raise click.UsageError("a model file is required")
-    model = _load_model_checked(model_path)
-    corpus = _load_heldout(pick(corpus_path, cfg, "corpus"), pick(length, cfg, "length", cast=int), model)
+    model = _load_model_checked(model)
+    corpus = _load_heldout(corpus, length, model)
     try:
-        g = _parse_step_distinguisher(dist_spec, model.vocab, model)
+        g = _parse_step_distinguisher(distinguisher, model.vocab, model)
     except KeyError as exc:
         raise click.UsageError(exc.args[0])
     try:
@@ -302,82 +301,58 @@ def _load_table_csv(path: str, vocab: Vocabulary, length: int) -> JointTable:
 
 
 @main.command()
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--model", "model_path", type=str, default=None)
-@click.option("--corpus", "corpus_path", type=str, default=None)
+@config_option
+@click.option("--model", type=str, required=True)
+@click.option("--corpus", type=str, default=None)
 @click.option("--length", type=int, default=None)
-@click.option("--table", "table_path", type=str, default=None,
+@click.option("--table", type=str, default=None,
               help="'sequence,prob' CSV to compare the model joint against.")
 @click.option("--budget", type=int, default=DEFAULT_BUDGET)
-def eval(config_path, model_path, corpus_path, length, table_path, budget):
+def eval(model, corpus, length, table, budget):
     """Log-loss on a corpus and/or KL and TVD against an explicit table."""
-    cfg = read_config(config_path)
-    model_path = pick(model_path, cfg, "model")
-    if model_path is None:
-        raise click.UsageError("a model file is required")
-    model = _load_model_checked(model_path)
-    did_anything = False
-    corpus_path = pick(corpus_path, cfg, "corpus")
-    if corpus_path:
-        corpus = _load_heldout(corpus_path, pick(length, cfg, "length", cast=int), model)
+    model = _load_model_checked(model)
+    if not (corpus or table):
+        raise click.UsageError("nothing to evaluate: give --corpus and/or --table")
+    if corpus:
+        corpus = _load_heldout(corpus, length, model)
         try:
             loss = log_loss(model, corpus).log_loss
             click.echo(f"log-loss: {loss:.6g} nats ({loss * NATS_TO_BITS:.6g} bits)")
         except ValueError as exc:
             click.echo(f"log-loss: infinite ({exc})")
-        did_anything = True
-    table_path = pick(table_path, cfg, "table")
-    if table_path:
-        table = _load_table_csv(table_path, model.vocab, model.length)
+    if table:
+        table = _load_table_csv(table, model.vocab, model.length)
         try:
             joint = enumerate_joint(model, budget=budget)
         except BudgetExceededError as exc:
             raise click.UsageError(str(exc))
         click.echo(f"kl(table||model): {kl_divergence(table, joint):.6g} nats")
         click.echo(f"tvd(table,model): {total_variation(table, joint):.6g}")
-        did_anything = True
-    if not did_anything:
-        raise click.UsageError("nothing to evaluate: give --corpus and/or --table")
 
 
 @main.command("age-experiment")
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--ages", "ages_path", type=str, default=None,
+@config_option
+@click.option("--ages", type=str, default=None,
               help="File with 120 probabilities, one per line (ages 0..119).")
-@click.option("--report-out", type=str, default=None)
-def age_experiment(config_path, ages_path, report_out):
+@click.option("--report-out", type=Path, default=in_outdir("age_report.csv"))
+def age_experiment(ages, report_out):
     """Weak-family demonstration: likelihood-best vs least-distinguishable age caps."""
-    cfg = read_config(config_path)
-    ages_path = pick(ages_path, cfg, "ages")
     probs = None
-    if ages_path is not None:
+    if ages is not None:
         try:
-            text = Path(ages_path).read_text(encoding="utf-8")
-            probs = np.array([float(v) for v in text.split()])
+            probs = np.array([float(v) for v in Path(ages).read_text(encoding="utf-8").split()])
         except (OSError, ValueError) as exc:
-            raise click.UsageError(f"cannot read ages {ages_path}: {exc}")
+            raise click.UsageError(f"cannot read ages {ages}: {exc}")
     try:
         report = age_mod.run_age_experiment(probs)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    out = Path(pick(report_out, cfg, "report_out", default=default_outdir(cfg) / "age_report.csv"))
-    rows = [
-        ("uniform_mle_m", report.uniform_mle_m),
-        ("tail_over_100_strict", report.tail_over_100_strict),
-        ("tail_over_100_inclusive", report.tail_over_100_inclusive),
-        ("tvd_min_m", report.tvd_min_m),
-        ("tvd_at_min", report.tvd_at_min),
-        ("tvd_at_mle", report.tvd_at_mle),
-        ("kl_at_tvd_min", report.kl_at_tvd_min),
-        ("geometric_theta", report.geometric_theta),
-        ("geometric_mean_gap", report.geometric_mean_gap),
-        ("geometric_gradient", report.geometric_gradient),
-    ]
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(_created(report_out), "w", encoding="utf-8") as fh:
         fh.write("key,value\n")
-        for key, value in rows:
-            fh.write(f"{key},{value:.17g}\n" if isinstance(value, float) else f"{key},{value}\n")
-    click.echo(f"report written to {out}")
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            fh.write(f"{field.name},{value:.17g}\n" if isinstance(value, float) else f"{field.name},{value}\n")
+    click.echo(f"report written to {report_out}")
     click.echo(f"likelihood-best cap m = {report.uniform_mle_m}")
     click.echo(
         f"tail mass over age 100 at that cap: {report.tail_over_100_strict:.6g} strict, "
@@ -390,16 +365,14 @@ def age_experiment(config_path, ages_path, report_out):
 
 
 @main.command("oracle-check")
-@click.option("--config", "config_path", type=str, default=None)
-@click.option("--report-out", type=str, default=None)
+@config_option
+@click.option("--report-out", type=Path, default=in_outdir("oracle_check.csv"))
 @click.option("--fault-z-scale", type=float, default=1.0,
               help="Deliberately mis-scale the step-wise partition (fault-injection demo).")
-def oracle_check(config_path, report_out, fault_z_scale):
+def oracle_check(report_out, fault_z_scale):
     """Run every randomized invariant suite and report per-property margins."""
-    cfg = read_config(config_path)
     results = default_suites(stepwise_partition_scale=fault_z_scale)
-    out = Path(pick(report_out, cfg, "report_out", default=default_outdir(cfg) / "oracle_check.csv"))
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(_created(report_out), "w", encoding="utf-8") as fh:
         fh.write("property,instances,min_slack,pass\n")
         for r in results:
             fh.write(f"{r.name},{r.instances},{r.min_slack:.17g},{int(r.passed)}\n")
@@ -407,7 +380,7 @@ def oracle_check(config_path, report_out, fault_z_scale):
     for r in results:
         status = "pass" if r.passed else "FAIL"
         click.echo(f"{status}  {r.name}  min slack {r.min_slack:.3g} over {r.instances} instances")
-    click.echo(f"report written to {out}")
+    click.echo(f"report written to {report_out}")
     if failures:
         click.echo(f"{len(failures)} property suite(s) violated", err=True)
         sys.exit(3)

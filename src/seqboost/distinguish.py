@@ -146,8 +146,7 @@ def training_advantage(
     if estimator == "monte-carlo":
         if samples < 1:
             raise ValueError(f"need at least 1 sample, got {samples}")
-        draws = np.array([x.token_ids for x in sample_many(q, samples, seed)], dtype=np.int64)
-        model_mean = float(f.values(draws).sum()) / samples
+        model_mean = float(f.values(sample_many(q, samples, seed)).sum()) / samples
         return AdvantageEstimate(model_mean - emp, "monte-carlo", sample_count=samples)
     raise ValueError(f"unknown estimator {estimator!r}")
 

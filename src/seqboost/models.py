@@ -167,10 +167,13 @@ def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
         smooth[PAD_ID] = 0.0
     cond: dict[tuple[int, ...], np.ndarray] = {}
     contexts, tokens, ends = _tokens_by_context(corpus, order - 1)
-    for ctx, start, end in zip(contexts, [0] + ends, ends):
-        numer = np.bincount(tokens[start:end], minlength=n) + smooth
-        denom = numer.sum()
-        cond[ctx] = numer / denom if denom > 0 else np.full(n, 1.0 / n)
+    with np.errstate(over="ignore"):  # an overflowing row sum is an error below
+        for ctx, start, end in zip(contexts, [0] + ends, ends):
+            numer = np.bincount(tokens[start:end], minlength=n) + smooth
+            denom = numer.sum()
+            if not math.isfinite(denom):
+                raise ValueError(f"lambda {lam:g} is too large: a smoothed row sum overflows")
+            cond[ctx] = numer / denom if denom > 0 else np.full(n, 1.0 / n)
     return NGramModel(corpus.vocab, corpus.length, order, cond, lam)
 
 
@@ -265,11 +268,12 @@ def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
 
 def sample_sequence(model: SequentialModel, rng_seed: int) -> Sequence:
     """Ancestral sampling, token by token; deterministic for a fixed seed."""
-    return sample_many(model, 1, rng_seed)[0]
+    return Sequence.from_raw(sample_many(model, 1, rng_seed)[0].tolist())
 
 
-def sample_many(model: SequentialModel, k: int, rng_seed: int) -> list[Sequence]:
-    """k sequences by ancestral sampling, one ``conditionals`` call per position.
+def sample_many(model: SequentialModel, k: int, rng_seed: int) -> np.ndarray:
+    """The (k, N) ids of k sequences drawn by ancestral sampling, one
+    ``conditionals`` call per position.
 
     Token j of sample i inverts its conditional's CDF at uniform (i, j) of
     one (k, N) block, as ``rng.choice`` does (normalise, cumsum, divide by
@@ -284,7 +288,7 @@ def sample_many(model: SequentialModel, k: int, rng_seed: int) -> list[Sequence]
         cdf = np.cumsum(dists / dists.sum(axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]
         ids[:, j] = (cdf <= uniforms[:, j : j + 1]).sum(axis=1)
-    return [Sequence.from_raw(row) for row in ids.tolist()]
+    return ids
 
 
 class LogLinearModel:

@@ -434,7 +434,9 @@ def test_sample_many_draws_the_loops_tokens(data):
     model = data.draw(sampled_models())
     k, seed = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 2**32 - 1))
     want = loop_samples(fresh(model), k, seed)
-    assert [x.token_ids for x in sample_many(fresh(model), k, seed)] == want
+    draws = sample_many(fresh(model), k, seed)
+    assert draws.shape == (k, model.length) and draws.dtype == np.int64
+    assert [tuple(row) for row in draws.tolist()] == want
     assert sample_sequence(fresh(model), seed).token_ids == loop_samples(fresh(model), 1, seed)[0]
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
@@ -67,6 +69,95 @@ class TestFit:
         assert result.exit_code == 2
         assert "line 1" in result.output
 
+
+
+class TestConfig:
+    """Config values go through click's own casting and checks, as flags do."""
+
+    @pytest.fixture
+    def aab(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SEQBOOST_OUTDIR", raising=False)
+        (tmp_path / "aab.txt").write_text("a a\na a\na b\n")
+        return tmp_path
+
+    def invoke(self, runner, command, text, *flags):
+        Path("run.cfg").write_text(text)
+        return runner.invoke(main, [command, "--config", "run.cfg", *flags])
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("fit", "length = two", "'two' is not a valid integer"),
+        ("boost", "max_iters = 1.5", "'1.5' is not a valid integer"),
+        ("boost", "epsilon = abc", "'abc' is not a valid float"),
+        ("boost", "init = unifrom", "'unifrom' is not one of"),
+        ("distinguish", "samples = 0", "--samples"),
+        ("boost", "epsilson = 0.5", "unknown key 'epsilson'"),
+        ("fit", "config = other.cfg", "unknown key 'config'"),
+        ("fit", "lambda = 0.5\nlam = 0", "'lam' already set"),
+        ("boost", "epsilon = 0.5\nepsilon = 0.2", "'epsilon' already set"),
+    ])
+    def test_bad_value_or_key_exits_2_without_a_traceback(self, runner, aab, command, line,
+                                                          message):
+        fitted = runner.invoke(main, ["fit", "--corpus", "aab.txt", "--length", "2"])
+        assert fitted.exit_code == 0
+        base = ["corpus = aab.txt", "length = 2", "model = model.txt",
+                "distinguisher = token-indicator:a", "estimator = monte-carlo"]
+        # The case's line takes the place of a base line with the same key.
+        text = "".join(f"{b}\n" for b in base if b.split(" = ")[0] + " =" not in line)
+        result = self.invoke(runner, command, text + line + "\n")
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    def test_one_file_serves_fit_boost_and_distinguish(self, runner, aab):
+        text = ("corpus = aab.txt\nlength = 2\nlambda = 0.5\nepsilon = 0.2\n"
+                "model = model.txt\ndistinguisher = token-indicator:b\n")
+        assert self.invoke(runner, "fit", text).exit_code == 0
+        assert (aab / "model.txt").exists()
+        boosted = self.invoke(runner, "boost", text, "--init", "ngram")
+        assert boosted.exit_code == 0, boosted.output
+        assert "initial loss 0.915418" in boosted.output  # the lambda 0.5 unigram, not 1.79176
+        # The required --distinguisher comes from the file alone.
+        result = self.invoke(runner, "distinguish", text)
+        assert result.exit_code == 0, result.output
+        assert "whole-sequence advantage: -0.119048 " in result.output  # 1.5/7 - 1/3
+
+    def test_flag_before_config_still_wins(self, runner, aab):
+        Path("run.cfg").write_text("corpus = aab.txt\nlength = 2\nlam = 0\n")
+        result = runner.invoke(main, ["fit", "--lam", "1", "--config", "run.cfg"])
+        assert result.exit_code == 0
+        assert "lambda=1\n" in (aab / "model.txt").read_text()
+
+    def test_output_directory_is_config_then_environment_then_cwd(self, runner, aab, monkeypatch):
+        text = "corpus = aab.txt\nlength = 2\n"
+        assert self.invoke(runner, "fit", text).exit_code == 0
+        assert (aab / "model.txt").exists()
+        monkeypatch.setenv("SEQBOOST_OUTDIR", "from_env")
+        assert self.invoke(runner, "fit", text).exit_code == 0
+        assert (aab / "from_env" / "model.txt").exists()
+        assert self.invoke(runner, "fit", text + "outdir = from_cfg\n").exit_code == 0
+        assert (aab / "from_cfg" / "model.txt").exists()
+        result = self.invoke(runner, "fit", text + "outdir = from_cfg\n", "--model-out", "flag.txt")
+        assert result.exit_code == 0
+        assert (aab / "flag.txt").exists()
+
+    def test_output_directories_are_made_only_when_a_file_is_written(self, runner, aab):
+        result = self.invoke(runner, "boost", "corpus = missing.txt\nlength = 2\noutdir = out\n")
+        assert result.exit_code == 2
+        assert not (aab / "out").exists()
+        result = runner.invoke(main, ["boost", "--corpus", "aab.txt", "--length", "2",
+                                      "--epsilon", "0.2", "--trace-out", "new/t.csv",
+                                      "--model-out", "new/deeper/m.txt"])
+        assert result.exit_code == 0, result.output
+        assert (aab / "new" / "t.csv").exists()
+        assert (aab / "new" / "deeper" / "m.txt").exists()
+
+    def test_overflowing_lambda_exits_2_before_writing_a_model(self, runner, aab):
+        result = runner.invoke(main, ["fit", "--corpus", "aab.txt", "--length", "2",
+                                      "--lam", "1e308"])
+        assert result.exit_code == 2
+        assert "too large" in result.output
+        assert not (aab / "model.txt").exists()
 
 def run_boost_cli(runner, corpus_file, outdir, epsilon="0.01", extra=()):
     return runner.invoke(
@@ -269,6 +360,15 @@ class TestAgeExperiment:
         assert rows["uniform_mle_m"] == "119"
         assert int(rows["tvd_min_m"]) < 100
         assert float(rows["tvd_at_min"]) < float(rows["tvd_at_mle"])
+
+    def test_report_rows_are_the_report_fields_in_order(self, runner, tmp_path):
+        out = tmp_path / "report.csv"
+        assert runner.invoke(main, ["age-experiment", "--report-out", str(out)]).exit_code == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == [
+            "key", "uniform_mle_m", "tail_over_100_strict", "tail_over_100_inclusive",
+            "tvd_min_m", "tvd_at_min", "tvd_at_mle", "kl_at_tvd_min", "geometric_theta",
+            "geometric_mean_gap", "geometric_gradient",
+        ]
 
     def test_bad_length_input_rejected(self, runner, tmp_path):
         ages = tmp_path / "ages.txt"
