@@ -6,7 +6,7 @@ distinguisher advantage estimators, multiplicative reweighting, and
 brute-force verification oracles.
 """
 
-from .corpus import Corpus, Sequence, Vocabulary, empirical_expectation, load_corpus
+from .corpus import Corpus, Sequence, Vocabulary, load_corpus
 from .models import (
     LogLinearModel,
     LossReport,
@@ -17,8 +17,7 @@ from .models import (
     log_loss,
     ngram_mle_fit,
     sample_many,
-    sample_sequence,
-    sequence_log_prob,
+    sequence_log_probs,
 )
 from .exact import (
     JointTable,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Sequence, Vocabulary
+from .corpus import Vocabulary
 from .exact import JointTable, total_variation, kl_divergence
 from .models import LogLinearModel, kl_gradient
 
@@ -81,12 +81,9 @@ def geometric_model(theta_age: float, vocab: Vocabulary) -> LogLinearModel:
     Expressed log-linearly with the single feature age / AGE_MAX (so feature
     values stay in [0, 1]) and parameter -theta_age * AGE_MAX.
     """
-    domain = [Sequence.from_ids((vocab.id_of(str(a)),), 1) for a in range(NUM_AGES)]
-
-    def features(x: Sequence) -> np.ndarray:
-        return np.array([int(vocab.token_of(x.token_ids[0])) / AGE_MAX])
-
-    return LogLinearModel(domain, features, np.array([-theta_age * AGE_MAX]), vocab=vocab, length=1)
+    ids = np.arange(1, NUM_AGES + 1)[:, None]  # age a is token id a + 1
+    features = np.arange(NUM_AGES)[:, None] / AGE_MAX
+    return LogLinearModel(ids, features, np.array([-theta_age * AGE_MAX]), vocab=vocab)
 
 
 def geometric_mean_age(theta_age: float) -> float:

@@ -261,8 +261,8 @@ def best_indicator(
     # Context ids in order of first appearance, row by row.
     contexts: dict[tuple[int, ...], int] = {}
     rows = np.array([
-        contexts.setdefault(seq.token_ids[j - k : j], len(contexts))
-        for seq in corpus.sequences
+        contexts.setdefault(row[j - k : j], len(contexts))
+        for row in map(tuple, ids.tolist())
         for j in range(k, N)
     ])
     sums = np.zeros((len(contexts), n))

@@ -33,8 +33,8 @@ from .distinguish import (
 )
 from .exact import (
     JointTable,
+    all_ids,
     all_indicator_distinguishers,
-    all_sequences,
     distinguishability_exhaustive,
     finite_diff_gradient,
     kl_divergence,
@@ -178,11 +178,10 @@ def kl_gradient_fd_suite(count: int = 50, seed: int = 4) -> PropertyResult:
                 break
         vocab = make_vocab(n)
         d = int(rng.integers(1, 5))
-        domain = all_sequences(vocab, length)
-        fmat = rng.random((len(domain), d))
-        features = lambda x, fm=fmat, v=vocab: fm[sequence_index(v, x.token_ids)]
+        ids = all_ids(n, length)
+        fmat = rng.random((len(ids), d))
         theta = rng.uniform(-2.0, 2.0, size=d)
-        model = LogLinearModel(domain, features, theta, vocab=vocab, length=length)
+        model = LogLinearModel(ids, fmat, theta, vocab=vocab)
         p = random_table(rng, vocab, length)
         analytic = kl_gradient(model, p)
 

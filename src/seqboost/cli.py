@@ -128,10 +128,11 @@ def _load_model_checked(path, vocab=None, length=None):
 
 
 def _load_heldout(path, length, model):
-    """A corpus read in the model's vocabulary; its length must be the model's."""
+    """A corpus read in the model's vocabulary and at its length, which a
+    given ``length`` must match."""
     if length is not None and length != model.length:
         raise click.UsageError(f"length {length} does not match the model's length {model.length}")
-    return _load_corpus_checked(path, length, model.vocab)[0]
+    return _load_corpus_checked(path, model.length, model.vocab)[0]
 
 
 @click.group()

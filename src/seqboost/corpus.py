@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -73,10 +73,11 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class Sequence:
-    """A fixed-length run of token ids; positions >= true_length hold the pad.
+    """One row of a corpus: a fixed-length run of token ids whose positions
+    >= true_length hold the pad.
 
-    ``true_length`` counts tokens before padding.  The empty prefix is
-    represented as the zero-length tuple.
+    The library reads a corpus through ``Corpus.ids``; this is only the row
+    type ``Corpus.sequences`` stores.
     """
 
     token_ids: tuple[int, ...]
@@ -106,15 +107,9 @@ class Sequence:
     def length(self) -> int:
         return len(self.token_ids)
 
-    def content(self) -> tuple[int, ...]:
-        return self.token_ids[: self.true_length]
-
     def prefix(self, j: int) -> tuple[int, ...]:
         """The first j token ids; j = 0 is the empty prefix."""
         return self.token_ids[:j]
-
-    def tokens(self, vocab: Vocabulary) -> list[str]:
-        return [vocab.token_of(t) for t in self.content()]
 
 
 @dataclass(frozen=True)
@@ -183,11 +178,5 @@ def load_corpus(
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for seq in corpus.sequences:
-            fh.write(" ".join(seq.tokens(corpus.vocab)) + "\n")
-
-
-def empirical_expectation(corpus: Corpus, h: Callable[[Sequence], float]) -> float:
-    """Mean of h over the corpus: (1/m) sum_i h(x_i)."""
-    if corpus.m < 1:
-        raise ValueError("empty corpus")
-    return sum(h(seq) for seq in corpus.sequences) / corpus.m
+            content = seq.token_ids[: seq.true_length]
+            fh.write(" ".join(corpus.vocab.token_of(t) for t in content) + "\n")

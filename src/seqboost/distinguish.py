@@ -14,18 +14,18 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, Sequence, Vocabulary
+from .corpus import Corpus, Vocabulary
 from .exact import DEFAULT_BUDGET, JointTable, check_shared, enumerate_joint, sequence_index
 from .models import SequentialModel, prefix_conditionals, sample_many, sequence_log_probs
 
 
-def _row_values(fn: Callable, wrap: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """``values`` for a scalar ``fn``: fn(wrap(row)) for every row of an (..., L) id array."""
+def _row_values(fn: Callable[[tuple[int, ...]], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """``values`` for a scalar ``fn``: fn(tuple(row)) for every row of an (..., L) id array."""
 
     def values(ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
         rows = ids.reshape(-1, ids.shape[-1]).tolist()
-        return np.array([float(fn(wrap(row))) for row in rows]).reshape(ids.shape[:-1])
+        return np.array([float(fn(tuple(row))) for row in rows]).reshape(ids.shape[:-1])
 
     return values
 
@@ -35,11 +35,11 @@ class Distinguisher:
     """Maps whole sequences to [0, 1].
 
     ``values`` maps an (..., N) id array to the values of its rows, an array
-    of shape (...).  A custom distinguisher may give a scalar ``fn`` of a
-    ``Sequence`` instead, which is turned into ``values`` here, once.
+    of shape (...).  A custom distinguisher may give a scalar ``fn`` of an
+    id tuple instead, which is turned into ``values`` here, once.
     """
 
-    fn: Callable[[Sequence], float] | None = None
+    fn: Callable[[tuple[int, ...]], float] | None = None
     label: str = ""
     values: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, compare=False, repr=False
@@ -47,10 +47,10 @@ class Distinguisher:
 
     def __post_init__(self) -> None:
         if self.values is None:
-            object.__setattr__(self, "values", _row_values(self.fn, Sequence.from_raw))
+            object.__setattr__(self, "values", _row_values(self.fn))
 
-    def __call__(self, seq: Sequence) -> float:
-        return float(self.values(np.array(seq.token_ids, dtype=np.int64)))
+    def __call__(self, x: tuple[int, ...]) -> float:
+        return float(self.values(np.array(x, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class StepDistinguisher:
 
     def __post_init__(self) -> None:
         if self.values is None:
-            object.__setattr__(self, "values", _row_values(self.fn, tuple))
+            object.__setattr__(self, "values", _row_values(self.fn))
 
     def __call__(self, prefix: tuple[int, ...]) -> float:
         return float(self.values(np.array(prefix, dtype=np.int64)))

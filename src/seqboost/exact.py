@@ -26,7 +26,8 @@ class BudgetExceededError(ValueError):
 
 
 def all_sequences(vocab: Vocabulary, length: int) -> list[Sequence]:
-    """All n^N raw sequences, the i-th being the one with ``sequence_index`` i."""
+    """All n^N raw sequences as ``Sequence`` rows, the i-th being the one with
+    ``sequence_index`` i; the library itself reads ``all_ids``."""
     return [Sequence.from_raw(ids) for ids in itertools.product(range(vocab.n), repeat=length)]
 
 

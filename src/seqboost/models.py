@@ -15,12 +15,11 @@ from __future__ import annotations
 import abc
 import copy
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence as PySeq
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sequence, Vocabulary
+from .corpus import Corpus, Vocabulary
 
 PAD_ID = 0
 
@@ -231,11 +230,6 @@ def sequence_log_probs(model: SequentialModel, ids: np.ndarray) -> np.ndarray:
     return total
 
 
-def sequence_log_prob(model: SequentialModel, seq: Sequence) -> float:
-    """Sum of conditional log-probabilities; -inf marks an impossible sequence."""
-    return float(sequence_log_probs(model, np.array([seq.token_ids], dtype=np.int64))[0])
-
-
 def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
     """Q[i, j] = q(. | first j tokens of sequence i): an (m, N, n) array,
     from one ``conditionals`` call per position."""
@@ -266,11 +260,6 @@ def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
     return LossReport(sum(per) / corpus.m, tuple(per))
 
 
-def sample_sequence(model: SequentialModel, rng_seed: int) -> Sequence:
-    """Ancestral sampling, token by token; deterministic for a fixed seed."""
-    return Sequence.from_raw(sample_many(model, 1, rng_seed)[0].tolist())
-
-
 def sample_many(model: SequentialModel, k: int, rng_seed: int) -> np.ndarray:
     """The (k, N) ids of k sequences drawn by ancestral sampling, one
     ``conditionals`` call per position.
@@ -292,35 +281,41 @@ def sample_many(model: SequentialModel, k: int, rng_seed: int) -> np.ndarray:
 
 
 class LogLinearModel:
-    """q(x) proportional to exp(<theta, f(x)>) over an enumerable domain.
+    """q(x) proportional to exp(<theta, f(x)>) over an enumerated domain.
 
-    Features map a sequence to d reals, each in [0, 1].  The partition
-    function is computed by exact enumeration over the domain (log-sum-exp);
-    there is no sampling-based estimator.
+    ``ids`` is the (k, N) domain, one sequence per row, and ``features`` its
+    (k, d) matrix, each entry in [0, 1].  The partition function is computed
+    by exact enumeration over the domain (log-sum-exp); there is no
+    sampling-based estimator.
     """
 
     def __init__(
         self,
-        domain: PySeq[Sequence],
-        features: Callable[[Sequence], np.ndarray],
+        ids: np.ndarray,
+        features: np.ndarray,
         theta: np.ndarray,
         vocab: Vocabulary | None = None,
-        length: int | None = None,
     ):
-        if not domain:
-            raise ValueError("empty domain")
-        self.domain = list(domain)
-        self.features = features
+        ids = np.asarray(ids, dtype=np.int64)
+        features = np.asarray(features, dtype=float)
         self.theta = np.asarray(theta, dtype=float)
-        self.vocab = vocab
-        self.length = length if length is not None else self.domain[0].length
-        self._index = {seq.token_ids: i for i, seq in enumerate(self.domain)}
-        fmat = np.array([np.asarray(features(x), dtype=float) for x in self.domain])
-        if fmat.ndim != 2 or fmat.shape[1] != self.theta.shape[0]:
+        if ids.ndim != 2:
+            raise ValueError(f"domain ids must be a (k, N) array, got shape {ids.shape}")
+        if not len(ids):
+            raise ValueError("empty domain")
+        if len(np.unique(ids, axis=0)) != len(ids):
+            raise ValueError("domain ids list a sequence twice")
+        if features.ndim != 2 or features.shape[0] != len(ids):
+            raise ValueError(f"need one feature row per domain row ({len(ids)}), "
+                             f"got shape {features.shape}")
+        if features.shape[1] != self.theta.shape[0]:
             raise ValueError("feature dimension does not match theta")
-        if np.any(fmat < -1e-12) or np.any(fmat > 1 + 1e-12):
+        if np.any(features < -1e-12) or np.any(features > 1 + 1e-12):
             raise ValueError("feature values must lie in [0, 1]")
-        self.feature_matrix = fmat
+        self.ids = ids
+        self.features = features
+        self.vocab = vocab
+        self.length = ids.shape[1]
 
     @property
     def dim(self) -> int:
@@ -332,7 +327,7 @@ class LogLinearModel:
         return out
 
     def scores(self) -> np.ndarray:
-        return self.feature_matrix @ self.theta
+        return self.features @ self.theta
 
     def log_partition(self) -> float:
         s = self.scores()
@@ -340,19 +335,11 @@ class LogLinearModel:
         return smax + math.log(np.exp(s - smax).sum())
 
     def all_probs(self) -> np.ndarray:
+        """q over the domain, row i of ``ids`` at index i."""
         s = self.scores()
         s = s - s.max()
         e = np.exp(s)
         return e / e.sum()
-
-    def log_prob(self, x: Sequence) -> float:
-        i = self._index.get(x.token_ids)
-        if i is None:
-            raise ValueError("sequence outside the model domain")
-        return float(self.scores()[i]) - self.log_partition()
-
-    def prob(self, x: Sequence) -> float:
-        return math.exp(self.log_prob(x))
 
 
 def kl_gradient(model: LogLinearModel, p) -> np.ndarray:
@@ -367,8 +354,7 @@ def kl_gradient(model: LogLinearModel, p) -> np.ndarray:
         raise ValueError("mismatched domains: different sequence lengths")
     from .exact import sequence_index  # exact imports this module
 
-    domain_ids = np.array([x.token_ids for x in model.domain], dtype=np.int64)
-    p_vec = p.probs[sequence_index(p.vocab, domain_ids)]
+    p_vec = p.probs[sequence_index(p.vocab, model.ids)]
     if abs(p_vec.sum() - 1.0) > 1e-9:
         raise ValueError("mismatched domains: p has mass outside the model domain")
-    return model.feature_matrix.T @ (model.all_probs() - p_vec)
+    return model.features.T @ (model.all_probs() - p_vec)

@@ -43,7 +43,7 @@ from seqboost.distinguish import (
     token_indicator,
     training_advantage,
 )
-from seqboost.exact import JointTable, all_sequences, enumerate_joint, sequence_index
+from seqboost.exact import JointTable, enumerate_joint, sequence_index
 from seqboost.models import (
     PAD_ID,
     NGramModel,
@@ -53,7 +53,6 @@ from seqboost.models import (
     ngram_mle_fit,
     prefix_conditionals,
     sample_many,
-    sample_sequence,
 )
 
 
@@ -413,7 +412,7 @@ def loop_samples(model, k, seed):
         for _ in range(model.length):
             dist = model.next_token_dist(tuple(ids))
             ids.append(int(rng.choice(model.vocab.n, p=dist / dist.sum())))
-        out.append(Sequence.from_raw(ids).token_ids)
+        out.append(tuple(ids))
     return out
 
 
@@ -437,7 +436,8 @@ def test_sample_many_draws_the_loops_tokens(data):
     draws = sample_many(fresh(model), k, seed)
     assert draws.shape == (k, model.length) and draws.dtype == np.int64
     assert [tuple(row) for row in draws.tolist()] == want
-    assert sample_sequence(fresh(model), seed).token_ids == loop_samples(fresh(model), 1, seed)[0]
+    one = sample_many(fresh(model), 1, seed)[0]
+    assert tuple(one.tolist()) == loop_samples(fresh(model), 1, seed)[0]
 
 
 def scalar_log_ratio(q, reference, C, flip, prefix):
@@ -684,15 +684,15 @@ def scalar_sequence_log_prob(model, ids):
 
 
 def scalar_advantage(f, p, q):
-    domain = all_sequences(p.vocab, p.length)
+    domain = map(tuple, p.ids.tolist())
     return sum(f(x) * (qx - px) for x, px, qx in zip(domain, p.probs, q.probs) if px > 0 or qx > 0)
 
 
 def scalar_training_advantage(f, corpus, q):
     table = enumerate_joint(q)
-    domain = all_sequences(q.vocab, q.length)
+    domain = map(tuple, table.ids.tolist())
     model_mean = sum(f(x) * px for x, px in zip(domain, table.probs) if px > 0)
-    return model_mean - sum(f(x) for x in corpus.sequences) / corpus.m
+    return model_mean - sum(f(tuple(x)) for x in corpus.ids.tolist()) / corpus.m
 
 
 @settings(max_examples=150, deadline=None)
@@ -701,8 +701,8 @@ def test_exact_advantages_match_the_scalar_loops(instance, a):
     p, q, q2, r, anywhere, inside, fvals = instance
     vocab = q.vocab
     array_f = Distinguisher(values=lambda ids: fvals[sequence_index(vocab, ids)])
-    custom_f = Distinguisher(lambda x: float(fvals[sequence_index(vocab, x.token_ids)]))
-    domain = all_sequences(vocab, q.length)
+    custom_f = Distinguisher(lambda x: float(fvals[sequence_index(vocab, x)]))
+    domain = [tuple(x) for x in q.ids.tolist()]
     for f in (array_f, custom_f):
         assert abs(advantage_exact(f, p, q) - scalar_advantage(f, p, q)) <= 1e-12
         got = training_advantage(f, anywhere, q)

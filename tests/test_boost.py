@@ -36,7 +36,7 @@ def ab_table(pa, pb):
 class TestWholeReweight:
     def test_zero_weight_is_identity(self):
         q = ab_table(0.6, 0.4)
-        f = Distinguisher(lambda x: 1.0 if x.token_ids[0] == 2 else 0.0)
+        f = Distinguisher(lambda x: 1.0 if x[0] == 2 else 0.0)
         np.testing.assert_allclose(reweight_whole(q, f, 0.0).probs, q.probs)
 
     def test_constant_distinguisher_is_identity(self):
@@ -47,7 +47,7 @@ class TestWholeReweight:
     def test_hand_computed_update(self):
         # Downweighting b by e^{-ln 3} turns (1/2, 1/2) into (3/4, 1/4).
         q = ab_table(0.5, 0.5)
-        f = Distinguisher(lambda x: 1.0 if x.token_ids[0] == 2 else 0.0)
+        f = Distinguisher(lambda x: 1.0 if x[0] == 2 else 0.0)
         np.testing.assert_allclose(
             reweight_whole(q, f, math.log(3)).probs, [0.0, 0.75, 0.25], atol=1e-12
         )
@@ -61,7 +61,7 @@ class TestWholeReweight:
         # Reweighting uniform by a distinguisher with training advantage a
         # must cut the empirical loss by at least a^2 / 2.
         q = ab_table(0.5, 0.5)
-        f = Distinguisher(lambda x: 1.0 if x.token_ids[0] == 2 else 0.0)
+        f = Distinguisher(lambda x: 1.0 if x[0] == 2 else 0.0)
         a = 0.25
         q2 = reweight_whole(q, f, a)
         new_loss = log_loss(q2, aaab_corpus).log_loss

@@ -274,6 +274,17 @@ class TestDistinguish:
                       ["--length", "2", "--distinguisher", "token-indicator:c"]):
             assert runner.invoke(main, args + extra).exit_code == 2
 
+    def test_length_defaults_to_the_models(self, runner, tmp_path):
+        model = fit_aab_unigram(runner, tmp_path)
+        held = tmp_path / "heldout.txt"
+        held.write_text("a a\nb\n")
+        args = ["distinguish", "--corpus", str(held), "--model", str(model),
+                "--distinguisher", "ngram-indicator:a,b"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output == runner.invoke(main, args + ["--length", "2"]).output
+        assert runner.invoke(main, args + ["--length", "1"]).exit_code == 2
+
     def test_unknown_kind_rejected(self, runner, corpus_file, tmp_path):
         model = tmp_path / "model.txt"
         runner.invoke(
@@ -336,6 +347,18 @@ class TestEval:
         assert result.exit_code == exit_code
         if loss is not None:
             assert f"log-loss: {loss} nats" in result.output
+
+    def test_length_defaults_to_the_models(self, runner, tmp_path):
+        model = fit_aab_unigram(runner, tmp_path)
+        held = tmp_path / "heldout.txt"
+        held.write_text("b b\n")
+        result = runner.invoke(main, ["eval", "--model", str(model), "--corpus", str(held)])
+        assert result.exit_code == 0
+        assert "log-loss: 3.08089 nats" in result.output
+        held.write_text("a a a\n")  # longer than the model's length 2
+        result = runner.invoke(main, ["eval", "--model", str(model), "--corpus", str(held)])
+        assert result.exit_code == 2
+        assert "exceeds length 2" in result.output
 
     def test_nothing_to_evaluate(self, runner, corpus_file, tmp_path):
         model = tmp_path / "model.txt"

@@ -8,10 +8,15 @@ from seqboost.corpus import (
     CorpusFormatError,
     Sequence,
     Vocabulary,
-    empirical_expectation,
     load_corpus,
     save_corpus,
 )
+from seqboost.distinguish import Distinguisher
+
+
+def empirical_expectation(corpus, h):
+    """Mean of a scalar h of id tuples over the corpus, read from ``corpus.ids``."""
+    return float(Distinguisher(h).values(corpus.ids).mean())
 
 
 def test_load_corpus_pads_and_builds_vocab(tmp_path):
@@ -85,13 +90,13 @@ def test_sequence_rejects_bad_lengths():
 
 
 def test_empirical_expectation_indicator(aaab_corpus):
-    value = empirical_expectation(aaab_corpus, lambda s: 1.0 if s.token_ids[0] == 2 else 0.0)
+    value = empirical_expectation(aaab_corpus, lambda x: 1.0 if x[0] == 2 else 0.0)
     assert value == pytest.approx(0.25)
 
 
 def test_empirical_expectation_constants(aaab_corpus):
-    assert empirical_expectation(aaab_corpus, lambda s: 1.0) == 1.0
-    assert empirical_expectation(aaab_corpus, lambda s: 0.0) == 0.0
+    assert empirical_expectation(aaab_corpus, lambda x: 1.0) == 1.0
+    assert empirical_expectation(aaab_corpus, lambda x: 0.0) == 0.0
 
 
 @given(
@@ -102,9 +107,9 @@ def test_empirical_expectation_constants(aaab_corpus):
 def test_empirical_expectation_is_linear(ids, alpha, beta):
     vocab = Vocabulary.build(["a", "b"])
     corpus = Corpus(vocab, 1, tuple(Sequence.from_ids((i,), 1) for i in ids))
-    h1 = lambda s: float(s.token_ids[0] == 1)
-    h2 = lambda s: float(s.token_ids[0])
-    combo = empirical_expectation(corpus, lambda s: alpha * h1(s) + beta * h2(s))
+    h1 = lambda x: float(x[0] == 1)
+    h2 = lambda x: float(x[0])
+    combo = empirical_expectation(corpus, lambda x: alpha * h1(x) + beta * h2(x))
     split = alpha * empirical_expectation(corpus, h1) + beta * empirical_expectation(corpus, h2)
     assert math.isclose(combo, split, abs_tol=1e-12)
 
@@ -113,5 +118,5 @@ def test_empirical_expectation_is_linear(ids, alpha, beta):
 def test_unit_range_h_gives_unit_range_expectation(ids):
     vocab = Vocabulary.build(["a", "b"])
     corpus = Corpus(vocab, 1, tuple(Sequence.from_ids((i,), 1) for i in ids))
-    value = empirical_expectation(corpus, lambda s: 0.5 + 0.5 * (s.token_ids[0] == 1))
+    value = empirical_expectation(corpus, lambda x: 0.5 + 0.5 * (x[0] == 1))
     assert 0.0 <= value <= 1.0

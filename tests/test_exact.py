@@ -20,7 +20,7 @@ from seqboost.exact import (
     sequence_index,
     total_variation,
 )
-from seqboost.models import UniformModel, sequence_log_prob
+from seqboost.models import UniformModel, sequence_log_probs
 
 from conftest import StubModel
 
@@ -43,9 +43,8 @@ def test_enumerate_matches_product_rule():
     vocab = make_vocab(3)
     model = random_table(rng, vocab, 2)
     table = enumerate_joint(model)
-    for ids, p in zip(table.ids.tolist(), table.probs):
-        seq = Sequence.from_raw(ids)
-        assert p == pytest.approx(math.exp(sequence_log_prob(model, seq)), rel=1e-9)
+    for lp, p in zip(sequence_log_probs(model, table.ids).tolist(), table.probs):
+        assert p == pytest.approx(math.exp(lp), rel=1e-9)
     assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 

@@ -18,16 +18,16 @@ from seqboost.models import (
     log_loss,
     ngram_mle_fit,
     sample_many,
-    sample_sequence,
-    sequence_log_prob,
+    sequence_log_probs,
 )
 from seqboost.serialize import load_model, model_from_text, model_to_text, save_model
 
 from conftest import StubModel
 
 
-def seq1(token_id):
-    return Sequence.from_ids((token_id,), 1)
+def log_prob(model, ids):
+    """The log-probability of one id sequence: ``sequence_log_probs`` on a 1-row array."""
+    return float(sequence_log_probs(model, np.array([ids], dtype=np.int64))[0])
 
 
 class TestNGramFit:
@@ -83,19 +83,19 @@ class TestNGramFit:
 class TestSequenceLogProb:
     def test_uniform_pairs(self, ab_vocab):
         model = StubModel(ab_vocab, 2, [0.0, 0.5, 0.5])
-        lp = sequence_log_prob(model, Sequence.from_ids((1, 2), 2))
+        lp = log_prob(model, (1, 2))
         assert lp == pytest.approx(math.log(0.25))
 
     def test_deterministic_model_gives_zero(self, ab_vocab):
         model = StubModel(ab_vocab, 2, [0.0, 1.0, 0.0])
-        assert sequence_log_prob(model, Sequence.from_ids((1, 1), 2)) == 0.0
+        assert log_prob(model, (1, 1)) == 0.0
 
     def test_unseen_token_is_impossible(self, ab_vocab):
         # b is in the vocabulary but never observed; lam=0 leaves it at zero.
         train = Corpus(ab_vocab, 1, tuple(Sequence.from_ids((1,), 1) for _ in range(3)))
         model = ngram_mle_fit(train, order=1, lam=0.0)
         unseen = Corpus(ab_vocab, 1, (Sequence.from_ids((2,), 1),))
-        assert sequence_log_prob(model, unseen.sequences[0]) == -math.inf
+        assert log_prob(model, unseen.ids[0]) == -math.inf
         with pytest.raises(ValueError, match="sequence 0"):
             log_loss(model, unseen)
 
@@ -159,18 +159,17 @@ class TestConditionalContract:
 
 
 class TestLogLinear:
+    AB = np.array([[1], [2]])  # the one-token sequences a and b
+
     def make_ab_model(self, theta):
-        domain = [seq1(1), seq1(2)]
-        features = lambda x: np.array([1.0 if x.token_ids[0] == 2 else 0.0])
-        return LogLinearModel(domain, features, np.array([theta]))
+        features = np.array([[0.0], [1.0]])  # 1 on b
+        return LogLinearModel(self.AB, features, np.array([theta]))
 
     def test_zero_theta_partition_counts_domain(self):
-        domain = [seq1(i) for i in (1, 2)] + [
-            Sequence.from_ids((i, j), 2) for i, j in ((1, 1), (1, 2))
-        ]
+        ids = np.array([[1, 0], [2, 0], [1, 1], [1, 2]])
         # 4 domain elements, zero parameters: Z is the domain size.
-        features = lambda x: np.array([0.5])
-        model = LogLinearModel(domain[:4], features, np.array([0.0]))
+        model = LogLinearModel(ids, np.full((4, 1), 0.5), np.array([0.0]))
+        assert model.length == 2
         assert math.exp(model.log_partition()) == pytest.approx(4.0)
 
     def test_single_feature_partition(self):
@@ -179,21 +178,30 @@ class TestLogLinear:
 
     def test_probs_match_hand_computation(self):
         model = self.make_ab_model(math.log(1 / 3))
-        assert model.prob(seq1(1)) == pytest.approx(0.75)
-        assert model.prob(seq1(2)) == pytest.approx(0.25)
+        assert model.all_probs()[0] == pytest.approx(0.75)
+        assert model.all_probs()[1] == pytest.approx(0.25)
 
     def test_zero_theta_uniform(self):
         model = self.make_ab_model(0.0)
-        assert model.prob(seq1(1)) == pytest.approx(0.5)
+        assert model.all_probs()[0] == pytest.approx(0.5)
 
     def test_probs_normalize(self):
         model = self.make_ab_model(1.7)
         assert model.all_probs().sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_outside_domain_rejected(self):
-        model = self.make_ab_model(0.0)
-        with pytest.raises(ValueError, match="domain"):
-            model.prob(Sequence.from_raw((0,)))
+    @pytest.mark.parametrize(
+        "ids, features, match",
+        [
+            ([[1], [2]], np.zeros((2, 2)), "feature dimension"),
+            ([[1], [2]], np.zeros((3, 1)), "one feature row per domain row"),
+            ([[1], [2]], np.zeros(2), "one feature row per domain row"),
+            ([1, 2], np.zeros((2, 1)), r"\(k, N\) array"),
+            ([[1], [1]], np.zeros((2, 1)), "twice"),
+        ],
+    )
+    def test_malformed_domain_or_features_rejected(self, ids, features, match):
+        with pytest.raises(ValueError, match=match):
+            LogLinearModel(np.array(ids), features, np.array([0.0]))
 
     def test_gradient_zero_when_model_equals_target(self, ab_vocab):
         model = self.make_ab_model(math.log(1 / 3))
@@ -212,27 +220,30 @@ class TestLogLinear:
         with pytest.raises(ValueError, match="domain"):
             kl_gradient(model, p)
 
+    def test_gradient_rejects_target_mass_outside_domain(self, ab_vocab):
+        # The domain is a and b; the target puts mass on the pad sequence.
+        model = self.make_ab_model(0.0)
+        p = JointTable(ab_vocab, 1, np.array([0.5, 0.25, 0.25]))
+        with pytest.raises(ValueError, match="mass outside the model domain"):
+            kl_gradient(model, p)
+
     def test_unigram_indicators_reproduce_ngram_fit(self, aaab_corpus):
         mle = ngram_mle_fit(aaab_corpus, order=1, lam=0.0)
-        domain = [seq1(1), seq1(2)]
-        features = lambda x: np.array(
-            [1.0 if x.token_ids[0] == 1 else 0.0, 1.0 if x.token_ids[0] == 2 else 0.0]
-        )
         theta = np.log(mle.next_token_dist(())[1:])
-        model = LogLinearModel(domain, features, theta)
-        assert model.prob(seq1(1)) == pytest.approx(0.75, abs=1e-9)
-        assert model.prob(seq1(2)) == pytest.approx(0.25, abs=1e-9)
+        model = LogLinearModel(self.AB, np.eye(2), theta)
+        assert model.all_probs()[0] == pytest.approx(0.75, abs=1e-9)
+        assert model.all_probs()[1] == pytest.approx(0.25, abs=1e-9)
 
 
 class TestSampling:
     def test_deterministic_model(self, ab_vocab):
         model = StubModel(ab_vocab, 2, [0.0, 1.0, 0.0])
-        assert sample_sequence(model, 3).token_ids == (1, 1)
+        assert sample_many(model, 1, 3)[0].tolist() == [1, 1]
 
     def test_same_seed_same_sequence(self):
         vocab = make_vocab(4)
         model = UniformModel(vocab, 3)
-        assert sample_sequence(model, 42).token_ids == sample_sequence(model, 42).token_ids
+        assert sample_many(model, 1, 42)[0].tolist() == sample_many(model, 1, 42)[0].tolist()
 
     def test_uniform_frequency(self, ab_vocab):
         model = UniformModel(ab_vocab, 1)
