@@ -20,7 +20,7 @@ from .boost import (
     iteration_bound,
     run_boost,
 )
-from .corpus import Corpus, Sequence, Vocabulary
+from .corpus import Corpus, Vocabulary
 from .distinguish import (
     Distinguisher,
     StepDistinguisher,
@@ -67,12 +67,11 @@ def random_corpus(
     rng: np.random.Generator, vocab: Vocabulary, length: int, m: int
 ) -> Corpus:
     """m random sequences of content tokens, with genuinely padded tails."""
-    seqs = []
-    for _ in range(m):
+    ids = np.zeros((m, length), dtype=np.int64)
+    for i in range(m):
         true_length = int(rng.integers(1, length + 1))
-        ids = tuple(int(t) for t in rng.integers(1, vocab.n, size=true_length))
-        seqs.append(Sequence.from_ids(ids, length))
-    return Corpus(vocab, length, tuple(seqs))
+        ids[i, :true_length] = rng.integers(1, vocab.n, size=true_length)
+    return Corpus(vocab, length, ids)
 
 
 def _table_loss(table: JointTable, corpus: Corpus) -> float:

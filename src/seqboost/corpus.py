@@ -1,13 +1,14 @@
 """Vocabularies, fixed-length padded token sequences, and corpus ingestion.
 
-A corpus is a list of token sequences, all padded to a common length N.
-The pad token always has id 0 so that padded tails are cheap to detect.
+A corpus is an (m, N) array of token ids, one sequence per row padded to the
+common length N.  The pad token always has id 0 so that padded tails are
+cheap to detect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -38,13 +39,7 @@ class Vocabulary:
     @classmethod
     def build(cls, tokens: Iterable[str], pad_token: str = DEFAULT_PAD) -> "Vocabulary":
         """Build a vocabulary in first-appearance order, pad token first."""
-        ordered: list[str] = [pad_token]
-        seen = {pad_token}
-        for tok in tokens:
-            if tok not in seen:
-                seen.add(tok)
-                ordered.append(tok)
-        return cls(tuple(ordered), pad_token)
+        return cls(tuple(dict.fromkeys(chain([pad_token], tokens))), pad_token)
 
     @property
     def n(self) -> int:
@@ -94,51 +89,45 @@ class Sequence:
 
     @classmethod
     def from_raw(cls, ids: Iterable[int]) -> "Sequence":
-        """Wrap raw ids without padding checks (used for domain enumeration)."""
+        """Wrap raw ids without padding checks; the content ends at the first pad."""
         ids = tuple(ids)
-        true_length = len(ids)
-        for j, t in enumerate(ids):
-            if t == 0:
-                true_length = j
-                break
-        return cls(ids, true_length)
-
-    @property
-    def length(self) -> int:
-        return len(self.token_ids)
+        return cls(ids, ids.index(0) if 0 in ids else len(ids))
 
     def prefix(self, j: int) -> tuple[int, ...]:
         """The first j token ids; j = 0 is the empty prefix."""
         return self.token_ids[:j]
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """A training sample: m sequences sharing one vocabulary and length."""
+    """m sequences sharing one vocabulary and padded length N, stored only as
+    their read-only (m, N) int64 id array ``ids``.  ``rows`` is that array or
+    one ``Sequence`` per row; the padding contract is not checked, so raw
+    domain rows are allowed (``save_corpus`` rejects rows it cannot write)."""
 
-    vocab: Vocabulary
-    length: int
-    sequences: tuple[Sequence, ...]
-
-    def __post_init__(self) -> None:
-        for seq in self.sequences:
-            if seq.length != self.length:
+    def __init__(self, vocab: Vocabulary, length: int, rows) -> None:
+        if not isinstance(rows, np.ndarray):
+            rows = [seq.token_ids for seq in rows]
+            if any(len(r) != length for r in rows):
                 raise ValueError("all corpus sequences must share the padded length")
+            rows = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+        ids = np.asarray(rows, dtype=np.int64).view()
+        if ids.ndim != 2 or ids.shape[1] != length:
+            raise ValueError("all corpus sequences must share the padded length")
+        ids.flags.writeable = False
+        self.vocab, self.length, self.ids = vocab, length, ids
 
     @property
     def m(self) -> int:
-        return len(self.sequences)
+        return len(self.ids)
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """The token ids as an (m, N) int array, built on first use."""
-        return np.array([seq.token_ids for seq in self.sequences], dtype=np.int64).reshape(
-            self.m, self.length
-        )
+    @property
+    def sequences(self) -> tuple[Sequence, ...]:
+        """The rows as ``Sequence`` objects, built anew on every read."""
+        return tuple(map(Sequence.from_raw, self.ids.tolist()))
 
     @property
     def has_padding(self) -> bool:
-        return any(s.true_length < self.length for s in self.sequences)
+        return bool((self.ids == 0).any())
 
 
 def load_corpus(
@@ -149,34 +138,47 @@ def load_corpus(
 ) -> tuple[Corpus, Vocabulary]:
     """Read a plain-text corpus, one whitespace-separated sequence per line.
 
-    Every line must contain 1..length tokens; shorter lines are padded.  If
-    ``vocab`` is omitted it is built from the observed tokens (plus the pad)
-    in first-appearance order; otherwise every token must already be known.
+    Every line must contain 1..length tokens; shorter lines are padded, and
+    blank lines are skipped.  If ``vocab`` is omitted it is built from the
+    observed tokens (plus the pad) in first-appearance order; otherwise every
+    token must already be known.  An error names the first offending line.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [(i + 1, ln.split()) for i, ln in enumerate(text.splitlines())]
-    lines = [(no, toks) for no, toks in lines if toks]
-    if not lines:
+    rows = list(map(str.split, Path(path).read_text(encoding="utf-8").splitlines()))
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if not counts.any():
         raise CorpusFormatError("empty corpus")
-    for no, toks in lines:
-        if len(toks) > length:
-            raise CorpusFormatError(f"line {no}: {len(toks)} tokens exceeds length {length}")
+    if counts.max() > length:
+        no = int(np.argmax(counts > length))
+        raise CorpusFormatError(f"line {no + 1}: {counts[no]} tokens exceeds length {length}")
+    tokens = list(chain.from_iterable(rows))
     if vocab is None:
-        vocab = Vocabulary.build((t for _, toks in lines for t in toks), pad_token)
-    else:
-        known = set(vocab.tokens)
-        for no, toks in lines:
-            for t in toks:
-                if t not in known:
-                    raise CorpusFormatError(f"line {no}: token {t!r} not in vocabulary")
-    sequences = tuple(
-        Sequence.from_ids((vocab.id_of(t) for t in toks), length) for _, toks in lines
-    )
-    return Corpus(vocab, length, sequences), vocab
+        vocab = Vocabulary.build(tokens, pad_token)
+    try:
+        flat = np.fromiter(map(vocab._ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    except KeyError:
+        k = next(k for k, t in enumerate(tokens) if t not in vocab._ids)
+        no = np.searchsorted(np.cumsum(counts), k, side="right")
+        raise CorpusFormatError(f"line {no + 1}: token {tokens[k]!r} not in vocabulary") from None
+    if not flat.all():
+        raise ValueError("pad id 0 may not appear in unpadded content")
+    counts = counts[counts > 0]
+    ids = np.zeros((len(counts), length), dtype=np.int64)
+    ids[np.arange(length) < counts[:, None]] = flat
+    return Corpus(vocab, length, ids), vocab
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in corpus.sequences:
-            content = seq.token_ids[: seq.true_length]
-            fh.write(" ".join(corpus.vocab.token_of(t) for t in content) + "\n")
+    """Write one line per row, its tokens before the first pad; a row that
+    would not load back as itself raises ValueError naming the row."""
+    content = corpus.ids != 0
+    counts = content.sum(axis=1)
+    faithful = (counts > 0) & (content == (np.arange(corpus.length) < counts[:, None])).all(axis=1)
+    unknown = ((corpus.ids < 0) | (corpus.ids >= corpus.vocab.n)).any(axis=1)
+    if unknown.any() or not faithful.all():
+        i = int(np.argmax(unknown | ~faithful))
+        reason = ("has an id outside the vocabulary" if unknown[i] else
+                  "has content after a pad" if content[i, :1].any() else "starts with the pad")
+        raise ValueError(f"cannot save row {i}: it {reason}")
+    words = map(corpus.vocab.tokens.__getitem__, corpus.ids[content].tolist())
+    text = "".join(" ".join(islice(words, k)) + "\n" for k in counts.tolist())
+    Path(path).write_text(text, encoding="utf-8")

@@ -312,6 +312,8 @@ class LogLinearModel:
             raise ValueError("feature dimension does not match theta")
         if np.any(features < -1e-12) or np.any(features > 1 + 1e-12):
             raise ValueError("feature values must lie in [0, 1]")
+        if vocab is not None and not ((ids >= 0) & (ids < vocab.n)).all():
+            raise ValueError(f"domain ids must be token ids 0..{vocab.n - 1}")
         self.ids = ids
         self.features = features
         self.vocab = vocab
@@ -352,6 +354,8 @@ def kl_gradient(model: LogLinearModel, p) -> np.ndarray:
         raise ValueError("mismatched domains: different vocabularies")
     if p.length != model.length:
         raise ValueError("mismatched domains: different sequence lengths")
+    if not ((model.ids >= 0) & (model.ids < p.vocab.n)).all():
+        raise ValueError("mismatched domains: the model's ids are not token ids of p's vocabulary")
     from .exact import sequence_index  # exact imports this module
 
     p_vec = p.probs[sequence_index(p.vocab, model.ids)]

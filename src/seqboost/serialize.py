@@ -9,7 +9,9 @@ the row's most frequent value (the smallest on a tie), and the pairs list, in
 increasing token id, every entry that differs from it.  A fitted row repeats
 its smoothing value for every unseen token, so the file grows with the seen
 (context, token) pairs rather than with n per context.  The loader also reads
-the dense v1 rows, ``context=<ids>|<p> <p> ...``.
+the dense v1 rows, ``context=<ids>|<p> <p> ...``.  Rows are written and read
+in blocks of at most ``BLOCK_ENTRIES`` table entries, each checked as a whole;
+a loaded model's rows are row views of one (contexts, n) table.
 
 A reweighted model lists its factors, then the reference model of its
 log-ratio factors under ``reference:`` (when it has any), then its base under
@@ -20,6 +22,7 @@ base with factors 0..t-1.
 from __future__ import annotations
 
 import json
+from itertools import chain, islice, repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ from .models import NGramModel, SequentialModel, UniformModel
 
 FORMAT_HEADER = "seqboost-model v2"
 READABLE_HEADERS = ("seqboost-model v1", FORMAT_HEADER)
+BLOCK_ENTRIES = 1 << 15  # n-gram table entries per block of rows written or read at once
 
 
 def _fmt(x: float) -> str:
@@ -41,13 +45,30 @@ def _vocab_lines(vocab: Vocabulary) -> list[str]:
     return [f"token={t}" for t in vocab.tokens]
 
 
-def _sparse_row(row: np.ndarray) -> str:
-    values, counts = np.unique(row, return_counts=True)
-    fill = values[np.argmax(counts)]
-    # Compare bits, not values, so that -0.0 and 0.0 both come back as written.
-    ids = np.flatnonzero(row.view(np.int64) != fill.view(np.int64))
-    pairs = " ".join(f"{i}:{p:.17g}" for i, p in zip(ids.tolist(), row[ids].tolist()))
-    return f"{_fmt(fill)}|{pairs}"
+def _row_blocks(k: int, n: int) -> list[slice]:
+    step = max(1, BLOCK_ENTRIES // n)
+    return [slice(i, i + step) for i in range(0, k, step)]
+
+
+def _sparse_rows(rows: np.ndarray, keys: list[str]) -> list[str]:
+    """``<fill>|<id>:<p> ...`` for every row of a (k, n) block; ``keys[i]`` is ``f"{i}:"``.
+    The fill counts 0.0 and -0.0 as one value, as ``np.unique`` does, written as the one
+    sorted first; pairs compare bits, so both come back as written."""
+    k, n = rows.shape
+    ordered = np.sort(rows, axis=1)
+    run_start = np.zeros((k, n), dtype=np.int64)  # where the run of equal values at j starts
+    new_run = (ordered[:, 1:] != ordered[:, :-1]) & ~np.isnan(ordered[:, :-1])  # NaNs sort last
+    run_start[:, 1:] = np.where(new_run, np.arange(1, n), 0)
+    run_start = np.maximum.accumulate(run_start, axis=1)
+    end = np.argmax(np.arange(n) - run_start, axis=1)  # of the first longest run
+    fill = ordered[np.arange(k), run_start[np.arange(k), end]]
+    differs = rows.view(np.int64) != fill.view(np.int64)[:, None]
+    bits, which = np.unique(rows[differs].view(np.int64), return_inverse=True)
+    text = [_fmt(p) for p in bits.view(np.float64).tolist()]
+    pairs = map(str.__add__, map(keys.__getitem__, np.nonzero(differs)[1].tolist()),
+                map(text.__getitem__, which.tolist()))
+    fills, counts = fill.tolist(), differs.sum(axis=1).tolist()
+    return [f"{_fmt(f)}|{' '.join(islice(pairs, c))}" for f, c in zip(fills, counts)]
 
 
 def _log_ratio_reference(model: ReweightedModel) -> SequentialModel | None:
@@ -93,10 +114,12 @@ def model_to_text(model: SequentialModel) -> str:
         lines.insert(3, f"lambda={_fmt(model.lam)}")
         lines.insert(4, f"n={model.vocab.n}")
         lines.insert(5, f"length={model.length}")
-        for ctx in sorted(model.cond):
-            ctx_label = ",".join(str(t) for t in ctx)
-            row = np.asarray(model.cond[ctx], dtype=np.float64)
-            lines.append(f"context={ctx_label}|{_sparse_row(row)}")
+        contexts, n = sorted(model.cond), model.vocab.n
+        keys = [f"{i}:" for i in range(n)]
+        for block in _row_blocks(len(contexts), n):
+            rows = np.array([model.cond[ctx] for ctx in contexts[block]], dtype=np.float64)
+            for ctx, row in zip(contexts[block], _sparse_rows(rows, keys)):
+                lines.append(f"context={','.join(map(str, ctx))}|{row}")
     elif isinstance(model, UniformModel):
         lines.insert(1, "kind=uniform")
         lines.insert(2, f"n={model.vocab.n}")
@@ -152,30 +175,55 @@ def _rebuild_factor(
     raise ValueError(f"cannot deserialize factor kind {kind!r}")
 
 
-def _parse_row(body: str, n: int, order: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """One n-gram row, sparse (v2) or dense (v1); a malformed row raises ValueError."""
-    ctx_label, _, probs = body.partition("|")
-    ctx = tuple(int(t) for t in ctx_label.split(",")) if ctx_label else ()
-    if len(ctx) > order - 1 or not all(0 <= t < n for t in ctx):
-        raise ValueError(f"bad context {ctx_label!r} for order {order} over {n} tokens")
-    fill, sparse, pairs = probs.partition("|")
-    if sparse:
-        row = np.full(n, float(fill))
-        split = [pair.split(":") for pair in pairs.split()]
-        if any(len(pair) != 2 for pair in split):
-            raise ValueError(f"context {ctx_label!r}: entries must be <id>:<p>")
-        ids = [int(i) for i, _ in split]
-        bounds = [-1] + ids + [n]
-        if any(i >= j for i, j in zip(bounds, bounds[1:])):
-            raise ValueError(f"context {ctx_label!r}: token ids must increase within 0..{n - 1}")
-        row[ids] = [float(p) for _, p in split]
-    else:
-        row = np.array([float(p) for p in fill.split()])
-        if row.size != n:
-            raise ValueError(f"context {ctx_label!r} has {row.size} entries, not {n}")
-    if not (np.all(row >= 0.0) and abs(row.sum() - 1.0) <= 1e-9):
-        raise ValueError(f"context {ctx_label!r} is not a probability distribution")
-    return ctx, row
+def _parse_each(parse, texts: list[str]) -> list:
+    """``list(map(parse, texts))``, calling ``parse`` once per distinct text."""
+    parsed = {t: parse(t) for t in set(texts)}
+    return list(map(parsed.__getitem__, texts))
+
+
+def _parse_rows(
+    lines: list[str], n: int, order: int, out: np.ndarray
+) -> tuple[tuple[int, ...], ...]:
+    """Parse a block of ``context=`` lines into the rows of ``out``; return their contexts.
+    A malformed row raises ValueError.  A dense v1 row is read as a pair for every id."""
+    parsed = []
+    for line in lines:
+        label, _, probs = line[len("context=") :].partition("|")
+        ctx = tuple(map(int, label.split(","))) if label else ()
+        if len(ctx) > order - 1 or not all(0 <= t < n for t in ctx):
+            raise ValueError(f"bad context {label!r} for order {order} over {n} tokens")
+        fill, sparse, pairs = probs.partition("|")
+        if not sparse:
+            dense = fill.split()
+            if len(dense) != n:
+                raise ValueError(f"context {label!r} has {len(dense)} entries, not {n}")
+            fill, pairs = "0", " ".join(f"{i}:{p}" for i, p in enumerate(dense))
+        parsed.append((ctx, label, fill, pairs))
+    contexts, labels, fills, pair_text = zip(*parsed)
+    split = list(map(str.split, pair_text))
+    row_of = np.repeat(np.arange(len(lines)), list(map(len, split)))
+    pairs = list(chain.from_iterable(split))
+    colons = np.fromiter(map(str.count, pairs, repeat(":")), dtype=np.int64, count=len(pairs))
+    if (colons != 1).any():
+        label = labels[row_of[np.argmax(colons != 1)]]
+        raise ValueError(f"context {label!r}: entries must be <id>:<p>")
+    parts = ":".join(pairs).split(":") if pairs else []
+    ids = _parse_each(int, parts[0::2])
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        ids = [i if 0 <= i < n else -1 for i in ids]  # -1 fits in int64 where i may not
+    ids = np.array(ids, dtype=np.int64)
+    not_increasing = (ids[1:] <= ids[:-1]) & (row_of[1:] == row_of[:-1])
+    bad = (ids < 0) | np.append(False, not_increasing)
+    if bad.any():
+        raise ValueError(f"context {labels[row_of[np.argmax(bad)]]!r}: "
+                         f"token ids must increase within 0..{n - 1}")
+    out[:] = np.array(_parse_each(float, fills)).reshape(-1, 1)
+    out[row_of, ids] = _parse_each(float, parts[1::2])
+    with np.errstate(invalid="ignore"):  # inf - inf, in a row with a negative entry
+        proper = (out >= 0.0).all(axis=1) & (np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
+    if not proper.all():
+        raise ValueError(f"context {labels[np.argmin(proper)]!r} is not a probability distribution")
+    return contexts
 
 
 def model_from_text(text: str) -> SequentialModel:
@@ -222,11 +270,12 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
         return UniformModel(vocab, length), idx
     if kind == "ngram":
         order = int(meta["order"])
-        cond: dict[tuple[int, ...], np.ndarray] = {}
-        while idx < len(lines) and lines[idx].startswith("context="):
-            ctx, row = _parse_row(lines[idx][len("context=") :], n, order)
-            cond[ctx] = row
-            idx += 1
+        rows = list(takewhile(lambda line: line.startswith("context="), lines[idx:]))
+        idx += len(rows)
+        table = np.empty((len(rows), n))  # the model's rows are row views of it
+        blocks = _row_blocks(len(rows), n)
+        contexts = [c for b in blocks for c in _parse_rows(rows[b], n, order, table[b])]
+        cond = dict(zip(contexts, table))
         return NGramModel(vocab, length, order, cond, float(meta["lambda"])), idx
     raise ValueError(f"unknown model kind {kind!r}")
 

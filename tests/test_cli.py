@@ -421,13 +421,22 @@ MC = ["--distinguisher", "token-indicator:a", "--estimator", "monte-carlo"]
     (["fit", *AAB, "--lam", "nan"], "lambda must be nonnegative and finite"),
     (["fit", *AAB, "--lam", "inf"], "lambda must be nonnegative and finite"),
     (["boost", *AAB, "--init", "ngram", "--lam", "nan"], "lambda must be nonnegative and finite"),
+    (["fit", "--corpus", "{empty}", "--length", "2"], "empty corpus"),
+    (["fit", "--corpus", "{long}", "--length", "2"], "line 3: 3 tokens exceeds length 2"),
+    (["fit", "--corpus", "{padded}", "--length", "2"], "pad id 0 may not appear"),
+    (["eval", "--model", "{aab_model}", "--corpus", "{xy}"], "line 1: token 'x' not in vocabulary"),
 ])
 def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
     files = {"aab": tmp_path / "aab.txt", "missing": tmp_path / "missing.txt",
              "xy": tmp_path / "xy_ages.txt", "wide": tmp_path / "wide.txt",
-             "wide_model": tmp_path / "wide_model.txt", "aab_model": tmp_path / "aab_model.txt"}
+             "wide_model": tmp_path / "wide_model.txt", "aab_model": tmp_path / "aab_model.txt",
+             "empty": tmp_path / "empty.txt", "long": tmp_path / "long.txt",
+             "padded": tmp_path / "padded.txt"}
     files["aab"].write_text("a a\na a\na b\n")
+    files["empty"].write_text("\n \t\n")
+    files["long"].write_text("a\n\na b c\nb c d\n")
+    files["padded"].write_text("a b\na <pad>\n")
     files["xy"].write_text("x y\n")
     # 40 tokens at length 4: 41^4 sequences, past the default enumeration budget.
     files["wide"].write_text("".join(f"t{i % 40} t{(i * 7) % 40}\n" for i in range(60)))

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqboost.corpus import (
     Corpus,
@@ -17,6 +19,143 @@ from seqboost.distinguish import Distinguisher
 def empirical_expectation(corpus, h):
     """Mean of a scalar h of id tuples over the corpus, read from ``corpus.ids``."""
     return float(Distinguisher(h).values(corpus.ids).mean())
+
+
+def reference_load_corpus(path, length, vocab=None, pad_token="<pad>"):
+    """The per-line reader ``load_corpus`` replaced: one ``Sequence`` per line.
+    Returns the (m, N) ids and the vocabulary."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [(i + 1, ln.split()) for i, ln in enumerate(text.splitlines())]
+    lines = [(no, toks) for no, toks in lines if toks]
+    if not lines:
+        raise CorpusFormatError("empty corpus")
+    for no, toks in lines:
+        if len(toks) > length:
+            raise CorpusFormatError(f"line {no}: {len(toks)} tokens exceeds length {length}")
+    if vocab is None:
+        ordered, seen = [pad_token], {pad_token}
+        for t in (t for _, toks in lines for t in toks):
+            if t not in seen:
+                seen.add(t)
+                ordered.append(t)
+        vocab = Vocabulary(tuple(ordered), pad_token)
+    else:
+        known = set(vocab.tokens)
+        for no, toks in lines:
+            for t in toks:
+                if t not in known:
+                    raise CorpusFormatError(f"line {no}: token {t!r} not in vocabulary")
+    rows = [Sequence.from_ids((vocab.id_of(t) for t in toks), length) for _, toks in lines]
+    return np.array([r.token_ids for r in rows], dtype=np.int64).reshape(len(rows), length), vocab
+
+
+def text_line(tokens, separators, margin):
+    """Tokens, each followed by a run of spaces and tabs, between two margins."""
+    return margin + "".join(tok + sep for tok, sep in zip(tokens, separators)) + margin
+
+
+# Lines of corpus text over a small alphabet with the pad in it; some lines
+# are blank or only whitespace.
+corpus_lines = st.lists(
+    st.builds(
+        text_line,
+        st.lists(st.sampled_from(["a", "b", "c", "dd", "<pad>"]), max_size=5),
+        st.lists(st.sampled_from([" ", "  ", "\t", " \t "]), min_size=5, max_size=5),
+        st.sampled_from(["", " ", "\t", "  \t"]),
+    ),
+    max_size=12,
+)
+
+
+def outcome(read, path, length, vocab, pad_token):
+    """The ids and vocabulary tokens ``read`` returns, or its error's type and message."""
+    try:
+        ids, vocab = read(path, length, vocab=vocab, pad_token=pad_token)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ids.tolist(), vocab.tokens
+
+
+@settings(deadline=None, max_examples=150)
+@given(corpus_lines, st.integers(1, 4), st.sampled_from([None, "<pad>", "a"]), st.booleans())
+def test_load_corpus_matches_the_per_line_reader(tmp_path_factory, lines, length, pad, no_pad):
+    """``pad`` None reads with the vocabulary ``<pad> b a c``; otherwise the
+    vocabulary is built, with ``pad`` as its pad token."""
+    if no_pad:
+        lines = [line.replace("<pad>", "e") for line in lines]
+    path = tmp_path_factory.mktemp("corpus") / "c.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vocab = Vocabulary.build(["b", "a", "c"]) if pad is None else None
+
+    def new(path, length, vocab, pad_token):
+        corpus, vocab = load_corpus(path, length, vocab=vocab, pad_token=pad_token)
+        return corpus.ids, vocab
+
+    args = (path, length, vocab, pad or "<pad>")
+    assert outcome(new, *args) == outcome(reference_load_corpus, *args)
+
+
+def test_load_corpus_errors_name_the_first_offending_line(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("a b\n\n\tb  a \nc\na b c\nd e f g\n")
+    with pytest.raises(CorpusFormatError, match="^line 5: 3 tokens exceeds length 2$"):
+        load_corpus(path, 2)
+    with pytest.raises(CorpusFormatError, match="^line 4: token 'c' not in vocabulary$"):
+        load_corpus(path, 4, vocab=Vocabulary.build(["a", "b"]))
+    path.write_text("a b\n\nb <pad>\n")
+    with pytest.raises(ValueError, match="^pad id 0 may not appear in unpadded content$"):
+        load_corpus(path, 2)
+    path.write_text("\n \n\t\n")
+    with pytest.raises(CorpusFormatError, match="^empty corpus$"):
+        load_corpus(path, 2)
+
+
+def test_corpus_stores_one_read_only_id_array():
+    vocab = Vocabulary.build(["a", "b"])
+    rows = (Sequence.from_ids((1, 2), 3), Sequence.from_ids((2,), 3))
+    from_rows = Corpus(vocab, 3, rows)
+    from_ids = Corpus(vocab, 3, np.array([[1, 2, 0], [2, 0, 0]]))
+    for corpus in (from_rows, from_ids):
+        assert corpus.ids.tolist() == [[1, 2, 0], [2, 0, 0]]
+        assert corpus.ids.dtype == np.int64 and not corpus.ids.flags.writeable
+        assert (corpus.m, corpus.has_padding) == (2, True)
+        assert corpus.sequences == rows
+    assert not Corpus(vocab, 2, np.array([[1, 2]])).has_padding
+    with pytest.raises(ValueError, match="share the padded length"):
+        Corpus(vocab, 2, rows)
+    with pytest.raises(ValueError, match="share the padded length"):
+        Corpus(vocab, 2, np.array([[1, 2, 0]]))
+
+
+def test_save_corpus_rejects_rows_it_cannot_write(tmp_path):
+    vocab = Vocabulary.build(["a", "b"])
+    raw = Sequence.from_raw
+    # Row 1 would be written as an empty line, which loads back as no row.
+    corpus = Corpus(vocab, 2, (raw((1, 2)), raw((0, 0)), raw((2, 0))))
+    with pytest.raises(ValueError, match="row 1: it starts with the pad"):
+        save_corpus(corpus, tmp_path / "c.txt")
+    with pytest.raises(ValueError, match="row 0: it starts with the pad"):
+        save_corpus(Corpus(vocab, 2, (raw((0, 2)),)), tmp_path / "c.txt")
+    with pytest.raises(ValueError, match="row 1: it has content after a pad"):
+        save_corpus(Corpus(vocab, 3, np.array([[1, 1, 1], [1, 0, 2]])), tmp_path / "c.txt")
+    # Id -1 would be written as the last token, b; id 3 has no token.
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="row 0: it has an id outside the vocabulary"):
+            save_corpus(Corpus(vocab, 2, np.array([[1, bad]])), tmp_path / "c.txt")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 4),
+    st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=4), min_size=1, max_size=10),
+)
+def test_save_then_load_gives_the_same_ids(tmp_path_factory, length, rows):
+    vocab = Vocabulary.build(["a", "b", "c"])
+    corpus = Corpus(vocab, length, tuple(Sequence.from_ids(r[:length], length) for r in rows))
+    path = tmp_path_factory.mktemp("corpus") / "c.txt"
+    save_corpus(corpus, path)
+    loaded, _ = load_corpus(path, length, vocab=vocab)
+    assert loaded.ids.tobytes() == corpus.ids.tobytes()
 
 
 def test_load_corpus_pads_and_builds_vocab(tmp_path):

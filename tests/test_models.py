@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from seqboost.models import (
     sample_many,
     sequence_log_probs,
 )
+from seqboost import serialize
 from seqboost.serialize import load_model, model_from_text, model_to_text, save_model
 
 from conftest import StubModel
@@ -220,6 +222,18 @@ class TestLogLinear:
         with pytest.raises(ValueError, match="domain"):
             kl_gradient(model, p)
 
+    def test_out_of_range_domain_ids_are_rejected(self, ab_vocab):
+        # Row (a, 5) would read index 1 * 3 + 5 = 8, the sequence b b.
+        ids, features = np.array([[1, 1], [1, 5]]), np.array([[0.0], [1.0]])
+        model = LogLinearModel(ids, features, np.array([0.0]))
+        p = JointTable(ab_vocab, 2, np.eye(9)[[4, 8]].sum(axis=0) / 2)  # a a and b b, 1/2 each
+        with pytest.raises(ValueError, match="mismatched domains"):
+            kl_gradient(model, p)
+        with pytest.raises(ValueError, match="token ids 0..2"):
+            LogLinearModel(ids, features, np.array([0.0]), vocab=ab_vocab)
+        with pytest.raises(ValueError, match="token ids 0..2"):
+            LogLinearModel(-ids, features, np.array([0.0]), vocab=ab_vocab)
+
     def test_gradient_rejects_target_mass_outside_domain(self, ab_vocab):
         # The domain is a and b; the target puts mass on the pad sequence.
         model = self.make_ab_model(0.0)
@@ -404,6 +418,168 @@ class TestNGramFile:
         # One fill per row, one pair per seen (context, token), at most one pad entry per row.
         assert reals <= len(seen) + 2 * len(rows)
         assert reals < vocab.n * len(rows) / 4
+
+
+def reference_sparse_row(row):
+    """The per-row writer the blocked one replaced."""
+    values, counts = np.unique(row, return_counts=True)
+    fill = values[np.argmax(counts)]
+    ids = np.flatnonzero(row.view(np.int64) != fill.view(np.int64))
+    pairs = " ".join(f"{i}:{p:.17g}" for i, p in zip(ids.tolist(), row[ids].tolist()))
+    return f"{fill:.17g}|{pairs}"
+
+
+def reference_parse_row(body, n, order):
+    """The per-row reader the blocked one replaced: one ``context=`` line's body."""
+    ctx_label, _, probs = body.partition("|")
+    ctx = tuple(int(t) for t in ctx_label.split(",")) if ctx_label else ()
+    if len(ctx) > order - 1 or not all(0 <= t < n for t in ctx):
+        raise ValueError(f"bad context {ctx_label!r} for order {order} over {n} tokens")
+    fill, sparse, pairs = probs.partition("|")
+    if sparse:
+        row = np.full(n, float(fill))
+        split = [pair.split(":") for pair in pairs.split()]
+        if any(len(pair) != 2 for pair in split):
+            raise ValueError(f"context {ctx_label!r}: entries must be <id>:<p>")
+        ids = [int(i) for i, _ in split]
+        bounds = [-1] + ids + [n]
+        if any(i >= j for i, j in zip(bounds, bounds[1:])):
+            raise ValueError(f"context {ctx_label!r}: token ids must increase within 0..{n - 1}")
+        row[ids] = [float(p) for _, p in split]
+    else:
+        row = np.array([float(p) for p in fill.split()])
+        if row.size != n:
+            raise ValueError(f"context {ctx_label!r} has {row.size} entries, not {n}")
+    if not (np.all(row >= 0.0) and abs(row.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"context {ctx_label!r} is not a probability distribution")
+    return ctx, row
+
+
+def reference_model_text(model):
+    """``model_to_text`` of an n-gram model, its rows written one at a time."""
+    head = [line for line in model_to_text(model).splitlines() if not line.startswith("context=")]
+    return "\n".join(head + [
+        f"context={','.join(map(str, ctx))}|{reference_sparse_row(np.asarray(model.cond[ctx]))}"
+        for ctx in sorted(model.cond)
+    ])
+
+
+def reference_rows(text, n, order):
+    """The rows the per-row reader gives for a model text, in file order."""
+    rows = {}
+    for line in text.splitlines():
+        if line.startswith("context="):
+            ctx, row = reference_parse_row(line[len("context="):], n, order)
+            rows[ctx] = row
+    return rows
+
+
+# Entries that make ties, signed zeros, subnormals and rows of equal values.
+ENTRY_POOL = [0.0, -0.0, 5e-324, 1e-310, 0.125, 0.25, 1 / 3, 0.1]
+
+
+def tricky_row(rng, n):
+    kind = rng.integers(4)
+    if kind == 0:  # all entries equal
+        return np.full(n, 1.0 / n)
+    if kind == 1:  # a pad one-hot with both zeros
+        row = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        row[rng.integers(n)] = 1.0
+        return row
+    row = rng.choice(ENTRY_POOL, size=n)
+    if kind == 2:  # two most frequent values, tied
+        row[: 2 * (n // 2)] = np.repeat(rng.choice(ENTRY_POOL, size=2, replace=False), n // 2)
+        rng.shuffle(row)
+    row[rng.integers(n)] = rng.random() + 1.0
+    return row / row.sum()
+
+
+def random_tricky_model(seed, n, order, contexts):
+    rng = np.random.default_rng(seed)
+    cond = {}
+    for _ in range(contexts):
+        ctx = tuple(int(t) for t in rng.integers(0, n, size=rng.integers(0, order)))
+        cond[ctx] = tricky_row(rng, n)
+    return NGramModel(make_vocab(n), 3, order, cond, lam=0.5)
+
+
+class TestBlockedRows:
+    """The blocked writer and reader against the per-row ones they replaced."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 40), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_same_bytes_as_the_per_row_writer_and_reader(self, n, order, contexts, per_block, seed):
+        model = random_tricky_model(seed, n, order, contexts)
+        with mock.patch.object(serialize, "BLOCK_ENTRIES", per_block * n):
+            text = model_to_text(model)
+            loaded = model_from_text(text)
+        assert text == reference_model_text(model)
+        expected = reference_rows(text, n, order)
+        assert list(loaded.cond) == list(expected)
+        for ctx, row in expected.items():
+            assert loaded.cond[ctx].tobytes() == row.tobytes()
+            assert loaded.cond[ctx].tobytes() == model.cond[ctx].tobytes()
+
+    def test_ties_and_signed_zeros_pick_the_per_row_fill(self):
+        rows = np.array([
+            [0.25, 0.25, 0.125, 0.125, 0.25, 0.0],  # 0.25 three times
+            [0.25, 0.125, 0.125, 0.25, 0.125, 0.125],  # 0.125 four times
+            [0.5, 0.5, 0.0, -0.0, 0.0, -0.0],  # +-0.0 counted as one value
+            [-0.0, 0.5, 0.0, 0.5, 0.0, 0.0],
+            [1 / 6] * 6,
+            [0.5, 5e-324, 5e-324, 0.5, 5e-324, 0.0],  # a subnormal mode
+            [np.nan, 0.5, np.nan, 0.5, 0.25, np.nan],  # NaNs counted as one value
+        ])
+        keys = [f"{i}:" for i in range(6)]
+        assert serialize._sparse_rows(rows, keys) == [reference_sparse_row(r) for r in rows]
+
+    @pytest.mark.parametrize("row", [
+        "context=|0|0:1e999 1:-1e999 2:1",  # inf and -inf: no warning from their sum
+        "context=|0|0:nan 1:1",
+        "context=|0.25|0:0.25 3:0.25",  # a token id outside 0..n-1
+        "context=|0.5|1:0.25 0:0.25",
+        "context=|0.5|:0.5",
+        "context=|0.25|0:0.25 99999999999999999999:0.5",  # an id past int64
+        "context=|0.25|0 0.25:1:0.5",  # 0 and 2 colons; joined, they would read 0:0.25 1:0.5
+        "context=|0.5 0.5",  # a short dense row summing to 1
+        "context=|0.5 0.5 0 0",
+    ])
+    def test_malformed_rows_the_per_row_reader_rejects(self, row):
+        text = "\n".join(["seqboost-model v2", "kind=ngram", "order=1", "lambda=0", "n=3",
+                          "length=1", "token=<pad>", "token=a", "token=b", row])
+        with pytest.raises(ValueError):
+            reference_rows(text, 3, 1)
+        with pytest.raises(ValueError):
+            model_from_text(text)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(2, 5), st.integers(1, 3), st.integers(1, 12), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_a_row_the_per_row_reader_rejects_is_rejected(self, n, order, contexts, per_block,
+                                                          seed, data):
+        text = model_to_text(random_tricky_model(seed, n, order, contexts))
+        lines = text.splitlines()
+        rows = [i for i, line in enumerate(lines) if line.startswith("context=")]
+        i = data.draw(st.sampled_from(rows))
+        body = lines[i][len("context="):]
+        at = data.draw(st.integers(0, len(body)))
+        char = data.draw(st.sampled_from(list("0123456789:|,. -e\t")) | st.just(""))
+        cut = data.draw(st.integers(0, 2))
+        lines[i] = "context=" + body[:at] + char + body[at + cut:]
+        text = "\n".join(lines)
+        try:
+            expected = reference_rows(text, n, order)
+        except ValueError:
+            with pytest.raises(ValueError):
+                with mock.patch.object(serialize, "BLOCK_ENTRIES", per_block * n):
+                    model_from_text(text)
+            return
+        with mock.patch.object(serialize, "BLOCK_ENTRIES", per_block * n):
+            loaded = model_from_text(text)
+        assert list(loaded.cond) == list(expected)
+        for ctx, row in expected.items():
+            assert loaded.cond[ctx].tobytes() == row.tobytes()
 
 
 class TestLogRatioFile:
