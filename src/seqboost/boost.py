@@ -25,7 +25,7 @@ from .distinguish import (
     token_indicator,
 )
 from .exact import JointTable
-from .models import SequentialModel, log_loss, prefix_conditionals
+from .models import SequentialModel, context_groups, log_loss, prefix_conditionals
 
 
 # The most token ids one block of ReweightedModel's batched rows extends to (2 MB).
@@ -37,9 +37,10 @@ class ReweightedModel(SequentialModel):
 
     Conditionals are the base conditionals times exp(-sum_t b_t g_t), with a
     per-prefix partition, memoised per prefix.  Computed in log space; an
-    empty factor list leaves the base untouched.  Weights must be nonnegative
-    (a negative weight is a flipped distinguisher).  ``partition_scale`` is a
-    test hook that deliberately mis-scales the partition (1.0 in all real use).
+    empty factor list leaves the base untouched.  Weights must be finite and
+    nonnegative (a negative weight is a flipped distinguisher).
+    ``partition_scale`` is a test hook that deliberately mis-scales the
+    partition (1.0 in all real use).
     """
 
     def __init__(
@@ -51,6 +52,8 @@ class ReweightedModel(SequentialModel):
         factors = list(factors or [])
         if any(b < 0 for b, _ in factors):
             raise ValueError("weight must be nonnegative; flip the distinguisher instead")
+        if not all(b < math.inf for b, _ in factors):  # NaN too
+            raise ValueError("weight must be finite")
         if isinstance(base, ReweightedModel):
             factors = base.factors + factors
             base = base.base
@@ -249,6 +252,8 @@ def best_indicator(
         adv[c, t] = (sum of Q[i, j, t] - count of t) / (m N),
 
     and the flipped candidate scores (sum of Q - m N) / (m N) - adv[c, t].
+    The positions are grouped by ``context_groups``, and both sums are
+    ``np.bincount``s over those groups, each adding in position order.
     Contexts rank in order of first appearance in the corpus, then tokens,
     then unflipped before flipped, and the first maximum wins, as in a scan
     that keeps a candidate only when it is strictly better (up to TIE_TOLERANCE).
@@ -258,26 +263,22 @@ def best_indicator(
     if N <= k:
         raise ValueError(f"no context of {k} tokens fits before a token in length {N}")
     Q = prefix_conditionals(q, corpus)
-    # Context ids in order of first appearance, row by row.
-    contexts: dict[tuple[int, ...], int] = {}
-    rows = np.array([
-        contexts.setdefault(row[j - k : j], len(contexts))
-        for row in map(tuple, ids.tolist())
-        for j in range(k, N)
-    ])
-    sums = np.zeros((len(contexts), n))
-    np.add.at(sums, rows, Q[:, k:].reshape(-1, n))
-    counts = np.zeros((len(contexts), n))
-    np.add.at(counts, (rows, ids[:, k:].reshape(-1)), 1.0)
+    counted = np.zeros(ids.shape, dtype=bool)
+    counted[:, k:] = True
+    group, contexts = context_groups(ids, k, counted)
+    cells = len(contexts) * n
+    sums = np.bincount((group[:, None] * n + np.arange(n)).reshape(-1),
+                       weights=Q[:, k:].reshape(-1), minlength=cells)
+    counts = np.bincount(group * n + ids[:, k:].reshape(-1), minlength=cells)
     total = m * N
-    adv = (sums - counts) / total
+    adv = (sums - counts).reshape(-1, n) / total
     scores = np.stack([adv, (Q.sum() - total) / total - adv], axis=-1)
     # Candidates tied in exact arithmetic can differ here by rounding, in either
     # direction; the first in rank among those within TIE_TOLERANCE of the best
     # wins, so ties do not depend on the order the sums were added in.
     index = np.flatnonzero(scores.ravel() >= scores.max() - TIE_TOLERANCE)[0]
     c, tok, flip = np.unravel_index(index, scores.shape)
-    return list(contexts)[c], int(tok), bool(flip)
+    return contexts[c], int(tok), bool(flip)
 
 
 class TokenIndicatorOracle:

@@ -53,6 +53,15 @@ class PropertyResult:
     detail: str = ""
 
 
+def _result(
+    name: str, count: int, min_slack: float, floor: float, ok: bool = True
+) -> PropertyResult:
+    """A suite passes when its min slack is finite and at least ``floor``: an
+    infinite or NaN slack is no evidence that the inequality holds."""
+    passed = ok and math.isfinite(min_slack) and min_slack >= floor
+    return PropertyResult(name, count, min_slack, passed)
+
+
 def make_vocab(n: int) -> Vocabulary:
     """An n-token vocabulary: the pad plus n-1 letters."""
     return Vocabulary.build(string.ascii_lowercase[: n - 1])
@@ -112,7 +121,7 @@ def whole_reweight_suite(count: int = 200, seed: int = 1) -> PropertyResult:
         q2 = reweight_whole(q, f, a)
         slack = _table_loss(q, corpus) - a * a / 2.0 - _table_loss(q2, corpus)
         min_slack = min(min_slack, slack)
-    return PropertyResult("whole-sequence-reweight-bound", count, min_slack, min_slack >= -1e-9)
+    return _result("whole-sequence-reweight-bound", count, min_slack, -1e-9)
 
 
 def stepwise_reweight_suite(
@@ -138,7 +147,7 @@ def stepwise_reweight_suite(
             - log_loss(q2, corpus).log_loss
         )
         min_slack = min(min_slack, slack)
-    return PropertyResult("stepwise-reweight-bound", count, min_slack, min_slack >= -1e-9)
+    return _result("stepwise-reweight-bound", count, min_slack, -1e-9)
 
 
 def log_ratio_suite(count: int = 200, seed: int = 3) -> PropertyResult:
@@ -160,7 +169,7 @@ def log_ratio_suite(count: int = 200, seed: int = 3) -> PropertyResult:
         gap = log_loss(qt, corpus).log_loss - log_loss(q2t, corpus).log_loss
         slack = alpha - gap / (2.0 * math.log(c))
         min_slack = min(min_slack, slack)
-    return PropertyResult("log-ratio-advantage-bound", count, min_slack, min_slack >= -1e-9)
+    return _result("log-ratio-advantage-bound", count, min_slack, -1e-9)
 
 
 def kl_gradient_fd_suite(count: int = 50, seed: int = 4) -> PropertyResult:
@@ -191,7 +200,7 @@ def kl_gradient_fd_suite(count: int = 50, seed: int = 4) -> PropertyResult:
         fd = finite_diff_gradient(field, theta, h)
         rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1e-6)
         min_slack = min(min_slack, tol - float(rel.max()))
-    return PropertyResult("kl-gradient-finite-difference", count, min_slack, min_slack >= 0.0)
+    return _result("kl-gradient-finite-difference", count, min_slack, 0.0)
 
 
 def pinsker_suite(count: int = 500, seed: int = 5) -> PropertyResult:
@@ -205,7 +214,7 @@ def pinsker_suite(count: int = 500, seed: int = 5) -> PropertyResult:
         q = random_table(rng, vocab, length)
         slack = math.sqrt(kl_divergence(p, q) / 2.0) + 1e-12 - total_variation(p, q)
         min_slack = min(min_slack, slack)
-    return PropertyResult("pinsker", count, min_slack, min_slack >= 0.0)
+    return _result("pinsker", count, min_slack, 0.0)
 
 
 def advantage_tvd_suite(count: int = 500, seed: int = 6) -> PropertyResult:
@@ -221,7 +230,7 @@ def advantage_tvd_suite(count: int = 500, seed: int = 6) -> PropertyResult:
         f = Distinguisher(values=lambda ids, fv=fvals, v=vocab: fv[sequence_index(v, ids)])
         slack = total_variation(p, q) + 1e-12 - abs(advantage_exact(f, p, q))
         min_slack = min(min_slack, slack)
-    return PropertyResult("advantage-below-tvd", count, min_slack, min_slack >= 0.0)
+    return _result("advantage-below-tvd", count, min_slack, 0.0)
 
 
 def bayes_tvd_suite(count: int = 100, seed: int = 7) -> PropertyResult:
@@ -236,7 +245,7 @@ def bayes_tvd_suite(count: int = 100, seed: int = 7) -> PropertyResult:
         f = bayes_optimal_distinguisher(p, q)
         gap = abs(advantage_exact(f, p, q) - total_variation(p, q))
         min_slack = min(min_slack, 1e-12 - gap)
-    return PropertyResult("bayes-optimal-equals-tvd", count, min_slack, min_slack >= 0.0)
+    return _result("bayes-optimal-equals-tvd", count, min_slack, 0.0)
 
 
 def exhaustive_indicator_suite(count: int = 20, seed: int = 8) -> PropertyResult:
@@ -253,7 +262,7 @@ def exhaustive_indicator_suite(count: int = 20, seed: int = 8) -> PropertyResult
         value, _ = distinguishability_exhaustive(q, p, family)
         gap = abs(value - total_variation(p, q))
         min_slack = min(min_slack, 1e-12 - gap)
-    return PropertyResult("exhaustive-indicators-equal-tvd", count, min_slack, min_slack >= 0.0)
+    return _result("exhaustive-indicators-equal-tvd", count, min_slack, 0.0)
 
 
 def boost_termination_suite(
@@ -276,7 +285,7 @@ def boost_termination_suite(
         final_b = generalized_advantage(oracle.propose(model, corpus), corpus, model).value
         ok = ok and trace.termination == "indistinguishable" and final_b < epsilon
         min_slack = min(min_slack, float(bound - updates))
-    return PropertyResult("boost-termination", count, min_slack, ok and min_slack >= 0.0)
+    return _result("boost-termination", count, min_slack, 0.0, ok)
 
 
 def default_suites(stepwise_partition_scale: float = 1.0) -> list[PropertyResult]:

@@ -372,6 +372,8 @@ def age_experiment(ages, report_out):
               help="Deliberately mis-scale the step-wise partition (fault-injection demo).")
 def oracle_check(report_out, fault_z_scale):
     """Run every randomized invariant suite and report per-property margins."""
+    if not 0 < fault_z_scale < math.inf:  # NaN too
+        raise click.BadParameter("must be positive and finite", param_hint="'--fault-z-scale'")
     results = default_suites(stepwise_partition_scale=fault_z_scale)
     with open(_created(report_out), "w", encoding="utf-8") as fh:
         fh.write("property,instances,min_slack,pass\n")

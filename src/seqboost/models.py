@@ -147,12 +147,41 @@ class NGramModel(SequentialModel):
         return out
 
 
+def context_groups(
+    ids: np.ndarray, width: int, counted: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Number the contexts of the positions of an (m, N) id array where the
+    (m, N) boolean mask ``counted`` is true.
+
+    The context of position j is the ``width`` ids before it, fewer at the
+    start of a sequence.  Returns the rank of every counted position's
+    context, in row-major order, and the contexts in rank order: contexts rank
+    in order of first appearance, row by row.
+    """
+    base = int(ids.max(initial=0)) + 2  # above every id + 1; 0 is before the start
+    padded = np.concatenate([np.full((len(ids), width), -1, dtype=np.int64), ids], axis=1)
+    rows, cols = np.nonzero(counted)
+    # context[p]: the width ids before counted position p, -1 before the start.
+    context = padded[rows[:, None], cols[:, None] + np.arange(width)]
+    # Number the contexts one column at a time, renumbering after each column
+    # so that the numbers stay below the count of positions.  With no column,
+    # every position has the empty context, first seen at position 0.
+    codes, first = np.zeros(len(rows), dtype=np.int64), np.arange(min(len(rows), 1))
+    for col in context.T:
+        _, first, codes = np.unique(codes * base + col + 1, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    contexts = [tuple(t for t in ctx if t >= 0) for ctx in context[first[by_first]].tolist()]
+    return np.argsort(by_first)[codes], contexts
+
+
 def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
     """Fit an order-k model by counting, with optional Laplace smoothing.
 
-    Smoothing mass is spread over the pad token only when padding actually
-    occurs in the corpus; otherwise the pad keeps probability zero and the
-    smoothed alphabet is the n-1 content tokens.
+    Positions not after a pad are grouped by ``context_groups`` and counted
+    into one (contexts, n) table, smoothed and normalised in place; the
+    model's rows are its row views.  Smoothing mass is spread over the pad
+    token only when padding actually occurs in the corpus; otherwise the pad
+    keeps probability zero and the smoothed alphabet is the n-1 content tokens.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -160,55 +189,22 @@ def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
         raise ValueError("empty corpus")
     if not 0 <= lam < math.inf:  # NaN too
         raise ValueError("lambda must be nonnegative and finite")
-    n = corpus.vocab.n
+    ids, n = corpus.ids, corpus.vocab.n
     smooth = np.full(n, lam)
     if not corpus.has_padding:
         smooth[PAD_ID] = 0.0
-    cond: dict[tuple[int, ...], np.ndarray] = {}
-    contexts, tokens, ends = _tokens_by_context(corpus, order - 1)
-    with np.errstate(over="ignore"):  # an overflowing row sum is an error below
-        for ctx, start, end in zip(contexts, [0] + ends, ends):
-            numer = np.bincount(tokens[start:end], minlength=n) + smooth
-            denom = numer.sum()
-            if not math.isfinite(denom):
-                raise ValueError(f"lambda {lam:g} is too large: a smoothed row sum overflows")
-            cond[ctx] = numer / denom if denom > 0 else np.full(n, 1.0 / n)
-    return NGramModel(corpus.vocab, corpus.length, order, cond, lam)
-
-
-def _tokens_by_context(corpus: Corpus, c: int) -> tuple[list[tuple[int, ...]], np.ndarray, list[int]]:
-    """Every context of c tokens (fewer at the start of a sequence) in order of
-    first appearance, the tokens that follow them grouped in that order, and
-    the end of each group.
-
-    Position j counts unless a pad came before it: pad-after-pad is forced,
-    not counted.
-    """
-    ids, n = corpus.ids, corpus.vocab.n
-    m, N = ids.shape
-    counted = np.ones((m, N), dtype=bool)
+    counted = np.ones(ids.shape, dtype=bool)
     counted[:, 1:] = ~np.logical_or.accumulate(ids[:, :-1] == PAD_ID, axis=1)
-    # padded[i, j : j + c] is the context of position j: the c ids before it,
-    # with -1 before the start of the sequence.
-    padded = np.concatenate([np.full((m, c), -1, dtype=np.int64), ids], axis=1)
-    # Number the contexts 0, 1, ... one column at a time, renumbering after
-    # each column so that the numbers stay below the count of positions.
-    codes = np.zeros(int(counted.sum()), dtype=np.int64)
-    for k in range(c):
-        column = padded[:, k : k + N][counted]
-        codes = np.unique(codes * (n + 1) + column + 1, return_inverse=True)[1].reshape(-1)
-    first = np.unique(codes, return_index=True)[1]
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(first))
-    group = rank[codes]
-    rows, cols = np.nonzero(counted)  # the positions in the order codes has them
-    contexts = [
-        tuple(t for t in padded[i, j : j + c].tolist() if t >= 0)
-        for i, j in zip(rows[first[by_first]].tolist(), cols[first[by_first]].tolist())
-    ]
-    tokens = ids[counted][np.argsort(group, kind="stable")]
-    return contexts, tokens, np.cumsum(np.bincount(group)).tolist()
+    group, contexts = context_groups(ids, order - 1, counted)
+    table = np.bincount(group * n + ids[counted], weights=np.ones(len(group)),
+                        minlength=len(contexts) * n).reshape(len(contexts), n)
+    table += smooth
+    with np.errstate(over="ignore"):  # an overflowing row sum is an error below
+        denom = table.sum(axis=1, keepdims=True)
+    if not np.isfinite(denom).all():
+        raise ValueError(f"lambda {lam:g} is too large: a smoothed row sum overflows")
+    table /= denom  # no row sum is 0: every context was counted at least once
+    return NGramModel(corpus.vocab, corpus.length, order, dict(zip(contexts, table)), lam)
 
 
 def sequence_log_probs(model: SequentialModel, ids: np.ndarray) -> np.ndarray:

@@ -257,6 +257,11 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
         if idx >= len(lines) or lines[idx] != "base:":
             raise ValueError("reweighted model file missing base section")
         base, idx = _model_from_lines(lines, idx + 1)
+        n, length, count = (int(meta[key]) for key in ("n", "length", "factors"))
+        if (n, length, count) != (base.vocab.n, base.length, len(raw_factors)):
+            raise ValueError(f"reweighted header n={n}, length={length}, factors={count} "
+                             f"does not match its base (n={base.vocab.n}, length={base.length}) "
+                             f"and {len(raw_factors)} factor lines")
         factors: list[tuple[float, StepDistinguisher]] = []
         for b, payload in raw_factors:
             factors.append(_rebuild_factor(b, payload, base, factors, reference))
@@ -266,6 +271,8 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
         raise ValueError(f"n={n} but the file lists {len(tokens)} tokens")
     vocab = Vocabulary(tuple(tokens), pad_token=tokens[0])
     length = int(meta["length"])
+    if length < 1:
+        raise ValueError(f"length={length} is below 1")
     if kind == "uniform":
         return UniformModel(vocab, length), idx
     if kind == "ngram":

@@ -49,6 +49,7 @@ from seqboost.models import (
     NGramModel,
     SequentialModel,
     UniformModel,
+    context_groups,
     log_loss,
     ngram_mle_fit,
     prefix_conditionals,
@@ -610,6 +611,30 @@ def test_ngram_fit_rows_are_the_loops_bit_for_bit(corpus, order, lam):
     assert list(fitted) == list(want)
     for ctx, row in want.items():
         assert fitted[ctx].tobytes() == row.tobytes()
+
+
+# The two masks the library counts under: the fit's (no position after a pad)
+# and the indicator oracle's (positions with a whole context before them).
+COUNTED = {
+    "fit": lambda prefix, width: PAD_ID not in prefix,
+    "oracle": lambda prefix, width: len(prefix) >= width,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(), st.integers(0, 3), st.sampled_from(sorted(COUNTED)))
+def test_context_groups_match_a_dict_loop(corpus, width, mask):
+    keep = COUNTED[mask]
+    counted = np.array([[keep(seq.prefix(j), width) for j in range(corpus.length)]
+                        for seq in corpus.sequences]).reshape(corpus.ids.shape)
+    ranks, want = {}, []
+    for seq in corpus.sequences:
+        for j in range(corpus.length):
+            if keep(seq.prefix(j), width):
+                want.append(ranks.setdefault(seq.prefix(j)[max(0, j - width):], len(ranks)))
+    group, contexts = context_groups(corpus.ids, width, counted)
+    assert group.tolist() == want
+    assert contexts == list(ranks)
 
 
 def scalar_bound(q, reference, corpus, ratio_cap):

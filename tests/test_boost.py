@@ -17,7 +17,7 @@ from seqboost.boost import (
     reweight_whole,
     run_boost,
 )
-from seqboost.checks import make_vocab, random_corpus, random_table
+from seqboost.checks import make_vocab, random_corpus, random_table, stepwise_reweight_suite
 from seqboost.corpus import Vocabulary
 from seqboost.distinguish import (
     Distinguisher,
@@ -86,6 +86,19 @@ class TestStepwiseReweight:
     def test_negative_weight_rejected(self, ab_vocab, half_half):
         with pytest.raises(ValueError, match="flip"):
             ReweightedModel(half_half(), [(-0.5, token_indicator(ab_vocab, 2))])
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_weight_that_is_not_finite_rejected(self, ab_vocab, half_half, b):
+        with pytest.raises(ValueError, match="^weight must be finite$"):
+            ReweightedModel(half_half(), [(b, token_indicator(ab_vocab, 2))])
+
+    def test_suite_with_an_infinite_min_slack_fails(self):
+        # A zero partition scale makes every conditional infinite, so every
+        # instance's slack is inf: nothing was shown, and the suite must fail.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            result = stepwise_reweight_suite(count=3, partition_scale=0.0)
+        assert result.min_slack == math.inf
+        assert not result.passed
 
     def test_conditionals_stay_normalized(self):
         rng = np.random.default_rng(21)

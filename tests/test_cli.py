@@ -603,6 +603,65 @@ class TestNGramRows:
         assert "cannot load model" in result.output
 
 
+REWEIGHTED_FILE = """seqboost-model v2
+kind=reweighted
+n=3
+length=2
+factors=1
+factor=0.5|{"kind": "token-indicator", "params": [1]}
+base:
+seqboost-model v2
+kind=uniform
+n=3
+length=2
+token=<pad>
+token=a
+token=b
+"""
+
+
+class TestModelHeaders:
+    """A model file whose weights or header cannot mean anything exits 2 when
+    it is loaded; ``eval --table`` does not print NaN divergences or crash."""
+
+    def eval_table(self, runner, tmp_path, text):
+        model = tmp_path / "model.txt"
+        model.write_text(text)
+        table = tmp_path / "table.csv"
+        table.write_text("sequence,prob\na a,0.75\na b,0.25\n")
+        return runner.invoke(main, ["eval", "--model", str(model), "--table", str(table)])
+
+    def test_written_file_evaluates(self, runner, tmp_path):
+        result = self.eval_table(runner, tmp_path, REWEIGHTED_FILE)
+        assert result.exit_code == 0, result.output
+        assert "nan" not in result.output
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("factor=0.5|", "factor=nan|", "weight must be finite"),
+        ("factor=0.5|", "factor=inf|", "weight must be finite"),
+        ("kind=reweighted\nn=3", "kind=reweighted\nn=4", "header n=4, length=2, factors=1"),
+        ("n=3\nlength=2\nfactors", "n=3\nlength=3\nfactors", "header n=3, length=3"),
+        ("factors=1", "factors=2", "factors=2 does not match"),
+    ])
+    def test_reweighted_file_exits_2(self, runner, tmp_path, old, new, message):
+        assert old in REWEIGHTED_FILE
+        result = self.eval_table(runner, tmp_path, REWEIGHTED_FILE.replace(old, new, 1))
+        assert result.exit_code == 2, result.output
+        assert "cannot load model" in result.output and message in result.output
+
+    @pytest.mark.parametrize("kind", ["uniform", "ngram"])
+    @pytest.mark.parametrize("length", ["-1", "0"])
+    def test_length_below_1_exits_2(self, runner, tmp_path, kind, length):
+        if kind == "ngram":
+            text = fit_abb_bigram(runner, tmp_path).read_text()
+        else:
+            text = REWEIGHTED_FILE.split("base:\n")[1]
+        assert "length=2\n" in text
+        result = self.eval_table(runner, tmp_path, text.replace("length=2\n", f"length={length}\n"))
+        assert result.exit_code == 2, result.output
+        assert f"length={length} is below 1" in result.output
+
+
 class TestLogRatioModel:
     def test_boosted_model_evaluates_to_the_traced_loss(self, runner, tmp_path):
         reference = fit_aab_unigram(runner, tmp_path)
@@ -643,3 +702,13 @@ class TestOracleCheck:
         )
         assert result.exit_code == 3
         assert "FAIL  stepwise-reweight-bound" in result.output
+
+    @pytest.mark.parametrize("scale", ["0", "nan", "-1", "inf"])
+    def test_fault_scale_must_be_positive_and_finite(self, runner, tmp_path, scale):
+        out = tmp_path / "check.csv"
+        result = runner.invoke(
+            main, ["oracle-check", "--report-out", str(out), "--fault-z-scale", scale]
+        )
+        assert result.exit_code == 2, result.output
+        assert "must be positive and finite" in result.output
+        assert not out.exists()
