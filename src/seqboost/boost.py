@@ -32,15 +32,27 @@ from .models import SequentialModel, context_groups, log_loss, prefix_conditiona
 EXTENSION_BLOCK = 1 << 18
 
 
+def _row_keys(prefixes: np.ndarray) -> np.ndarray:
+    """One byte key per row of a C-contiguous (k, L) int64 array, a ``np.void``
+    view of its rows: equal rows have equal keys, and keys sort and search as
+    bytes, however large n^L is.  Every empty prefix has the same key."""
+    k, L = prefixes.shape
+    return prefixes.view(f"V{8 * L}").reshape(k) if L else np.zeros(k, dtype="V1")
+
+
 class ReweightedModel(SequentialModel):
     """A base model with an ordered list of (weight, step distinguisher) factors.
 
     Conditionals are the base conditionals times exp(-sum_t b_t g_t), with a
-    per-prefix partition, memoised per prefix.  Computed in log space; an
-    empty factor list leaves the base untouched.  Weights must be finite and
-    nonnegative (a negative weight is a flipped distinguisher).
-    ``partition_scale`` is a test hook that deliberately mis-scales the
-    partition (1.0 in all real use).
+    per-prefix partition.  Computed in log space; an empty factor list leaves
+    the base untouched.  Weights must be finite and nonnegative (a negative
+    weight is a flipped distinguisher).  ``partition_scale`` is a test hook
+    that deliberately mis-scales the partition (1.0 in all real use).
+
+    Computed rows are memoised in one block per prefix length L: the distinct
+    prefixes seen so far, a (K, L) array sorted by their ``_row_keys``, the
+    keys (a view of that array) and the (K, n) conditionals in the same
+    order.  A fresh model starts with no blocks.
     """
 
     def __init__(
@@ -62,26 +74,47 @@ class ReweightedModel(SequentialModel):
         self.vocab = base.vocab
         self.length = base.length
         self.partition_scale = partition_scale
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
-        """Memoised rows where there are any; the others from ``_reweighted``,
-        each distinct prefix once, kept in the memo unless ``memo`` is false."""
-        prefixes = np.asarray(prefixes, dtype=np.int64)
+        """Memoised rows where there are any, found with one ``searchsorted``;
+        the others from ``_reweighted``, each distinct prefix once, merged into
+        the memo unless ``memo`` is false."""
+        prefixes = np.ascontiguousarray(prefixes, dtype=np.int64)
         if not self.factors:
             return self.base.conditionals(prefixes, memo)
-        if not self._cache and not memo:
+        L = prefixes.shape[1]
+        block = self._memo.get(L)
+        if block is None and not memo:
             return self._reweighted(prefixes)
-        cache = self._cache
-        keys = list(map(tuple, prefixes.tolist()))
-        missing = {key: i for i, key in enumerate(keys) if key not in cache}
-        fresh = {}
-        if missing:
-            fresh = dict(zip(missing, self._reweighted(prefixes[list(missing.values())])))
-            if memo:
-                cache.update(fresh)
-        rows = [fresh[key] if key in fresh else cache[key] for key in keys]
-        return np.array(rows).reshape(len(keys), self.vocab.n)
+        keys = _row_keys(prefixes)
+        if block is None:
+            miss = np.arange(len(keys))
+        else:
+            known, known_keys, rows = block
+            pos = known_keys.searchsorted(keys)
+            hit = known_keys.take(pos, mode="clip") == keys
+            if np.count_nonzero(hit) == len(keys):
+                return rows.take(pos, axis=0)
+            miss = (~hit).nonzero()[0]
+        # The missing rows in key order: each run of equal keys is one new prefix.
+        miss = miss.take(keys.take(miss).argsort())
+        ordered = keys.take(miss)
+        starts = np.empty(len(miss), dtype=bool)
+        starts[:1] = True
+        starts[1:] = ordered[1:] != ordered[:-1]
+        new = miss[starts]
+        added = prefixes.take(new, axis=0)
+        fresh = self._reweighted(added)
+        if block is not None:
+            # Each new prefix goes in at its search position, the new ones in
+            # key order among themselves, so the block stays sorted.
+            at = pos.take(new)
+            added, fresh = np.insert(known, at, added, axis=0), np.insert(rows, at, fresh, axis=0)
+        added_keys = _row_keys(added)
+        if memo and len(added):  # a block is never empty, so it can always be searched
+            self._memo[L] = added, added_keys, fresh
+        return fresh.take(added_keys.searchsorted(keys), axis=0)
 
     def _reweighted(self, prefixes: np.ndarray) -> np.ndarray:
         """The conditionals of a (k, L) prefix array, computed from the base.
@@ -112,23 +145,19 @@ class ReweightedModel(SequentialModel):
         return weights / (weights.sum(axis=1, keepdims=True) * self.partition_scale)
 
     def extended(self, b: float, g: StepDistinguisher) -> "ReweightedModel":
-        """This model with the factor (b, g) appended, its cache carried forward.
+        """This model with the factor (b, g) appended, its memo carried forward.
 
-        Each cached conditional is multiplied by exp(-b g(prefix, .)) and
-        renormalised, so a new factor costs one pass over the cached prefixes
-        however many factors came before.  Other prefixes are computed afresh.
+        Each memo block's rows are multiplied by exp(-b g(prefix, .)) and
+        renormalised in one pass, so a new factor costs one pass over the
+        memoised prefixes however many factors came before.  The child shares
+        the blocks' prefix arrays.  Other prefixes are computed afresh.
         """
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
         n = self.vocab.n
-        by_length: dict[int, list[tuple[int, ...]]] = {}
-        for prefix in self._cache:
-            by_length.setdefault(len(prefix), []).append(prefix)
-        for length, prefixes in by_length.items():
-            dists = np.array([self._cache[p] for p in prefixes])
-            block = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), length)
-            weights = dists * np.exp(-b * g.values(extensions(block, n)))
-            dists = weights / (weights.sum(axis=1, keepdims=True) * self.partition_scale)
-            child._cache.update(zip(prefixes, dists))
+        for L, (known, keys, rows) in self._memo.items():
+            weights = rows * np.exp(-b * g.values(extensions(known, n)))
+            child._memo[L] = known, keys, weights / (weights.sum(axis=1, keepdims=True)
+                                                     * self.partition_scale)
         return child
 
 

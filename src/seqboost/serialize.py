@@ -238,6 +238,17 @@ def model_from_text(text: str) -> SequentialModel:
     return model
 
 
+def _check_reference(reference: SequentialModel, base: SequentialModel) -> None:
+    """A log-ratio reference must share its base's vocabulary and length."""
+    if (reference.vocab.n, reference.length) != (base.vocab.n, base.length):
+        raise ValueError(f"reference section (n={reference.vocab.n}, length={reference.length}) "
+                         f"does not match its base (n={base.vocab.n}, length={base.length})")
+    for i, (ours, theirs) in enumerate(zip(reference.vocab.tokens, base.vocab.tokens)):
+        if ours != theirs:
+            raise ValueError(f"reference section token {i} is {ours!r} "
+                             f"where its base's is {theirs!r}")
+
+
 def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]:
     """The model whose header is at ``idx``, and the index of the line after it."""
     if idx >= len(lines) or lines[idx] not in READABLE_HEADERS:
@@ -262,6 +273,8 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
             raise ValueError(f"reweighted header n={n}, length={length}, factors={count} "
                              f"does not match its base (n={base.vocab.n}, length={base.length}) "
                              f"and {len(raw_factors)} factor lines")
+        if reference is not None:
+            _check_reference(reference, base)
         factors: list[tuple[float, StepDistinguisher]] = []
         for b, payload in raw_factors:
             factors.append(_rebuild_factor(b, payload, base, factors, reference))

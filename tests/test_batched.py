@@ -29,12 +29,13 @@ from seqboost.boost import (
 )
 from seqboost.checks import make_vocab
 from seqboost.cli import main
-from seqboost.corpus import Corpus, Sequence
+from seqboost.corpus import Corpus, Sequence, Vocabulary
 from seqboost.distinguish import (
     Distinguisher,
     StepDistinguisher,
     advantage_exact,
     bayes_optimal_distinguisher,
+    extensions,
     generalized_advantage,
     log_ratio_distinguisher,
     minimal_ratio_bound,
@@ -362,9 +363,11 @@ def scalar_reweighted(model, prefix):
 
 
 @st.composite
-def prefix_arrays(draw, model):
-    """A (k, L) array of prefixes of one length, pads anywhere, rows repeated."""
-    width = draw(st.integers(0, model.length - 1))
+def prefix_arrays(draw, model, width=None):
+    """A (k, L) array of prefixes of one length (``width`` if given), pads
+    anywhere, rows repeated."""
+    if width is None:
+        width = draw(st.integers(0, model.length - 1))
     rows = draw(st.lists(
         st.lists(st.integers(0, model.vocab.n - 1), min_size=width, max_size=width),
         min_size=0, max_size=6,
@@ -477,6 +480,13 @@ def test_log_ratio_values_are_its_scalar_calls_bit_for_bit(data):
     assert [g(tuple(row)) for row in rows] == want.tolist()
 
 
+def memo_blocks(model):
+    """Every memo block's arrays, by prefix length: the same objects and bytes
+    mean that the memo was neither replaced nor written to."""
+    return {L: [(id(a), a.shape, a.tobytes()) for a in block]
+            for L, block in model._memo.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_memo_false_leaves_the_memo_as_it_was(data):
@@ -484,10 +494,84 @@ def test_memo_false_leaves_the_memo_as_it_was(data):
     if not isinstance(model, ReweightedModel):
         model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
     model.conditionals(data.draw(prefix_arrays(model)))
-    before = dict(model._cache)
+    before = memo_blocks(model)
     model.conditionals(data.draw(prefix_arrays(model)), memo=False)
-    assert model._cache.keys() == before.keys()
-    assert all(model._cache[key] is row for key, row in before.items())
+    assert memo_blocks(model) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_memoised_rows_are_a_fresh_models_rows_bit_for_bit(data):
+    """Over a run of queries that repeat, permute and partly overlap each other,
+    across prefix lengths, every row read through the memo is the row a fresh
+    model computes with memo=False.  After ``extended``, a memoised prefix's row
+    is its parent row times exp(-b g), renormalised; any other is the fresh
+    child's row."""
+    model = data.draw(models())
+    if not isinstance(model, ReweightedModel) or not model.factors:
+        model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
+    n = model.vocab.n
+
+    def overlapping(seen):
+        """Some rows already queried at a length, shuffled in with new ones."""
+        width = seen.shape[1] if len(seen) and data.draw(st.booleans()) else None
+        rows = data.draw(prefix_arrays(model, width))
+        if len(seen) and rows.shape[1] == seen.shape[1]:
+            some = data.draw(st.lists(st.integers(0, len(seen) - 1), max_size=6))
+            rows = np.concatenate([rows, seen[some]])
+        return rows[data.draw(st.permutations(range(len(rows))))]
+
+    first = data.draw(prefix_arrays(model))
+    queries = [first, first[data.draw(st.permutations(range(len(first))))]]
+    queries += [overlapping(first) for _ in range(data.draw(st.integers(1, 4)))]
+    for q in queries:
+        got = model.conditionals(q)
+        assert got.shape == (len(q), n)
+        assert got.tobytes() == fresh(model).conditionals(q, memo=False).tobytes()
+        assert model.conditionals(q).tobytes() == got.tobytes()  # now every row hits
+
+    b, g = data.draw(st.floats(0.0, 2.0)), data.draw(indicators(model.vocab))
+    child = model.extended(b, g)
+    memoised = {tuple(row) for q in queries for row in q.tolist()}
+    for q in [overlapping(first) for _ in range(data.draw(st.integers(1, 3)))]:
+        weights = fresh(model).conditionals(q, memo=False) * np.exp(
+            -b * g.values(extensions(q, n)))
+        carried = weights / (weights.sum(axis=1, keepdims=True) * model.partition_scale)
+        want = fresh(child).conditionals(q, memo=False)
+        was = np.array([tuple(row) in memoised for row in q.tolist()], dtype=bool)
+        want[was] = carried[was]
+        assert child.conditionals(q).tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
+    """Over 1,201 tokens, 7-token prefixes number 1201^7 > 2^63.  Prefixes that
+    differ only in their first token get their own rows: only the one that
+    matches a 7-token n-gram indicator's context is reweighted."""
+    n, L = 1201, 7
+    assert n**L > 2**63
+    vocab = Vocabulary.build(f"w{i}" for i in range(1, n))
+    assert vocab.n == n
+    tail = data.draw(st.lists(st.integers(1, n - 1), min_size=L - 1, max_size=L - 1))
+    firsts = data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=5, unique=True))
+    tok = data.draw(st.integers(1, n - 1))
+    model = ReweightedModel(UniformModel(vocab, L + 1),
+                            [(1.0, ngram_indicator(vocab, (firsts[0], *tail), tok))])
+    order = data.draw(st.lists(st.integers(0, len(firsts) - 1), min_size=1, max_size=8))
+    prefixes = np.array([[firsts[i], *tail] for i in order], dtype=np.int64)
+    if data.draw(st.booleans()):  # the others first, so the matching row is a later miss
+        model.conditionals(prefixes[np.array(order) != 0])
+    got = model.conditionals(prefixes)
+    assert got.tobytes() == fresh(model).conditionals(prefixes, memo=False).tobytes()
+    uniform = np.full(n, 1.0 / n)
+    for i, row in zip(order, got):
+        if i == 0:
+            assert row[tok] < uniform[tok] and np.isclose(row.sum(), 1.0)
+        else:
+            assert row.tobytes() == model.next_token_dist(tuple([firsts[i], *tail])).tobytes()
+            np.testing.assert_allclose(row, uniform, rtol=1e-12)
+    assert len(model._memo[L][0]) == len(set(order))
 
 
 def chain_rule_table(model):
@@ -522,10 +606,9 @@ def test_enumerate_joint_leaves_the_memo_unchanged(data):
     corpus, q = data.draw(instances())
     model = ReweightedModel(q, [(0.7, token_indicator(corpus.vocab, 1))])
     log_loss(model, corpus)
-    before = dict(model._cache)
+    before = memo_blocks(model)
     enumerate_joint(model)
-    assert model._cache.keys() == before.keys()
-    assert all(model._cache[key] is row for key, row in before.items())
+    assert memo_blocks(model) == before
 
 
 @st.composite

@@ -145,14 +145,25 @@ class TestStepwiseReweight:
         g = token_indicator(ab_vocab, 2)
         cached = ReweightedModel(half_half(), [(0.5, g)])
         first = cached.next_token_dist(())
-        assert () in cached._cache
+        known, _, rows = cached._memo[0]
+        assert known.shape == (1, 0) and rows.tobytes() == first.tobytes()
         # A planted row is what both forms return: the memo is read, not recomputed.
         sentinel = np.array([0.25, 0.25, 0.5])
-        cached._cache[()] = sentinel
+        rows[0] = sentinel
         np.testing.assert_array_equal(cached.next_token_dist(()), sentinel)
         np.testing.assert_array_equal(cached.conditionals(np.zeros((2, 0), dtype=np.int64)),
                                       [sentinel, sentinel])
+        # In a block of several prefixes, the search finds the planted one's row.
+        cached.conditionals(np.array([[2], [1], [0], [1]]))
+        known, _, rows = cached._memo[1]
+        assert sorted(known.ravel().tolist()) == [0, 1, 2]
+        rows[known.ravel().tolist().index(1)] = sentinel
+        got = cached.conditionals(np.array([[1], [2], [1]]))
+        np.testing.assert_array_equal(got[[0, 2]], [sentinel, sentinel])
+        assert got[1].tobytes() == cached.next_token_dist((2,)).tobytes()
+        assert not np.array_equal(got[1], sentinel)
         fresh = ReweightedModel(half_half(), [(0.5, g)])
+        assert fresh._memo == {}
         np.testing.assert_array_equal(fresh.next_token_dist(()), first)
 
 

@@ -685,6 +685,33 @@ class TestLogRatioModel:
         assert "log-loss: 1.30262 nats" in result.output
 
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("length=2\n", "length=3\n",
+         "reference section (n=3, length=3) does not match its base (n=3, length=2)"),
+        ("token=b\n", "token=c\n", "reference section token 2 is 'c' where its base's is 'b'"),
+        ("token=b\n", "token=b\ntoken=c\n", "reference section (n=4, length=2)"),
+    ])
+    def test_reference_unlike_its_base_exits_2(self, runner, tmp_path, old, new, message):
+        reference = fit_aab_unigram(runner, tmp_path)
+        corpus, boosted = tmp_path / "aab.txt", tmp_path / "boosted.txt"
+        result = runner.invoke(
+            main,
+            ["boost", "--corpus", str(corpus), "--length", "2", "--oracle", "log-ratio",
+             "--ref-model", str(reference), "--epsilon", "0.2",
+             "--trace-out", str(tmp_path / "trace.csv"), "--model-out", str(boosted)],
+        )
+        assert result.exit_code == 0, result.output
+        head, rest = boosted.read_text().split("reference:\n")
+        section, base = rest.split("base:\n")
+        assert old in section and old in base
+        if "n=4" in message:
+            section = section.replace("n=3\n", "n=4\n", 1)
+        boosted.write_text(f"{head}reference:\n{section.replace(old, new, 1)}base:\n{base}")
+        result = runner.invoke(main, ["eval", "--model", str(boosted), "--corpus", str(corpus)])
+        assert result.exit_code == 2, result.output
+        assert "cannot load model" in result.output and message in result.output
+
+
 class TestOracleCheck:
     def test_all_suites_pass(self, runner, tmp_path):
         out = tmp_path / "check.csv"
