@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, Vocabulary
 from .distinguish import (
-    StepDistinguisher,
+    Distinguisher,
     extensions,
     generalized_advantage,
     ngram_indicator,
@@ -58,7 +58,7 @@ class ReweightedModel(SequentialModel):
     def __init__(
         self,
         base: SequentialModel,
-        factors: list[tuple[float, StepDistinguisher]] | None = None,
+        factors: list[tuple[float, Distinguisher]] | None = None,
         partition_scale: float = 1.0,
     ):
         factors = list(factors or [])
@@ -144,7 +144,7 @@ class ReweightedModel(SequentialModel):
         weights[live] = np.exp((logs - shift)[live])
         return weights / (weights.sum(axis=1, keepdims=True) * self.partition_scale)
 
-    def extended(self, b: float, g: StepDistinguisher) -> "ReweightedModel":
+    def extended(self, b: float, g: Distinguisher) -> "ReweightedModel":
         """This model with the factor (b, g) appended, its memo carried forward.
 
         Each memo block's rows are multiplied by exp(-b g(prefix, .)) and
@@ -213,7 +213,7 @@ class MaxItersExceededError(RuntimeError):
 
 
 class Oracle(Protocol):
-    def propose(self, q: SequentialModel, corpus: Corpus) -> StepDistinguisher: ...
+    def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher: ...
 
 
 def iteration_bound(initial_loss: float, length: int, epsilon: float) -> int:
@@ -313,7 +313,7 @@ def best_indicator(
 class TokenIndicatorOracle:
     """Search last-token indicators (and their flips) for the best advantage."""
 
-    def propose(self, q: SequentialModel, corpus: Corpus) -> StepDistinguisher:
+    def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
         _, tok, flip = best_indicator(q, corpus, 0)
         return token_indicator(corpus.vocab, tok, flip)
 
@@ -326,7 +326,7 @@ class NGramIndicatorOracle:
             raise ValueError("order must be >= 1")
         self.order = order
 
-    def propose(self, q: SequentialModel, corpus: Corpus) -> StepDistinguisher:
+    def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
         ctx, tok, flip = best_indicator(q, corpus, self.order - 1)
         return ngram_indicator(corpus.vocab, ctx, tok, flip)
 
@@ -348,7 +348,7 @@ class LogRatioOracle:
         worst = max(1.0, float(r.max()), float((1.0 / r).max())) if r.size else 1.0
         return min(max(worst, 1.0 + 1e-12), self.ratio_cap)
 
-    def propose(self, q: SequentialModel, corpus: Corpus) -> StepDistinguisher:
+    def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
         c = self._bound(q, corpus)
         g = step_log_ratio(q, self.reference, c)
         if generalized_advantage(g, corpus, q).value < 0:

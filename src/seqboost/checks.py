@@ -23,7 +23,6 @@ from .boost import (
 from .corpus import Corpus, Vocabulary
 from .distinguish import (
     Distinguisher,
-    StepDistinguisher,
     advantage_exact,
     bayes_optimal_distinguisher,
     generalized_advantage,
@@ -92,10 +91,10 @@ def _table_loss(table: JointTable, corpus: Corpus) -> float:
 
 def random_step_distinguisher(
     rng: np.random.Generator, vocab: Vocabulary, length: int
-) -> StepDistinguisher:
+) -> Distinguisher:
     """A uniform random value for every prefix of length 1..length."""
     tables = [rng.random(vocab.n**j) for j in range(1, length + 1)]
-    return StepDistinguisher(
+    return Distinguisher(
         label="random-step",
         values=lambda ids: tables[ids.shape[-1] - 1][sequence_index(vocab, ids)],
     )

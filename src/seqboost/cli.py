@@ -21,13 +21,7 @@ from . import age as age_mod
 from .boost import BoostConfig, MaxItersExceededError, make_oracle, run_boost
 from .checks import default_suites
 from .corpus import Vocabulary, load_corpus
-from .distinguish import (
-    generalized_advantage,
-    ngram_indicator,
-    step_log_ratio,
-    token_indicator,
-    training_advantage,
-)
+from .distinguish import from_params, generalized_advantage, training_advantage
 from .exact import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -216,19 +210,20 @@ def boost(corpus, length, init, order, lam, oracle, oracle_order, ref_model, eps
 
 
 def _parse_step_distinguisher(spec: str, vocab: Vocabulary, q_model):
+    """``[1-]kind:arg``: token names for an indicator, a reference model file for
+    log-ratio (with C = e); the ``1-`` prefix flips it."""
     kind, _, arg = spec.partition(":")
-    flip = kind.startswith("1-")
-    if flip:
-        kind = kind[2:]
-    if kind == "token-indicator":
-        return token_indicator(vocab, vocab.id_of(arg), flip)
-    if kind == "ngram-indicator":
-        ids = tuple(vocab.id_of(t) for t in arg.split(","))
-        return ngram_indicator(vocab, ids[:-1], ids[-1], flip)
-    if kind == "log-ratio":
-        ref = _load_model_checked(arg, vocab, q_model.length)
-        return step_log_ratio(q_model, ref, C=math.e, flip=flip)
-    raise click.UsageError(f"unknown distinguisher kind {kind!r}")
+    flip = ["flip"] if kind.startswith("1-") else []
+    kind = kind.removeprefix("1-")
+    reference = None
+    try:
+        if kind == "log-ratio":
+            reference, params = _load_model_checked(arg, vocab, q_model.length), [math.e]
+        else:
+            params = [vocab.id_of(t) for t in arg.split(",")]
+        return from_params(kind, params + flip, vocab, q_model, reference)
+    except (KeyError, ValueError) as exc:
+        raise click.UsageError(exc.args[0])
 
 
 @main.command()
@@ -245,13 +240,9 @@ def distinguish(corpus, length, model, distinguisher, estimator, samples, seed):
     """Evaluate a named distinguisher's whole-sequence and step-wise advantages."""
     model = _load_model_checked(model)
     corpus = _load_heldout(corpus, length, model)
+    g = _parse_step_distinguisher(distinguisher, model.vocab, model)
     try:
-        g = _parse_step_distinguisher(distinguisher, model.vocab, model)
-    except KeyError as exc:
-        raise click.UsageError(exc.args[0])
-    try:
-        alpha = training_advantage(g.as_whole(), corpus, model, estimator=estimator,
-                                   samples=samples, seed=seed)
+        alpha = training_advantage(g, corpus, model, estimator, samples, seed)
     except ValueError as exc:  # e.g. the exact estimator's enumeration budget
         raise click.UsageError(str(exc))
     beta = generalized_advantage(g, corpus, model)

@@ -1,15 +1,15 @@
 """Distinguishers and their advantage estimators.
 
-A whole-sequence distinguisher maps a sequence to [0, 1]; a step-wise
-distinguisher maps any nonempty prefix to [0, 1].  Advantages measure how
-much a distinguisher separates model samples from a reference (a table or a
-training sample).
+A distinguisher maps id rows to [0, 1]: read on whole sequences it is the
+paper's f(x), read on every nonempty prefix its step-wise g(h, w).
+Advantages measure how much a distinguisher separates model samples from a
+reference (a table or a training sample).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -32,39 +32,17 @@ def _row_values(fn: Callable[[tuple[int, ...]], float]) -> Callable[[np.ndarray]
 
 @dataclass(frozen=True)
 class Distinguisher:
-    """Maps whole sequences to [0, 1].
+    """Maps token-id rows to [0, 1]: a whole-sequence distinguisher f(x) read at
+    length N, or a step-wise one g(h, w) read at every prefix length 1..N.
 
-    ``values`` maps an (..., N) id array to the values of its rows, an array
-    of shape (...).  A custom distinguisher may give a scalar ``fn`` of an
-    id tuple instead, which is turned into ``values`` here, once.
-    """
-
-    fn: Callable[[tuple[int, ...]], float] | None = None
-    label: str = ""
-    values: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.values is None:
-            object.__setattr__(self, "values", _row_values(self.fn))
-
-    def __call__(self, x: tuple[int, ...]) -> float:
-        return float(self.values(np.array(x, dtype=np.int64)))
-
-
-@dataclass(frozen=True)
-class StepDistinguisher:
-    """Maps token-id prefixes of any length 1..N to [0, 1].
-
-    ``values`` is the function on every row of an (..., L) id array (L >= 1),
-    returning an array of shape (...); advantages and reweighting read only
-    it.  A custom distinguisher may give a scalar ``fn`` of a prefix tuple
-    instead, which is turned into ``values`` here, once.  ``kind``/``params``
-    carry serialization metadata for the built-in families; custom
-    distinguishers leave them empty.  ``models`` is the (model, reference)
-    pair a log-ratio distinguisher compares, which a model file needs to
-    rebuild it.
+    ``values`` maps an (..., L) id array (L >= 1) to the values of its rows,
+    an array of shape (...); advantages and reweighting read only it.  A
+    custom distinguisher may give a scalar ``fn`` of an id tuple instead,
+    which is turned into ``values`` here, once.  ``kind``/``params`` carry
+    serialization metadata for the built-in families (``from_params`` reads
+    them back); custom distinguishers leave them empty.  ``models`` is the
+    (model, reference) pair a log-ratio distinguisher compares, which a model
+    file needs to rebuild it.
     """
 
     fn: Callable[[tuple[int, ...]], float] | None = None
@@ -80,21 +58,16 @@ class StepDistinguisher:
         if self.values is None:
             object.__setattr__(self, "values", _row_values(self.fn))
 
-    def __call__(self, prefix: tuple[int, ...]) -> float:
-        return float(self.values(np.array(prefix, dtype=np.int64)))
+    def __call__(self, x: tuple[int, ...]) -> float:
+        return float(self.values(np.array(x, dtype=np.int64)))
 
-    def flipped(self) -> "StepDistinguisher":
+    def flipped(self) -> "Distinguisher":
         values = self.values
-        return StepDistinguisher(
-            label=f"1-({self.label})",
-            kind=self.kind,
-            params=self.params + ("flip",),
-            values=lambda ids: 1.0 - values(ids),
-            models=self.models,
-        )
+        return replace(self, fn=None, label=f"1-({self.label})", params=self.params + ("flip",),
+                       values=lambda ids: 1.0 - values(ids))
 
-    def as_whole(self) -> Distinguisher:
-        return Distinguisher(label=self.label, values=self.values)
+
+StepDistinguisher = Distinguisher  # the step-wise reading has no type of its own
 
 
 @dataclass(frozen=True)
@@ -161,7 +134,7 @@ def extensions(prefixes: np.ndarray, n: int) -> np.ndarray:
 
 
 def generalized_advantage(
-    g: StepDistinguisher, corpus: Corpus, q: SequentialModel
+    g: Distinguisher, corpus: Corpus, q: SequentialModel
 ) -> AdvantageEstimate:
     """Per-position advantage of a step-wise distinguisher, averaged over positions.
 
@@ -215,8 +188,8 @@ def log_ratio_distinguisher(
     [0, 1] (beyond numerical slack), which means the caller's C does not
     actually bound the ratio, is reported as an error.
     """
-    if C <= 1.0:
-        raise ValueError("C must exceed 1")
+    if not 1.0 < C < math.inf:  # NaN too
+        raise ValueError(f"C must be finite and exceed 1, got {C}")
     log_c = math.log(C)
 
     def values(ids: np.ndarray) -> np.ndarray:
@@ -240,9 +213,9 @@ def log_ratio_distinguisher(
 # Built-in step-wise distinguisher families (the kinds the config file names).
 
 
-def token_indicator(vocab: Vocabulary, token_id: int, flip: bool = False) -> StepDistinguisher:
+def token_indicator(vocab: Vocabulary, token_id: int, flip: bool = False) -> Distinguisher:
     """1 iff the last token of the prefix equals the given token."""
-    base = StepDistinguisher(
+    base = Distinguisher(
         label=f"token[{vocab.token_of(token_id)}]",
         kind="token-indicator",
         params=(token_id,),
@@ -253,7 +226,7 @@ def token_indicator(vocab: Vocabulary, token_id: int, flip: bool = False) -> Ste
 
 def ngram_indicator(
     vocab: Vocabulary, context: tuple[int, ...], token_id: int, flip: bool = False
-) -> StepDistinguisher:
+) -> Distinguisher:
     """1 iff the prefix ends with the given (context, token) run."""
     tail = context + (token_id,)
     label = "ngram[" + " ".join(vocab.token_of(t) for t in tail) + "]"
@@ -263,21 +236,21 @@ def ngram_indicator(
             return np.zeros(ids.shape[:-1])
         return np.all(ids[..., -len(tail) :] == tail, axis=-1).astype(float)
 
-    base = StepDistinguisher(label=label, kind="ngram-indicator", params=tail, values=values)
+    base = Distinguisher(label=label, kind="ngram-indicator", params=tail, values=values)
     return base.flipped() if flip else base
 
 
 def step_log_ratio(
     q: SequentialModel, ref: SequentialModel, C: float, flip: bool = False
-) -> StepDistinguisher:
+) -> Distinguisher:
     """Conditional log-ratio of q vs a reference model, scaled and clamped to [0,1].
 
     Both models' probabilities come from ``token_probs``, one call each for a
     whole id array.  A token neither model allows scores 1/2, one only the
     reference allows 0, and one only q allows 1.
     """
-    if C <= 1.0:
-        raise ValueError("C must exceed 1")
+    if not 1.0 < C < math.inf:  # NaN too
+        raise ValueError(f"C must be finite and exceed 1, got {C}")
     log_c = math.log(C)
 
     def values(ids: np.ndarray) -> np.ndarray:
@@ -293,8 +266,47 @@ def step_log_ratio(
         out[both] = np.clip((log_c + lq - lr) / (2.0 * log_c), 0.0, 1.0)
         return out.reshape(ids.shape[:-1])
 
-    base = StepDistinguisher(
+    base = Distinguisher(
         label=f"step-log-ratio(C={C:g})", kind="log-ratio", params=(C,),
         values=values, models=(q, ref),
     )
     return base.flipped() if flip else base
+
+
+def from_params(
+    kind: str,
+    params: list,
+    vocab: Vocabulary,
+    q: SequentialModel | None = None,
+    reference: SequentialModel | None = None,
+) -> Distinguisher:
+    """The built-in distinguisher with this ``kind`` and ``params``: the inverse of
+    ``token_indicator``, ``ngram_indicator``, ``step_log_ratio`` (comparing q with
+    ``reference``) and ``flipped``, each trailing ``"flip"`` flipping the result once.
+    Anything those could not have written raises ValueError."""
+    if not isinstance(params, list):
+        raise ValueError(f"{kind} params {params!r} are not a list")
+    core = list(params)
+    while core and core[-1] == "flip":
+        core.pop()
+    if kind in ("token-indicator", "ngram-indicator"):
+        if not core or not all(type(t) is int and 0 <= t < vocab.n for t in core):
+            raise ValueError(f"{kind} params {core!r} are not token ids in 0..{vocab.n - 1}")
+        ids = tuple(core)
+        if kind == "ngram-indicator":
+            g = ngram_indicator(vocab, ids[:-1], ids[-1])
+        elif len(ids) == 1:
+            g = token_indicator(vocab, ids[0])
+        else:
+            raise ValueError(f"a token indicator has one token id, not {len(ids)}")
+    elif kind == "log-ratio":
+        if q is None or reference is None:
+            raise ValueError("a log-ratio distinguisher needs a model and a reference")
+        if len(core) != 1 or type(core[0]) not in (int, float):
+            raise ValueError(f"log-ratio params {core!r} are not one real C")
+        g = step_log_ratio(q, reference, float(core[0]))
+    else:
+        raise ValueError(f"unknown distinguisher kind {kind!r}")
+    for _ in range(len(params) - len(core)):
+        g = g.flipped()
+    return g

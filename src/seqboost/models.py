@@ -315,10 +315,6 @@ class LogLinearModel:
         self.vocab = vocab
         self.length = ids.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.theta.shape[0]
-
     def with_theta(self, theta: np.ndarray) -> "LogLinearModel":
         out = copy.copy(self)
         out.theta = np.asarray(theta, dtype=float)

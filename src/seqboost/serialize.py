@@ -15,13 +15,14 @@ a loaded model's rows are row views of one (contexts, n) table.
 
 A reweighted model lists its factors, then the reference model of its
 log-ratio factors under ``reference:`` (when it has any), then its base under
-``base:``.  Log-ratio factor t is rebuilt against the chain before it, the
-base with factors 0..t-1.
+``base:``.  A factor is decoded by ``distinguish.from_params``; log-ratio
+factor t compares the chain before it, the base with factors 0..t-1.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain, islice, repeat, takewhile
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .boost import ReweightedModel
 from .corpus import Vocabulary
-from .distinguish import StepDistinguisher, ngram_indicator, step_log_ratio, token_indicator
+from .distinguish import Distinguisher, from_params
 from .models import NGramModel, SequentialModel, UniformModel
 
 FORMAT_HEADER = "seqboost-model v2"
@@ -151,30 +152,6 @@ def _parse_meta(lines: list[str], idx: int) -> tuple[dict[str, str], list[str], 
     return meta, tokens, idx
 
 
-def _rebuild_factor(
-    b: float,
-    payload: dict,
-    base: SequentialModel,
-    before: list[tuple[float, StepDistinguisher]],
-    reference: SequentialModel | None,
-) -> tuple[float, StepDistinguisher]:
-    kind = payload["kind"]
-    params = payload["params"]
-    flip = False
-    while params and params[-1] == "flip":
-        params, flip = params[:-1], not flip
-    if kind == "token-indicator":
-        return b, token_indicator(base.vocab, int(params[0]), flip)
-    if kind == "ngram-indicator":
-        ctx = tuple(int(t) for t in params[:-1])
-        return b, ngram_indicator(base.vocab, ctx, int(params[-1]), flip)
-    if kind == "log-ratio":
-        if reference is None:
-            raise ValueError("log-ratio factor without a reference section")
-        return b, step_log_ratio(ReweightedModel(base, before), reference, float(params[0]), flip)
-    raise ValueError(f"cannot deserialize factor kind {kind!r}")
-
-
 def _parse_each(parse, texts: list[str]) -> list:
     """``list(map(parse, texts))``, calling ``parse`` once per distinct text."""
     parsed = {t: parse(t) for t in set(texts)}
@@ -258,8 +235,7 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
     if kind == "reweighted":
         raw_factors: list[tuple[float, dict]] = []
         while idx < len(lines) and lines[idx].startswith("factor="):
-            body = lines[idx][len("factor=") :]
-            b_text, _, payload = body.partition("|")
+            b_text, _, payload = lines[idx][len("factor=") :].partition("|")
             raw_factors.append((float(b_text), json.loads(payload)))
             idx += 1
         reference = None
@@ -275,9 +251,13 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
                              f"and {len(raw_factors)} factor lines")
         if reference is not None:
             _check_reference(reference, base)
-        factors: list[tuple[float, StepDistinguisher]] = []
+        factors: list[tuple[float, Distinguisher]] = []
         for b, payload in raw_factors:
-            factors.append(_rebuild_factor(b, payload, base, factors, reference))
+            if not isinstance(payload, dict):
+                raise ValueError(f"factor payload {payload!r} is not an object")
+            q = None if reference is None else ReweightedModel(base, factors)
+            factors.append((b, from_params(payload["kind"], payload["params"], base.vocab,
+                                           q, reference)))
         return ReweightedModel(base, factors), idx
     n = int(meta["n"])
     if n != len(tokens):
@@ -296,6 +276,9 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
         blocks = _row_blocks(len(rows), n)
         contexts = [c for b in blocks for c in _parse_rows(rows[b], n, order, table[b])]
         cond = dict(zip(contexts, table))
+        if len(cond) < len(contexts):
+            twice = next(c for c, k in Counter(contexts).items() if k > 1)
+            raise ValueError(f"context {','.join(map(str, twice))!r} is listed twice")
         return NGramModel(vocab, length, order, cond, float(meta["lambda"])), idx
     raise ValueError(f"unknown model kind {kind!r}")
 

@@ -298,6 +298,16 @@ class TestDistinguish:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("spec", ["token-indicator:a,b", "telepathy:b", "token-indicator:",
+                                      "1-1-token-indicator:b", "ngram-indicator:a,,b"])
+    def test_malformed_spec_exits_2_without_a_traceback(self, runner, tmp_path, spec):
+        model = fit_aab_unigram(runner, tmp_path)
+        result = runner.invoke(main, ["distinguish", "--corpus", str(tmp_path / "aab.txt"),
+                                      "--model", str(model), "--distinguisher", spec])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+
+
 def fit_aab_unigram(runner, tmp_path):
     """A unigram fitted with lambda 0.5 on a a / a a / a b: q(a) = 5.5/7, q(b) = 1.5/7."""
     corpus = tmp_path / "aab.txt"
@@ -603,6 +613,21 @@ class TestNGramRows:
         assert "cannot load model" in result.output
 
 
+    @pytest.mark.parametrize("context", ["context=|", "context=1|"])
+    def test_context_listed_twice_exits_2(self, runner, tmp_path, context):
+        model = fit_abb_bigram(runner, tmp_path)
+        lines = model.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith(context))
+        model.write_text("".join(lines[: i + 1] + lines[i:]))
+        held = tmp_path / "held.txt"
+        held.write_text("a b\n")
+        result = runner.invoke(main, ["eval", "--model", str(model), "--corpus", str(held)])
+        assert result.exit_code == 2, result.output
+        label = context[len("context="):-1]
+        assert "cannot load model" in result.output
+        assert f"context {label!r} is listed twice" in result.output
+
+
 REWEIGHTED_FILE = """seqboost-model v2
 kind=reweighted
 n=3
@@ -618,6 +643,62 @@ token=<pad>
 token=a
 token=b
 """
+
+
+UNIFORM_SECTION = REWEIGHTED_FILE.split("base:\n")[1]
+TOKEN_FACTOR = '{"kind": "token-indicator", "params": [1]}'
+# A log-ratio factor against a uniform reference; its base is uniform too.
+LOG_RATIO_FILE = REWEIGHTED_FILE.replace(
+    TOKEN_FACTOR, '{"kind": "log-ratio", "params": [2.0]}'
+).replace("base:\n", f"reference:\n{UNIFORM_SECTION}base:\n")
+
+
+class TestFactorPayloads:
+    """A factor whose kind and params no built-in distinguisher writes is a
+    usage error when the file is loaded, never a traceback or a silent load."""
+
+    def eval(self, runner, tmp_path, text):
+        model, held = tmp_path / "model.txt", tmp_path / "held.txt"
+        model.write_text(text)
+        held.write_text("a b\nb a\n")
+        return runner.invoke(main, ["eval", "--model", str(model), "--corpus", str(held)])
+
+    @pytest.mark.parametrize("text", [REWEIGHTED_FILE, LOG_RATIO_FILE])
+    def test_written_files_evaluate(self, runner, tmp_path, text):
+        result = self.eval(runner, tmp_path, text)
+        assert result.exit_code == 0, result.output
+        assert "infinite" not in result.output
+
+    @pytest.mark.parametrize("payload", [
+        '{"kind": "token-indicator", "params": 5}',
+        '{"kind": "token-indicator", "params": [-1]}',
+        '{"kind": "token-indicator", "params": [3]}',
+        '{"kind": "token-indicator", "params": [1.5]}',
+        '{"kind": "token-indicator", "params": [1, 2]}',
+        '{"kind": "token-indicator", "params": ["1"]}',
+        '{"kind": "token-indicator", "params": [true]}',
+        '{"kind": "token-indicator", "params": []}',
+        '{"kind": "ngram-indicator", "params": [1, null]}',
+        '{"kind": "token-indicator"}',
+        '{"kind": "telepathy", "params": [1]}',
+        '{"kind": ["token-indicator"], "params": [1]}',
+        '{"kind": "log-ratio", "params": [2.0]}',  # no reference section
+        '5',
+        '[1]',
+        '{"kind": "token-indicator", "params": [1]',
+    ])
+    def test_bad_payload_exits_2(self, runner, tmp_path, payload):
+        result = self.eval(runner, tmp_path, REWEIGHTED_FILE.replace(TOKEN_FACTOR, payload))
+        assert result.exit_code == 2, result.output
+        assert "cannot load model" in result.output and "Traceback" not in result.output
+
+    @pytest.mark.parametrize("params", ["[NaN]", "[Infinity]", "[-Infinity]", "[0.5]", "[1.0]",
+                                        "[]", "[2.0, 3.0]", '["2"]', "[true]", "2.0"])
+    def test_bad_log_ratio_params_exit_2(self, runner, tmp_path, params):
+        text = LOG_RATIO_FILE.replace('"params": [2.0]', f'"params": {params}')
+        result = self.eval(runner, tmp_path, text)
+        assert result.exit_code == 2, result.output
+        assert "cannot load model" in result.output and "Traceback" not in result.output
 
 
 class TestModelHeaders:

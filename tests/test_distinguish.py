@@ -12,9 +12,12 @@ from seqboost.distinguish import (
     accuracy_from_advantage,
     advantage_exact,
     bayes_optimal_distinguisher,
+    from_params,
     generalized_advantage,
     log_ratio_distinguisher,
     minimal_ratio_bound,
+    ngram_indicator,
+    step_log_ratio,
     token_indicator,
     training_advantage,
 )
@@ -97,7 +100,7 @@ class TestGeneralizedAdvantage:
     def test_collapses_to_training_advantage_at_length_one(self, aaab_corpus, half_half):
         g = token_indicator(aaab_corpus.vocab, 2)
         beta = generalized_advantage(g, aaab_corpus, half_half())
-        alpha = training_advantage(g.as_whole(), aaab_corpus, half_half())
+        alpha = training_advantage(g, aaab_corpus, half_half())
         assert beta.value == pytest.approx(alpha.value, abs=1e-12)
 
     def test_constant_gives_zero(self, aaab_corpus, half_half):
@@ -183,3 +186,74 @@ class TestLogRatioDistinguisher:
         f = log_ratio_distinguisher(half_half(), q2, C=1.5)  # true ratio needs C=5
         with pytest.raises(ValueError, match="ratio bound"):
             f((2,))
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf, 0.5])
+    def test_c_must_be_finite_and_exceed_one(self, half_half, C):
+        for make in (log_ratio_distinguisher, step_log_ratio):
+            with pytest.raises(ValueError, match="C must be finite and exceed 1"):
+                make(half_half(), half_half(), C)
+
+
+# A fixed model and reference for the log-ratio kind: length 4 over a, b, c.
+LR_VOCAB = make_vocab(4)
+LR_Q = ngram_mle_fit(random_corpus(np.random.default_rng(5), LR_VOCAB, 4, 20), order=2, lam=0.3)
+LR_REF = UniformModel(LR_VOCAB, 4)
+
+
+class TestFromParams:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inverts_the_builtin_constructors(self, data):
+        kind = data.draw(st.sampled_from(["token-indicator", "ngram-indicator", "log-ratio"]))
+        vocab = LR_VOCAB if kind == "log-ratio" else make_vocab(data.draw(st.integers(1, 6)))
+        n = vocab.n
+        if kind == "token-indicator":
+            g = token_indicator(vocab, data.draw(st.integers(0, n - 1)))
+        elif kind == "ngram-indicator":
+            tail = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+            g = ngram_indicator(vocab, tuple(tail[:-1]), tail[-1])
+        else:
+            C = data.draw(st.floats(1.0, 1e6, exclude_min=True))
+            g = step_log_ratio(LR_Q, LR_REF, C)
+        for _ in range(data.draw(st.integers(0, 3))):
+            g = g.flipped()
+        h = from_params(g.kind, list(g.params), vocab, LR_Q, LR_REF)
+        assert (h.label, h.kind, h.params) == (g.label, g.kind, g.params)
+        k, L = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 4))
+        ids = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, n, (k, L))
+        assert h.values(ids).tobytes() == g.values(ids).tobytes()
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("token-indicator", 5, "not a list"),
+        ("token-indicator", (1,), "not a list"),
+        ("token-indicator", [-1], "not token ids"),
+        ("token-indicator", [4], "not token ids"),
+        ("token-indicator", [1.5], "not token ids"),
+        ("token-indicator", ["1"], "not token ids"),
+        ("token-indicator", [True], "not token ids"),
+        ("token-indicator", ["flip"], "not token ids"),
+        ("token-indicator", [1, 2], "one token id, not 2"),
+        ("ngram-indicator", [], "not token ids"),
+        ("ngram-indicator", [1, "flip", 2], "not token ids"),
+        ("log-ratio", [], "not one real C"),
+        ("log-ratio", [2.0, 3.0], "not one real C"),
+        ("log-ratio", ["2"], "not one real C"),
+        ("log-ratio", [True], "not one real C"),
+        ("log-ratio", [math.nan], "C must be finite"),
+        ("log-ratio", [math.inf, "flip"], "C must be finite"),
+        ("log-ratio", [0.5], "C must be finite"),
+        ("telepathy", [1], "unknown distinguisher kind 'telepathy'"),
+    ])
+    def test_rejects_what_no_constructor_writes(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            from_params(kind, params, LR_VOCAB, LR_Q, LR_REF)
+
+    def test_log_ratio_needs_a_model_and_a_reference(self):
+        for q, ref in ((None, LR_REF), (LR_Q, None)):
+            with pytest.raises(ValueError, match="needs a model and a reference"):
+                from_params("log-ratio", [2.0], LR_VOCAB, q, ref)
+
+    def test_each_flip_flips_once(self):
+        g = from_params("token-indicator", [2, "flip", "flip"], LR_VOCAB)
+        assert g.label == "1-(1-(token[b]))"
+        assert g.values(np.array([[1, 2], [2, 1]])).tolist() == [1.0, 0.0]

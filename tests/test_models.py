@@ -465,11 +465,14 @@ def reference_model_text(model):
 
 
 def reference_rows(text, n, order):
-    """The rows the per-row reader gives for a model text, in file order."""
+    """The rows the per-row reader gives for a model text, in file order; a
+    context listed twice is an error."""
     rows = {}
     for line in text.splitlines():
         if line.startswith("context="):
             ctx, row = reference_parse_row(line[len("context="):], n, order)
+            if ctx in rows:
+                raise ValueError(f"context {ctx} listed twice")
             rows[ctx] = row
     return rows
 
