@@ -25,7 +25,14 @@ from .distinguish import (
     token_indicator,
 )
 from .exact import JointTable
-from .models import SequentialModel, context_groups, log_loss, prefix_conditionals
+from .models import (
+    SequentialModel,
+    context_groups,
+    log_loss,
+    loss_report,
+    prefix_conditionals,
+    summed_logs,
+)
 
 
 # The most token ids one block of ReweightedModel's batched rows extends to (2 MB).
@@ -52,7 +59,8 @@ class ReweightedModel(SequentialModel):
     Computed rows are memoised in one block per prefix length L: the distinct
     prefixes seen so far, a (K, L) array sorted by their ``_row_keys``, the
     keys (a view of that array) and the (K, n) conditionals in the same
-    order.  A fresh model starts with no blocks.
+    order.  A fresh model starts with no blocks.  ``prefix_slot`` is where
+    ``prefix_conditionals`` keeps the model's last corpus array.
     """
 
     def __init__(
@@ -75,6 +83,7 @@ class ReweightedModel(SequentialModel):
         self.length = base.length
         self.partition_scale = partition_scale
         self._memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.prefix_slot: tuple[np.ndarray, np.ndarray] | None = None
 
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
         """Memoised rows where there are any, found with one ``searchsorted``;
@@ -150,8 +159,10 @@ class ReweightedModel(SequentialModel):
         Each memo block's rows are multiplied by exp(-b g(prefix, .)) and
         renormalised in one pass, so a new factor costs one pass over the
         memoised prefixes however many factors came before.  The child shares
-        the blocks' prefix arrays.  Other prefixes are computed afresh.
+        the blocks' prefix arrays.  Other prefixes are computed afresh.  This
+        model's ``prefix_slot`` is emptied, so a run keeps one array.
         """
+        self.prefix_slot = None
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
         n = self.vocab.n
         for L, (known, keys, rows) in self._memo.items():
@@ -233,6 +244,8 @@ def run_boost(
     Each round asks the oracle for a distinguisher, measures its advantage
     b_t, stops if b_t < epsilon, and otherwise folds exp(-b_t g_t) into the
     model.  The returned model is epsilon-indistinguishable by this oracle.
+    A round's loss is ``log_loss``'s float, read from the array
+    (``prefix_conditionals``) that the next round's oracle reads.
     """
     loss0 = log_loss(q0, corpus).log_loss  # raises if any sequence is impossible
     trace = BoostTrace(initial_loss=loss0)
@@ -241,6 +254,7 @@ def run_boost(
         cap = max(1, 10 * iteration_bound(loss0, corpus.length, config.epsilon))
     model = ReweightedModel(q0, [])
     current_loss = loss0
+    rows, at = np.arange(corpus.m)[:, None], np.arange(corpus.length)
     for t in range(cap):
         t0 = time.perf_counter()
         g = oracle.propose(model, corpus)
@@ -252,7 +266,8 @@ def run_boost(
             trace.termination = "indistinguishable"
             return model, trace
         model = model.extended(b, g)
-        current_loss = log_loss(model, corpus).log_loss
+        probs = prefix_conditionals(model, corpus)[rows, at, corpus.ids]
+        current_loss = loss_report(summed_logs(probs)).log_loss
         t2 = time.perf_counter()
         trace.records.append(IterationRecord(t, b, current_loss, t1 - t0, t2 - t1))
     trace.termination = "max-iters"
@@ -268,8 +283,25 @@ def run_boost(
 TIE_TOLERANCE = 1e-13
 
 
+def indicator_cells(
+    corpus: Corpus, context_length: int
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The corpus-only part of ``best_indicator``: the contexts of the positions
+    j >= k in rank order (``context_groups``), the cell (context rank * n +
+    token) of every (position, token) pair, positions in row-major order, and
+    the count of each cell's token at its context's positions."""
+    ids, n, k = corpus.ids, corpus.vocab.n, context_length
+    if corpus.length <= k:
+        raise ValueError(f"no context of {k} tokens fits before a token in length {corpus.length}")
+    counted = np.zeros(ids.shape, dtype=bool)
+    counted[:, k:] = True
+    group, contexts = context_groups(ids, k, counted)
+    counts = np.bincount(group * n + ids[:, k:].reshape(-1), minlength=len(contexts) * n)
+    return contexts, (group[:, None] * n + np.arange(n)).reshape(-1), counts
+
+
 def best_indicator(
-    q: SequentialModel, corpus: Corpus, context_length: int
+    q: SequentialModel, corpus: Corpus, context_length: int, cells: tuple
 ) -> tuple[tuple[int, ...], int, bool]:
     """The (context, token, flip) whose indicator has the largest step-wise advantage.
 
@@ -281,25 +313,16 @@ def best_indicator(
         adv[c, t] = (sum of Q[i, j, t] - count of t) / (m N),
 
     and the flipped candidate scores (sum of Q - m N) / (m N) - adv[c, t].
-    The positions are grouped by ``context_groups``, and both sums are
-    ``np.bincount``s over those groups, each adding in position order.
+    The counts come with ``cells``, ``indicator_cells(corpus, k)``; the sums
+    are one ``np.bincount`` over its cells, adding in position order.
     Contexts rank in order of first appearance in the corpus, then tokens,
     then unflipped before flipped, and the first maximum wins, as in a scan
     that keeps a candidate only when it is strictly better (up to TIE_TOLERANCE).
     """
-    ids, n, k = corpus.ids, corpus.vocab.n, context_length
-    m, N = ids.shape
-    if N <= k:
-        raise ValueError(f"no context of {k} tokens fits before a token in length {N}")
+    (contexts, cell, counts), n, k = cells, corpus.vocab.n, context_length
     Q = prefix_conditionals(q, corpus)
-    counted = np.zeros(ids.shape, dtype=bool)
-    counted[:, k:] = True
-    group, contexts = context_groups(ids, k, counted)
-    cells = len(contexts) * n
-    sums = np.bincount((group[:, None] * n + np.arange(n)).reshape(-1),
-                       weights=Q[:, k:].reshape(-1), minlength=cells)
-    counts = np.bincount(group * n + ids[:, k:].reshape(-1), minlength=cells)
-    total = m * N
+    sums = np.bincount(cell, weights=Q[:, k:].reshape(-1), minlength=len(counts))
+    total = corpus.m * corpus.length
     adv = (sums - counts).reshape(-1, n) / total
     scores = np.stack([adv, (Q.sum() - total) / total - adv], axis=-1)
     # Candidates tied in exact arithmetic can differ here by rounding, in either
@@ -310,25 +333,35 @@ def best_indicator(
     return contexts[c], int(tok), bool(flip)
 
 
-class TokenIndicatorOracle:
-    """Search last-token indicators (and their flips) for the best advantage."""
-
-    def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
-        _, tok, flip = best_indicator(q, corpus, 0)
-        return token_indicator(corpus.vocab, tok, flip)
-
-
 class NGramIndicatorOracle:
-    """Search order-k context-token indicators over contexts seen in the corpus."""
+    """Search order-k context-token indicators over contexts seen in the corpus.
+    Its ``indicator_cells`` are counted again only for another ``corpus.ids``."""
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
+        self._cells: tuple = (None,)
+
+    def _best(self, q: SequentialModel, corpus: Corpus) -> tuple[tuple[int, ...], int, bool]:
+        if self._cells[0] is not corpus.ids:
+            self._cells = corpus.ids, indicator_cells(corpus, self.order - 1)
+        return best_indicator(q, corpus, self.order - 1, self._cells[1])
 
     def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
-        ctx, tok, flip = best_indicator(q, corpus, self.order - 1)
+        ctx, tok, flip = self._best(q, corpus)
         return ngram_indicator(corpus.vocab, ctx, tok, flip)
+
+
+class TokenIndicatorOracle(NGramIndicatorOracle):
+    """Search last-token indicators (and their flips) for the best advantage."""
+
+    def __init__(self):
+        super().__init__(1)
+
+    def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
+        _, tok, flip = self._best(q, corpus)
+        return token_indicator(corpus.vocab, tok, flip)
 
 
 class LogRatioOracle:

@@ -102,15 +102,20 @@ class Corpus:
     """m sequences sharing one vocabulary and padded length N, stored only as
     their read-only (m, N) int64 id array ``ids``.  ``rows`` is that array or
     one ``Sequence`` per row; the padding contract is not checked, so raw
-    domain rows are allowed (``save_corpus`` rejects rows it cannot write)."""
+    domain rows are allowed (``save_corpus`` rejects rows it cannot write).
+    An int64 array that is writable or a view of another array is copied, so
+    no later write to the caller's buffer reaches ``ids``."""
 
     def __init__(self, vocab: Vocabulary, length: int, rows) -> None:
-        if not isinstance(rows, np.ndarray):
+        if isinstance(rows, np.ndarray):
+            ids = np.asarray(rows, dtype=np.int64)
+            if ids is rows and (ids.flags.writeable or ids.base is not None):
+                ids = ids.copy()
+        else:
             rows = [seq.token_ids for seq in rows]
             if any(len(r) != length for r in rows):
                 raise ValueError("all corpus sequences must share the padded length")
-            rows = np.array(rows, dtype=np.int64).reshape(len(rows), length)
-        ids = np.asarray(rows, dtype=np.int64).view()
+            ids = np.array(rows, dtype=np.int64).reshape(len(rows), length)
         if ids.ndim != 2 or ids.shape[1] != length:
             raise ValueError("all corpus sequences must share the padded length")
         ids.flags.writeable = False
@@ -164,6 +169,7 @@ def load_corpus(
     counts = counts[counts > 0]
     ids = np.zeros((len(counts), length), dtype=np.int64)
     ids[np.arange(length) < counts[:, None]] = flat
+    ids.flags.writeable = False  # nothing else holds it, so Corpus need not copy it
     return Corpus(vocab, length, ids), vocab
 
 

@@ -211,49 +211,67 @@ def sequence_log_probs(model: SequentialModel, ids: np.ndarray) -> np.ndarray:
     """Sum of conditional log-probabilities for every row of an (m, N) id
     array; -inf marks an impossible sequence.
 
-    One ``token_probs`` call per position; the logs are ``math.log`` and are
-    added position by position, so each sum is the same float as a scalar loop.
+    One ``token_probs`` call per position, then ``summed_logs``.
     """
     probs = np.empty(ids.shape)
     for j in range(ids.shape[1]):
         probs[:, j] = model.token_probs(ids[:, :j], ids[:, j])
-    logs = np.full(ids.shape, -math.inf)
+    return summed_logs(probs)
+
+
+def summed_logs(probs: np.ndarray) -> np.ndarray:
+    """The sum over positions of the logs of an (m, N) array of probabilities,
+    -inf for a row with a 0.  The logs are ``math.log`` and are added position
+    by position, so each sum is the same float as a scalar loop."""
+    logs = np.full(probs.shape, -math.inf)
     possible = probs > 0.0
-    logs[possible] = [math.log(p) for p in probs[possible].tolist()]
-    total = np.zeros(len(ids))
-    for j in range(ids.shape[1]):
+    logs[possible] = list(map(math.log, probs[possible].tolist()))
+    total = np.zeros(len(probs))
+    for j in range(probs.shape[1]):
         total += logs[:, j]
     return total
 
 
 def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
-    """Q[i, j] = q(. | first j tokens of sequence i): an (m, N, n) array,
-    from one ``conditionals`` call per position."""
+    """Q[i, j] = q(. | first j tokens of sequence i): a read-only (m, N, n)
+    array, from one ``conditionals`` call per position.  A model with a
+    ``prefix_slot`` keeps it there, returned again for the same ``corpus.ids``."""
     ids = corpus.ids
+    slot = getattr(q, "prefix_slot", None)
+    if slot is not None and slot[0] is ids:
+        return slot[1]
     Q = np.empty(ids.shape + (corpus.vocab.n,))
     for j in range(corpus.length):
         Q[:, j] = q.conditionals(ids[:, :j])
+    Q.flags.writeable = False
+    if hasattr(q, "prefix_slot"):
+        q.prefix_slot = ids, Q
     return Q
+
+
+def loss_report(log_probs: np.ndarray) -> LossReport:
+    """The mean negative log-likelihood of sequences with these log-probabilities,
+    added sequence by sequence; ValueError names the first impossible one."""
+    impossible = np.flatnonzero(np.isneginf(log_probs))
+    if impossible.size:
+        raise ValueError(
+            f"sequence {impossible[0]} is impossible under the model (infinite loss)"
+        )
+    per = (-log_probs).tolist()
+    # Fixed index order keeps the mean bit-reproducible.
+    return LossReport(sum(per) / len(per), tuple(per))
 
 
 def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
     """Negative mean log-likelihood of the corpus, in nats per sequence.
 
     The per-sequence terms come from ``sequence_log_probs`` and are added
-    sequence by sequence, so the result is the same float as a scalar loop
-    over sequences and positions.
+    sequence by sequence (``loss_report``), so the result is the same float
+    as a scalar loop over sequences and positions.
     """
     if corpus.m < 1:
         raise ValueError("empty corpus")
-    total = sequence_log_probs(model, corpus.ids)
-    impossible = np.flatnonzero(np.isneginf(total))
-    if impossible.size:
-        raise ValueError(
-            f"sequence {impossible[0]} is impossible under the model (infinite loss)"
-        )
-    per = (-total).tolist()
-    # Fixed index order keeps the mean bit-reproducible.
-    return LossReport(sum(per) / corpus.m, tuple(per))
+    return loss_report(sequence_log_probs(model, corpus.ids))
 
 
 def sample_many(model: SequentialModel, k: int, rng_seed: int) -> np.ndarray:

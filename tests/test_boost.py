@@ -1,7 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqboost.boost import (
     BoostConfig,
@@ -18,7 +20,7 @@ from seqboost.boost import (
     run_boost,
 )
 from seqboost.checks import make_vocab, random_corpus, random_table, stepwise_reweight_suite
-from seqboost.corpus import Vocabulary
+from seqboost.corpus import Corpus, Vocabulary
 from seqboost.distinguish import (
     Distinguisher,
     StepDistinguisher,
@@ -26,7 +28,7 @@ from seqboost.distinguish import (
     token_indicator,
 )
 from seqboost.exact import JointTable, enumerate_joint, total_variation
-from seqboost.models import UniformModel, log_loss, ngram_mle_fit
+from seqboost.models import UniformModel, log_loss, ngram_mle_fit, prefix_conditionals
 
 
 def ab_table(pa, pb):
@@ -299,3 +301,186 @@ class TestBoostConfig:
             BoostConfig(math.nan)
         with pytest.raises(ValueError):
             BoostConfig(0.1, max_iters=0)
+
+
+# ---------------------------------------------------------------------------
+# A round reads one conditional array: run_boost against the composition of
+# its public pieces, and how often it reads the model.
+
+
+def bare(model):
+    """A copy of the model with an empty ``prefix_slot``; it shares the memo."""
+    out = copy.copy(model)
+    out.prefix_slot = None
+    return out
+
+
+def composed_run(q0, corpus, new_oracle, epsilon, cap):
+    """run_boost's rounds from public pieces: a new oracle every round, and
+    every call on a slotless copy of the model, so each reads its own rows."""
+    model = ReweightedModel(q0, [])
+    loss, records = log_loss(q0, corpus).log_loss, []
+    for _ in range(cap):
+        g = new_oracle().propose(bare(model), corpus)
+        b = generalized_advantage(g, corpus, bare(model)).value
+        if b < epsilon:
+            records.append((b, loss, g.label))
+            return model, records
+        model = bare(model).extended(b, g)
+        loss = log_loss(bare(model), corpus).log_loss
+        records.append((b, loss, g.label))
+    return model, records
+
+
+class Recorder:
+    def __init__(self, inner):
+        self.inner, self.labels = inner, []
+
+    def propose(self, q, corpus):
+        g = self.inner.propose(q, corpus)
+        self.labels.append(g.label)
+        return g
+
+
+class Capped:
+    """The inner oracle's choice for ``rounds`` rounds, then the zero
+    distinguisher, whose advantage is exactly 0."""
+
+    def __init__(self, inner, rounds):
+        self.inner, self.rounds = inner, rounds
+        self.stop = Distinguisher(lambda prefix: 0.0, label="stop")
+
+    def propose(self, q, corpus):
+        self.rounds -= 1
+        return self.inner.propose(q, corpus) if self.rounds >= 0 else self.stop
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_run_boost_is_the_composition_of_its_pieces_bit_for_bit(data):
+    kind = data.draw(st.sampled_from(["token", "ngram-2", "ngram-3", "log-ratio"]))
+    vocab = make_vocab(data.draw(st.integers(2, 4)))
+    length = data.draw(st.integers(int(kind[-1]) if kind.startswith("ngram") else 1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    corpus = random_corpus(rng, vocab, length, data.draw(st.integers(2, 10)))
+    order = data.draw(st.sampled_from([0, 1, 2]))
+    q0 = ngram_mle_fit(corpus, order, 0.5) if order else UniformModel(vocab, length)
+    if kind == "log-ratio":
+        reference = ngram_mle_fit(corpus, 2, data.draw(st.sampled_from([0.1, 1.0])))
+        make = lambda: LogRatioOracle(reference)  # noqa: E731
+    elif kind == "token":
+        make = TokenIndicatorOracle
+    else:
+        make = lambda: NGramIndicatorOracle(int(kind[-1]))  # noqa: E731
+    epsilon, cap = data.draw(st.sampled_from([0.003, 0.01, 0.05])), 25
+    want_model, want = composed_run(q0, corpus, make, epsilon, cap)
+    oracle = Recorder(make())
+    try:
+        model, trace = run_boost(q0, corpus, oracle, BoostConfig(epsilon, max_iters=cap))
+    except MaxItersExceededError as exc:
+        model, trace = None, exc.trace
+    assert trace.initial_loss == log_loss(q0, corpus).log_loss
+    assert [(r.b, r.log_loss) for r in trace.records] == [(b, loss) for b, loss, _ in want]
+    assert oracle.labels == [label for _, _, label in want]
+    if model is not None:
+        assert model.factors == want_model.factors
+        Q, want_Q = prefix_conditionals(model, corpus), prefix_conditionals(bare(want_model), corpus)
+        assert Q.tobytes() == want_Q.tobytes()
+
+
+def test_an_impossible_sequence_on_the_round_loss_is_log_losss_error(aaab_corpus, half_half):
+    """A distinguisher far outside [0, 1] drives b's conditional to 0, so the
+    corpus's last sequence becomes impossible after the first round."""
+    huge = Distinguisher(lambda prefix: 1000.0 * (prefix[-1] == 2), label="huge")
+
+    class HugeOracle:
+        def propose(self, q, corpus):
+            return huge
+
+    q0 = half_half()
+    b = generalized_advantage(huge, aaab_corpus, ReweightedModel(q0, [])).value
+    with pytest.raises(ValueError) as want:
+        log_loss(ReweightedModel(q0, []).extended(b, huge), aaab_corpus)
+    assert str(want.value) == "sequence 3 is impossible under the model (infinite loss)"
+    with pytest.raises(ValueError) as got:
+        run_boost(q0, aaab_corpus, HugeOracle(), BoostConfig(0.01))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.fixture
+def counted_conditionals(monkeypatch):
+    """The number of ReweightedModel.conditionals calls so far, in a one-item list."""
+    calls = [0]
+    original = ReweightedModel.conditionals
+
+    def conditionals(self, prefixes, memo=True):
+        calls[0] += 1
+        return original(self, prefixes, memo)
+
+    monkeypatch.setattr(ReweightedModel, "conditionals", conditionals)
+    return calls
+
+
+def deep_corpus(seed=5):
+    """80 lines of length 2-8 over 3 letters: a boost-deep-shaped corpus."""
+    return random_corpus(np.random.default_rng(seed), make_vocab(4), 8, 80)
+
+
+class TestOneArrayPerRound:
+    @pytest.mark.parametrize("rounds", [1, 7, 60])
+    def test_a_token_run_reads_each_model_once(self, counted_conditionals, rounds):
+        corpus = deep_corpus()
+        oracle = Capped(TokenIndicatorOracle(), rounds)
+        model, trace = run_boost(UniformModel(corpus.vocab, 8), corpus, oracle,
+                                 BoostConfig(1e-12, max_iters=rounds + 1))
+        assert len(model.factors) == rounds and trace.termination == "indistinguishable"
+        # N rows per round's new model, and N for the first proposal's start.
+        assert counted_conditionals[0] == 8 * rounds + 8
+
+    def test_indicator_oracles_number_contexts_once_per_corpus(self, monkeypatch):
+        import seqboost.boost as boost
+
+        calls = []
+        original = boost.context_groups
+        monkeypatch.setattr(boost, "context_groups",
+                            lambda *args: calls.append(args[0]) or original(*args))
+        corpus = deep_corpus()
+        for oracle in (TokenIndicatorOracle(), NGramIndicatorOracle(3)):
+            calls.clear()
+            run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(oracle, 5),
+                      BoostConfig(1e-12, max_iters=6))
+            assert len(calls) == 1 and calls[0] is corpus.ids
+            # Another corpus, even with equal ids, is counted anew.
+            twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
+            oracle.propose(UniformModel(corpus.vocab, 8), twin)
+            assert len(calls) == 2 and calls[1] is twin.ids
+
+    def test_the_slot_is_read_only_and_keyed_by_the_ids_object(self, counted_conditionals):
+        corpus = deep_corpus()
+        model = ReweightedModel(UniformModel(corpus.vocab, 8), [(0.5, token_indicator(corpus.vocab, 1))])
+        Q = prefix_conditionals(model, corpus)
+        assert model.prefix_slot[0] is corpus.ids and model.prefix_slot[1] is Q
+        assert not Q.flags.writeable
+        with pytest.raises(ValueError):
+            Q[0, 0, 0] = 1.0
+        assert prefix_conditionals(model, corpus) is Q and counted_conditionals[0] == 8
+        twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
+        twin_Q = prefix_conditionals(model, twin)
+        assert twin_Q is not Q and counted_conditionals[0] == 16
+        assert twin_Q.tobytes() == Q.tobytes() and model.prefix_slot[0] is twin.ids
+
+    def test_extended_empties_the_parents_slot(self):
+        corpus = deep_corpus()
+        parent = ReweightedModel(UniformModel(corpus.vocab, 8), [])
+        prefix_conditionals(parent, corpus)
+        child = parent.extended(0.25, token_indicator(corpus.vocab, 2))
+        assert parent.prefix_slot is None and child.prefix_slot is None
+
+    def test_a_log_ratio_run_keeps_at_most_one_array(self):
+        corpus = deep_corpus()
+        reference = ngram_mle_fit(corpus, 2, 0.5)
+        model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus,
+                             Capped(LogRatioOracle(reference), 12), BoostConfig(1e-12, max_iters=13))
+        captured = [g.models[0] for _, g in model.factors]
+        assert len(captured) == 12
+        assert sum(m.prefix_slot is not None for m in captured + [model]) <= 1

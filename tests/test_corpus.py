@@ -127,6 +127,29 @@ def test_corpus_stores_one_read_only_id_array():
         Corpus(vocab, 2, np.array([[1, 2, 0]]))
 
 
+def test_corpus_ids_do_not_alias_the_callers_array(tmp_path):
+    vocab = Vocabulary.build(["a", "b"])
+    source = np.array([[1, 2, 0], [2, 0, 0]])
+    read_only_view = source.view()
+    read_only_view.flags.writeable = False
+    corpora = [Corpus(vocab, 3, source), Corpus(vocab, 3, read_only_view),
+               Corpus(vocab, 2, source[:, :2]), Corpus(vocab, 3, source.astype(np.int32))]
+    source[0, 0] = 2
+    source[1, 1] = 1
+    for corpus in corpora:
+        assert not np.shares_memory(source, corpus.ids)
+        assert corpus.ids[:, :2].tolist() == [[1, 2], [2, 0]]
+    # An array nothing else can write to is kept as it is: load_corpus hands
+    # its own array over that way.
+    owned = np.array([[1, 2, 0]])
+    owned.flags.writeable = False
+    assert Corpus(vocab, 3, owned).ids is owned
+    path = tmp_path / "c.txt"
+    path.write_text("a b\n", encoding="utf-8")
+    loaded, _ = load_corpus(path, 3, vocab)
+    assert loaded.ids.base is None and not loaded.ids.flags.writeable
+
+
 def test_save_corpus_rejects_rows_it_cannot_write(tmp_path):
     vocab = Vocabulary.build(["a", "b"])
     raw = Sequence.from_raw
