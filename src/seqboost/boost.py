@@ -365,17 +365,20 @@ class TokenIndicatorOracle(NGramIndicatorOracle):
 
 
 class LogRatioOracle:
-    """Distinguish via conditional log-ratios against a lower-loss reference model."""
+    """Distinguish via conditional log-ratios against a lower-loss reference model.
+    The reference's corpus conditionals are read again only for another ``corpus.ids``."""
 
     def __init__(self, reference: SequentialModel, ratio_cap: float = 1e6):
         self.reference = reference
         self.ratio_cap = ratio_cap
+        self._reference_rows: tuple = (None,)
 
     def _bound(self, q: SequentialModel, corpus: Corpus) -> float:
         """The largest ratio either way between q and the reference at the
         corpus prefixes, where both are positive, clamped to (1, ratio_cap]."""
-        dq = prefix_conditionals(q, corpus)
-        dr = prefix_conditionals(self.reference, corpus)
+        if self._reference_rows[0] is not corpus.ids:
+            self._reference_rows = corpus.ids, prefix_conditionals(self.reference, corpus)
+        dq, dr = prefix_conditionals(q, corpus), self._reference_rows[1]
         both = (dq > 0) & (dr > 0)
         r = dq[both] / dr[both]
         worst = max(1.0, float(r.max()), float((1.0 / r).max())) if r.size else 1.0

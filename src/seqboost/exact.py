@@ -33,8 +33,12 @@ def all_sequences(vocab: Vocabulary, length: int) -> list[Sequence]:
 
 def all_ids(n: int, length: int) -> np.ndarray:
     """The (n^length, length) array whose row i is i written as base-n digits:
-    every id sequence, in ``sequence_index`` order."""
-    return np.arange(n**length)[:, None] // n ** np.arange(length - 1, -1, -1) % n
+    every id sequence, in ``sequence_index`` order.  Column c repeats each
+    digit for n^(length-c-1) rows, in n^c runs of 0..n-1."""
+    out = np.empty((n**length, length), dtype=np.int64)
+    for c in range(length):
+        out.reshape(n**c, n, n ** (length - c - 1), length)[:, :, :, c] = np.arange(n)[:, None]
+    return out
 
 
 def sequence_index(vocab: Vocabulary, ids) -> np.ndarray:
@@ -49,8 +53,12 @@ class JointTable(SequentialModel):
     """Explicit probabilities for every sequence, in lexicographic order.
 
     As a sequential model its conditionals come by marginalization: every
-    prefix owns a contiguous block of indices, so a conditional is a set of
-    block sums over a cumulative-sum array.
+    prefix owns a contiguous block of indices.  ``_levels[L]`` holds the
+    (n^L, n) conditionals of every length-L prefix, built once per table
+    from the longest prefixes up: each level's masses are the row sums of the
+    level below, so no mass is a difference and none is lost.  The levels
+    take n(n^N - 1)/(n - 1) floats, at most twice ``probs``; they are the
+    table itself, so ``memo`` does not apply to them.
     """
 
     vocab: Vocabulary
@@ -62,6 +70,8 @@ class JointTable(SequentialModel):
         expected = self.vocab.n**self.length
         if self.probs.shape != (expected,):
             raise ValueError(f"need {expected} probabilities, got {self.probs.shape}")
+        if not np.isfinite(self.probs).all():
+            raise ValueError("non-finite probability")
         if np.any(self.probs < -1e-12):
             raise ValueError("negative probability")
         if abs(self.probs.sum() - 1.0) > 1e-9:
@@ -74,21 +84,21 @@ class JointTable(SequentialModel):
         return all_ids(self.vocab.n, self.length)
 
     @cached_property
-    def _cumsum(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.probs)])
+    def _levels(self) -> list[np.ndarray]:
+        n, levels, masses = self.vocab.n, [], self.probs
+        for _ in range(self.length):
+            masses = masses.reshape(-1, n)
+            totals = masses.sum(axis=1, keepdims=True)
+            # A zero-mass prefix has no conditional: it gets the uniform one.
+            levels.append(np.divide(masses, totals, out=np.full(masses.shape, 1.0 / n),
+                                    where=totals > 0.0))
+            masses = totals
+        return levels[::-1]
 
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
-        """Block sums over the cumsum for every row at once."""
+        """One gather from the level of the prefixes' length."""
         prefixes = np.asarray(prefixes)
-        n = self.vocab.n
-        width = n ** (self.length - prefixes.shape[1])
-        starts = sequence_index(self.vocab, prefixes) * width
-        edges = self._cumsum[starts[:, None] + np.arange(n + 1) * (width // n)]
-        masses = np.diff(edges, axis=1)
-        totals = masses.sum(axis=1, keepdims=True)
-        # A zero-mass prefix has no conditional: it gets the uniform one.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(totals > 0.0, masses / totals, 1.0 / n)
+        return self._levels[prefixes.shape[1]][sequence_index(self.vocab, prefixes)]
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -121,13 +121,14 @@ class NGramModel(SequentialModel):
         return prefixes[:, prefixes.shape[1] - min(self.order - 1, prefixes.shape[1]) :]
 
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
-        """One dictionary lookup per distinct context, then a gather."""
+        """One dictionary lookup per distinct context (``row_numbers``), then a gather."""
         prefixes = np.asarray(prefixes)
-        contexts, rows = np.unique(self._contexts(prefixes), axis=0, return_inverse=True)
+        contexts = self._contexts(prefixes)
+        codes, first = row_numbers(contexts)
         table = np.array([
-            self.cond.get(ctx, self._uniform) for ctx in map(tuple, contexts.tolist())
-        ]).reshape(len(contexts), self.vocab.n)
-        out = table[rows.reshape(-1)]
+            self.cond.get(ctx, self._uniform) for ctx in map(tuple, contexts[first].tolist())
+        ]).reshape(len(first), self.vocab.n)
+        out = table[codes]
         if prefixes.shape[1]:
             out[prefixes[:, -1] == PAD_ID] = self._pad_onehot
         return out
@@ -147,6 +148,21 @@ class NGramModel(SequentialModel):
         return out
 
 
+def row_numbers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a (k, w) array of ints >= -1: each row's
+    number, and for each number the index of its first row.  Numbers follow
+    the rows' lexicographic order; with no column, every row is number 0.
+
+    One 1-D ``np.unique`` per column, renumbering after each so that the
+    numbers stay below k: no row sort.
+    """
+    base = int(rows.max(initial=0)) + 2  # above every entry + 1
+    codes, first = np.zeros(len(rows), dtype=np.int64), np.arange(min(len(rows), 1))
+    for col in rows.T:
+        _, first, codes = np.unique(codes * base + col + 1, return_index=True, return_inverse=True)
+    return codes, first
+
+
 def context_groups(
     ids: np.ndarray, width: int, counted: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -158,17 +174,11 @@ def context_groups(
     context, in row-major order, and the contexts in rank order: contexts rank
     in order of first appearance, row by row.
     """
-    base = int(ids.max(initial=0)) + 2  # above every id + 1; 0 is before the start
     padded = np.concatenate([np.full((len(ids), width), -1, dtype=np.int64), ids], axis=1)
     rows, cols = np.nonzero(counted)
     # context[p]: the width ids before counted position p, -1 before the start.
     context = padded[rows[:, None], cols[:, None] + np.arange(width)]
-    # Number the contexts one column at a time, renumbering after each column
-    # so that the numbers stay below the count of positions.  With no column,
-    # every position has the empty context, first seen at position 0.
-    codes, first = np.zeros(len(rows), dtype=np.int64), np.arange(min(len(rows), 1))
-    for col in context.T:
-        _, first, codes = np.unique(codes * base + col + 1, return_index=True, return_inverse=True)
+    codes, first = row_numbers(context)
     by_first = np.argsort(first)
     contexts = [tuple(t for t in ctx if t >= 0) for ctx in context[first[by_first]].tolist()]
     return np.argsort(by_first)[codes], contexts

@@ -720,6 +720,55 @@ def test_context_groups_match_a_dict_loop(corpus, width, mask):
     assert contexts == list(ranks)
 
 
+@st.composite
+def ngram_batches(draw):
+    """An order 1-4 n-gram with some contexts unseen, and a (k, L) prefix array,
+    k 0-12 and L 0-5 (so some prefixes are shorter than order-1), pads anywhere."""
+    n, order = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cond = {}
+    for width in range(order):
+        for ctx in itertools.product(range(n), repeat=width):
+            if rng.random() < 0.5:
+                cond[ctx] = rng.dirichlet(np.ones(n))
+    width = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=width, max_size=width),
+                         min_size=0, max_size=12))
+    prefixes = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    return NGramModel(make_vocab(n), 6, order, cond), prefixes
+
+
+def assert_ngram_rows_are_dict_lookups(model, prefixes):
+    n, pad = model.vocab.n, np.eye(model.vocab.n)[PAD_ID]
+    want = [
+        pad if p and p[-1] == PAD_ID
+        else model.cond.get(tuple(p[max(0, len(p) - model.order + 1):]), np.full(n, 1.0 / n))
+        for p in prefixes.tolist()
+    ]
+    got = model.conditionals(prefixes)
+    assert got.shape == (len(prefixes), n)
+    assert got.tobytes() == np.array(want).reshape(len(prefixes), n).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ngram_batches())
+def test_ngram_conditionals_are_per_row_dict_lookups_bit_for_bit(batch):
+    assert_ngram_rows_are_dict_lookups(*batch)
+
+
+@pytest.mark.parametrize("order, rows", [
+    (3, np.zeros((0, 4), dtype=np.int64)),  # an empty batch
+    (3, np.zeros((4, 0), dtype=np.int64)),  # width 0: the empty context
+    (1, np.array([[1, 2], [2, 1]])),  # order 1: every row the empty context
+    (4, np.array([[1], [2], [1]])),  # shorter than order - 1
+    (3, np.array([[1, 1, 2], [2, 2, 2], [2, 1, 2]])),  # (2, 2) unseen
+    (3, np.array([[1, 0, 0], [1, 2, 0], [0, 1, 1], [1, 0, 1]])),  # rows after a pad
+])
+def test_ngram_conditionals_edge_cases(order, rows):
+    cond = {ctx: np.array([0.0, 0.25, 0.75]) for ctx in [(), (1,), (2,), (1, 2), (0, 1), (1, 0)]}
+    assert_ngram_rows_are_dict_lookups(NGramModel(make_vocab(3), 6, order, cond), rows)
+
+
 def scalar_bound(q, reference, corpus, ratio_cap):
     worst = 1.0
     for seq in corpus.sequences:

@@ -476,6 +476,22 @@ class TestOneArrayPerRound:
         child = parent.extended(0.25, token_indicator(corpus.vocab, 2))
         assert parent.prefix_slot is None and child.prefix_slot is None
 
+    def test_a_log_ratio_run_reads_its_reference_once_per_corpus(self):
+        corpus = deep_corpus()
+        reference = ngram_mle_fit(corpus, 2, 0.5)
+        calls = []
+        original = reference.conditionals
+        reference.conditionals = lambda prefixes, memo=True: (
+            calls.append(prefixes.shape[1]) or original(prefixes, memo))
+        oracle = LogRatioOracle(reference)
+        model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(oracle, 10),
+                             BoostConfig(1e-12, max_iters=11))
+        assert len(model.factors) == 10
+        assert calls == list(range(8))  # N calls, one per position, not N per round
+        # Another corpus, even with equal ids, is read anew.
+        oracle.propose(model, Corpus(corpus.vocab, 8, corpus.ids.copy()))
+        assert calls == list(range(8)) * 2
+
     def test_a_log_ratio_run_keeps_at_most_one_array(self):
         corpus = deep_corpus()
         reference = ngram_mle_fit(corpus, 2, 0.5)

@@ -1,15 +1,18 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqboost.checks import make_vocab, random_table
-from seqboost.corpus import Sequence, Vocabulary
+from seqboost.corpus import Corpus, Sequence, Vocabulary
 from seqboost.distinguish import Distinguisher, advantage_exact
 from seqboost.exact import (
     BudgetExceededError,
     JointTable,
+    all_ids,
     all_indicator_distinguishers,
     all_sequences,
     cross_entropy,
@@ -20,7 +23,7 @@ from seqboost.exact import (
     sequence_index,
     total_variation,
 )
-from seqboost.models import UniformModel, sequence_log_probs
+from seqboost.models import UniformModel, log_loss, sequence_log_probs
 
 from conftest import StubModel
 
@@ -89,6 +92,77 @@ def test_zero_mass_prefix_has_uniform_conditional(ab_vocab):
     np.testing.assert_array_equal(table.next_token_dist((2,)), np.full(3, 1 / 3))
     np.testing.assert_array_equal(table.next_token_dist((1,)), [0.5, 0.0, 0.5])
     np.testing.assert_array_equal(table.next_token_dist(()), [0.0, 1.0, 0.0])
+
+
+@st.composite
+def spiky_tables(draw):
+    """Random tables, n in 2..5 and N in 1..3, whose entries are 0 or span 30
+    decades: a cumulative sum would lose the small ones."""
+    n, length = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0.0), st.builds(lambda x, e: x * 10.0**-e,
+                                              st.floats(1.0, 10.0), st.integers(0, 30)))
+    weights = np.array(draw(st.lists(entry, min_size=n**length, max_size=n**length)))
+    if weights.sum() <= 0.0:
+        weights[0] = 1.0
+    return JointTable(make_vocab(n), length, weights / weights.sum())
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(tables(), spiky_tables()))
+def test_every_level_is_its_block_masses_normalised(table):
+    n, N = table.vocab.n, table.length
+    for length in range(N):
+        width = n ** (N - length - 1)
+        for i, cond in enumerate(table.conditionals(all_ids(n, length)).tolist()):
+            masses = [math.fsum(table.probs[(i * n + t) * width:(i * n + t + 1) * width])
+                      for t in range(n)]
+            total = math.fsum(masses)
+            want = [m / total for m in masses] if total > 0 else [1.0 / n] * n
+            np.testing.assert_allclose(cond, want, rtol=1e-12, atol=0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(tables(), spiky_tables()))
+def test_enumerate_joint_keeps_every_positive_entry(table):
+    probs = enumerate_joint(table).probs
+    positive = table.probs > 1e-300  # far above the subnormals, where exp(log p) is coarse
+    np.testing.assert_allclose(probs[positive], table.probs[positive], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(probs, table.probs, rtol=0, atol=1e-12)
+
+
+def test_a_tiny_mass_is_not_lost():
+    vocab = make_vocab(3)
+    table = JointTable(vocab, 2, [0.5, 0.2, 0.3 - 1e-20, 0, 0, 0, 0, 0, 1e-20])
+    np.testing.assert_array_equal(table.next_token_dist((2,)), [0.0, 0.0, 1.0])
+    assert enumerate_joint(table).probs[-1] == pytest.approx(1e-20, rel=1e-12)
+    loss = log_loss(table, Corpus(vocab, 2, np.array([[2, 2]])))
+    assert loss.log_loss == pytest.approx(-math.log(1e-20), rel=1e-12)  # about 46.0517
+
+
+def test_zero_mass_prefixes_stay_uniform_without_a_warning(ab_vocab):
+    # Prefixes (1,) and (2, 1) have no mass, and with them (1, t) for every t.
+    probs = np.zeros(27)
+    probs[[0, 20, 26]] = [0.25, 0.25, 0.5]  # (0,0,0), (2,0,2), (2,2,2)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        table = JointTable(ab_vocab, 3, probs)
+        for prefix in [(1,), (2, 1), (1, 0), (1, 2)]:
+            np.testing.assert_array_equal(table.next_token_dist(prefix), np.full(3, 1 / 3))
+        np.testing.assert_allclose(table.next_token_dist((2,)), [1 / 3, 0.0, 2 / 3], rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_joint_table_rejects_non_finite_probabilities(ab_vocab, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        JointTable(ab_vocab, 1, [bad, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("length", range(0, 5))
+def test_all_ids_are_the_product_rows(n, length):
+    ids = all_ids(n, length)
+    assert ids.dtype == np.int64 and ids.shape == (n**length, length)
+    assert ids.tolist() == [list(row) for row in itertools.product(range(n), repeat=length)]
 
 
 def test_enumerate_budget():
