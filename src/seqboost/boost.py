@@ -37,6 +37,10 @@ from .models import (
 
 # The most token ids one block of ReweightedModel's batched rows extends to (2 MB).
 EXTENSION_BLOCK = 1 << 18
+# Up to this weight total a row's largest weight is at least e^-300 / n, far
+# from underflow, so logits are exponentiated as they are; past it, each row
+# is first shifted by its largest logit.
+SHIFT_PAST = 300.0
 
 
 def _row_keys(prefixes: np.ndarray) -> np.ndarray:
@@ -50,17 +54,18 @@ def _row_keys(prefixes: np.ndarray) -> np.ndarray:
 class ReweightedModel(SequentialModel):
     """A base model with an ordered list of (weight, step distinguisher) factors.
 
-    Conditionals are the base conditionals times exp(-sum_t b_t g_t), with a
-    per-prefix partition.  Computed in log space; an empty factor list leaves
-    the base untouched.  Weights must be finite and nonnegative (a negative
-    weight is a flipped distinguisher).  ``partition_scale`` is a test hook
-    that deliberately mis-scales the partition (1.0 in all real use).
+    A prefix's logits are the log of its base row minus b_t g_t, one factor
+    at a time in factor order; ``_rows`` turns them into conditionals, so a
+    base-0 entry stays 0.  Weights must be nonnegative (a negative weight is a
+    flipped distinguisher) with a finite running total ``weight_total``, which
+    bounds every logit since each g is in [0, 1].  ``partition_scale`` is a
+    test hook that deliberately mis-scales the partition (1.0 in real use).
 
-    Computed rows are memoised in one block per prefix length L: the distinct
+    Logits are memoised in one block per prefix length L: the distinct
     prefixes seen so far, a (K, L) array sorted by their ``_row_keys``, the
-    keys (a view of that array) and the (K, n) conditionals in the same
-    order.  A fresh model starts with no blocks.  ``prefix_slot`` is where
-    ``prefix_conditionals`` keeps the model's last corpus array.
+    keys (a view of that array) and the (K, n) logits in the same order.
+    ``prefix_slot`` is where ``prefix_conditionals`` keeps the model's last
+    corpus array.
     """
 
     def __init__(
@@ -74,11 +79,15 @@ class ReweightedModel(SequentialModel):
             raise ValueError("weight must be nonnegative; flip the distinguisher instead")
         if not all(b < math.inf for b, _ in factors):  # NaN too
             raise ValueError("weight must be finite")
+        total = sum((b for b, _ in factors), getattr(base, "weight_total", 0.0))
+        if not total < math.inf:
+            raise ValueError(f"the weights' running total {total} is not finite")
         if isinstance(base, ReweightedModel):
             factors = base.factors + factors
             base = base.base
         self.base = base
         self.factors = factors
+        self.weight_total = total
         self.vocab = base.vocab
         self.length = base.length
         self.partition_scale = partition_scale
@@ -86,25 +95,25 @@ class ReweightedModel(SequentialModel):
         self.prefix_slot: tuple[np.ndarray, np.ndarray] | None = None
 
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
-        """Memoised rows where there are any, found with one ``searchsorted``;
-        the others from ``_reweighted``, each distinct prefix once, merged into
-        the memo unless ``memo`` is false."""
+        """Memoised logits where there are any, found with one ``searchsorted``;
+        the others from ``_logits``, each distinct prefix once, merged into the
+        memo unless ``memo`` is false.  Then ``_rows``."""
         prefixes = np.ascontiguousarray(prefixes, dtype=np.int64)
         if not self.factors:
             return self.base.conditionals(prefixes, memo)
         L = prefixes.shape[1]
         block = self._memo.get(L)
         if block is None and not memo:
-            return self._reweighted(prefixes)
+            return self._rows(self._logits(prefixes))
         keys = _row_keys(prefixes)
         if block is None:
             miss = np.arange(len(keys))
         else:
-            known, known_keys, rows = block
+            known, known_keys, logits = block
             pos = known_keys.searchsorted(keys)
             hit = known_keys.take(pos, mode="clip") == keys
             if np.count_nonzero(hit) == len(keys):
-                return rows.take(pos, axis=0)
+                return self._rows(logits.take(pos, axis=0))
             miss = (~hit).nonzero()[0]
         # The missing rows in key order: each run of equal keys is one new prefix.
         miss = miss.take(keys.take(miss).argsort())
@@ -114,61 +123,50 @@ class ReweightedModel(SequentialModel):
         starts[1:] = ordered[1:] != ordered[:-1]
         new = miss[starts]
         added = prefixes.take(new, axis=0)
-        fresh = self._reweighted(added)
+        fresh = self._logits(added)
         if block is not None:
             # Each new prefix goes in at its search position, the new ones in
             # key order among themselves, so the block stays sorted.
             at = pos.take(new)
-            added, fresh = np.insert(known, at, added, axis=0), np.insert(rows, at, fresh, axis=0)
+            added, fresh = np.insert(known, at, added, axis=0), np.insert(logits, at, fresh, axis=0)
         added_keys = _row_keys(added)
         if memo and len(added):  # a block is never empty, so it can always be searched
             self._memo[L] = added, added_keys, fresh
-        return fresh.take(added_keys.searchsorted(keys), axis=0)
+        return self._rows(fresh.take(added_keys.searchsorted(keys), axis=0))
 
-    def _reweighted(self, prefixes: np.ndarray) -> np.ndarray:
-        """The conditionals of a (k, L) prefix array, computed from the base.
-
-        Row by row, the scalar formula: the factor terms b_t g_t are added in
-        factor order, subtracted from the log of the base row, and exponentiated
-        against the row's largest finite log.  Rows go in blocks whose
-        (rows, n, L + 1) token extensions hold at most EXTENSION_BLOCK ids, so
-        a level of ``enumerate_joint`` needs little memory.
-        """
+    def _logits(self, prefixes: np.ndarray) -> np.ndarray:
+        """The logits of a (k, L) prefix array from the base, in blocks whose
+        (rows, n, L + 1) token extensions hold at most EXTENSION_BLOCK ids."""
         (k, L), n = prefixes.shape, self.vocab.n
         step = max(1, EXTENSION_BLOCK // (n * (L + 1)))
         if k > step:
-            return np.concatenate([self._reweighted(prefixes[i : i + step])
+            return np.concatenate([self._logits(prefixes[i : i + step])
                                    for i in range(0, k, step)])
-        base = self.base.conditionals(prefixes)
-        live = base > 0.0
         with np.errstate(divide="ignore"):
-            logs = np.log(base)
-        terms = np.zeros(base.shape)
+            logits = np.log(self.base.conditionals(prefixes))
         ext = extensions(prefixes, n)
         for b, g in self.factors:
-            terms += b * g.values(ext)
-        logs[live] -= terms[live]
-        shift = logs.max(axis=1, keepdims=True)
-        weights = np.zeros(base.shape)
-        weights[live] = np.exp((logs - shift)[live])
-        return weights / (weights.sum(axis=1, keepdims=True) * self.partition_scale)
+            logits -= b * g.values(ext)
+        return logits
+
+    def _rows(self, logits: np.ndarray) -> np.ndarray:
+        """The conditionals of a (k, n) array of logits, each row on its own."""
+        if self.weight_total > SHIFT_PAST:
+            logits = logits - logits.max(axis=1, keepdims=True)
+        weights = np.exp(logits)
+        return weights / (np.add.reduce(weights, axis=1, keepdims=True) * self.partition_scale)
 
     def extended(self, b: float, g: Distinguisher) -> "ReweightedModel":
-        """This model with the factor (b, g) appended, its memo carried forward.
-
-        Each memo block's rows are multiplied by exp(-b g(prefix, .)) and
-        renormalised in one pass, so a new factor costs one pass over the
-        memoised prefixes however many factors came before.  The child shares
-        the blocks' prefix arrays.  Other prefixes are computed afresh.  This
-        model's ``prefix_slot`` is emptied, so a run keeps one array.
-        """
+        """This model with the factor (b, g) appended.  Each memo block's logits
+        take the subtraction a fresh chain's last factor takes, so a new factor
+        costs one pass over the memoised prefixes and a carried row is the
+        fresh chain's bit for bit.  The child shares the blocks' prefix arrays.
+        This model's ``prefix_slot`` is emptied, so a run keeps one array."""
         self.prefix_slot = None
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
         n = self.vocab.n
-        for L, (known, keys, rows) in self._memo.items():
-            weights = rows * np.exp(-b * g.values(extensions(known, n)))
-            child._memo[L] = known, keys, weights / (weights.sum(axis=1, keepdims=True)
-                                                     * self.partition_scale)
+        for L, (known, keys, logits) in self._memo.items():
+            child._memo[L] = known, keys, logits - b * g.values(extensions(known, n))
         return child
 
 

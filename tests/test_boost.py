@@ -12,6 +12,7 @@ from seqboost.boost import (
     LogRatioOracle,
     MaxItersExceededError,
     NGramIndicatorOracle,
+    SHIFT_PAST,
     ReweightedModel,
     TokenIndicatorOracle,
     iteration_bound,
@@ -94,6 +95,24 @@ class TestStepwiseReweight:
         with pytest.raises(ValueError, match="^weight must be finite$"):
             ReweightedModel(half_half(), [(b, token_indicator(ab_vocab, 2))])
 
+    def test_weights_whose_running_total_overflows_rejected(self, ab_vocab, half_half):
+        g = token_indicator(ab_vocab, 2)
+        model = ReweightedModel(half_half(), [(1e308, g)])
+        for make in (lambda: model.extended(1e308, g.flipped()),
+                     lambda: ReweightedModel(half_half(), [(1e308, g), (1e308, g.flipped())])):
+            with pytest.raises(ValueError, match="running total inf is not finite"):
+                make()
+
+    def test_a_penalty_every_token_takes_leaves_the_base_row(self, ab_vocab, half_half):
+        # exp(-800) underflows to 0; past SHIFT_PAST each row is shifted by its
+        # largest logit first, so the row is the base's, and the pad stays 0.
+        g = token_indicator(ab_vocab, 2)
+        model = ReweightedModel(half_half(), [(800.0, g), (800.0, g.flipped())])
+        assert model.weight_total > SHIFT_PAST
+        row = model.next_token_dist(())
+        assert row[0] == 0.0
+        np.testing.assert_allclose(row, [0.0, 0.5, 0.5], rtol=1e-12)
+
     def test_suite_with_an_infinite_min_slack_fails(self):
         # A zero partition scale makes every conditional infinite, so every
         # instance's slack is inf: nothing was shown, and the suite must fail.
@@ -147,19 +166,19 @@ class TestStepwiseReweight:
         g = token_indicator(ab_vocab, 2)
         cached = ReweightedModel(half_half(), [(0.5, g)])
         first = cached.next_token_dist(())
-        known, _, rows = cached._memo[0]
-        assert known.shape == (1, 0) and rows.tobytes() == first.tobytes()
-        # A planted row is what both forms return: the memo is read, not recomputed.
-        sentinel = np.array([0.25, 0.25, 0.5])
-        rows[0] = sentinel
+        known, _, logits = cached._memo[0]
+        assert known.shape == (1, 0) and cached._rows(logits).tobytes() == first.tobytes()
+        # Planted logits give what both forms return: the memo is read, not recomputed.
+        logits[0] = [-math.inf, 0.0, 0.0]
+        sentinel = np.array([0.0, 0.5, 0.5])
         np.testing.assert_array_equal(cached.next_token_dist(()), sentinel)
         np.testing.assert_array_equal(cached.conditionals(np.zeros((2, 0), dtype=np.int64)),
                                       [sentinel, sentinel])
-        # In a block of several prefixes, the search finds the planted one's row.
+        # In a block of several prefixes, the search finds the planted one's logits.
         cached.conditionals(np.array([[2], [1], [0], [1]]))
-        known, _, rows = cached._memo[1]
+        known, _, logits = cached._memo[1]
         assert sorted(known.ravel().tolist()) == [0, 1, 2]
-        rows[known.ravel().tolist().index(1)] = sentinel
+        logits[known.ravel().tolist().index(1)] = [-math.inf, 0.0, 0.0]
         got = cached.conditionals(np.array([[1], [2], [1]]))
         np.testing.assert_array_equal(got[[0, 2]], [sentinel, sentinel])
         assert got[1].tobytes() == cached.next_token_dist((2,)).tobytes()

@@ -730,6 +730,23 @@ class TestModelHeaders:
         assert result.exit_code == 2, result.output
         assert "cannot load model" in result.output and message in result.output
 
+    def test_weights_whose_total_overflows_exit_2(self, runner, tmp_path):
+        # Every token takes one penalty of 2e308: the true conditionals are the
+        # base's, but the running total of the weights is not finite.
+        flip = TOKEN_FACTOR.replace("[1]", '[1, "flip"]')
+        factors = "".join(f"factor=1e308|{g}\n" for g in (TOKEN_FACTOR, TOKEN_FACTOR, flip, flip))
+        text = REWEIGHTED_FILE.replace("factors=1\n", "factors=4\n").replace(
+            f"factor=0.5|{TOKEN_FACTOR}\n", factors)
+        assert text.count("factor=1e308|") == 4
+        corpus = tmp_path / "aab.txt"
+        corpus.write_text("a a\na a\na b\n")
+        by_table = self.eval_table(runner, tmp_path, text)
+        by_corpus = runner.invoke(main, ["eval", "--model", str(tmp_path / "model.txt"),
+                                         "--corpus", str(corpus)])
+        for result in (by_table, by_corpus):
+            assert result.exit_code == 2, result.output
+            assert "cannot load model" in result.output and "not finite" in result.output
+
     @pytest.mark.parametrize("kind", ["uniform", "ngram"])
     @pytest.mark.parametrize("length", ["-1", "0"])
     def test_length_below_1_exits_2(self, runner, tmp_path, kind, length):

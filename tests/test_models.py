@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqboost.boost import ReweightedModel
+from seqboost.boost import BoostConfig, ReweightedModel, make_oracle, run_boost
 from seqboost.checks import make_vocab, random_corpus, random_table
 from seqboost.corpus import Corpus, Sequence, Vocabulary
 from seqboost.distinguish import ngram_indicator, step_log_ratio, token_indicator
@@ -18,6 +18,7 @@ from seqboost.models import (
     kl_gradient,
     log_loss,
     ngram_mle_fit,
+    prefix_conditionals,
     sample_many,
     sequence_log_probs,
 )
@@ -602,7 +603,7 @@ class TestLogRatioFile:
     )
     def test_chain_with_log_ratio_factors_round_trips(self, n, length, seed, specs):
         # Built as run_boost builds it: each factor against the model so far,
-        # appended by `extended`, which rounds differently from a fresh chain.
+        # appended by `extended`, whose rows are a fresh chain's bit for bit.
         vocab = make_vocab(n)
         reference = random_bigram(np.random.default_rng(seed), vocab, length)
         prefixes = [seq.token_ids for j in range(length) for seq in all_sequences(vocab, j)]
@@ -619,9 +620,7 @@ class TestLogRatioFile:
             model = model.extended(b, g)
         loaded = model_from_text(model_to_text(model))
         for prefix in prefixes:
-            np.testing.assert_allclose(
-                loaded.next_token_dist(prefix), model.next_token_dist(prefix), rtol=1e-12, atol=0
-            )
+            np.testing.assert_array_equal(loaded.next_token_dist(prefix), model.next_token_dist(prefix))
 
     def test_writer_refuses_factors_it_cannot_rebuild(self, ab_vocab):
         base = UniformModel(ab_vocab, 2)
@@ -633,3 +632,29 @@ class TestLogRatioFile:
         two_refs = first.extended(0.2, step_log_ratio(first, other, 2.0))
         with pytest.raises(ValueError, match="more than one reference"):
             model_to_text(two_refs)
+
+
+def skewed_corpus(rng, vocab, length, m):
+    """m sequences of 1..length content tokens drawn from one random unigram."""
+    weights = rng.dirichlet(np.ones(vocab.n - 1))
+    seqs = [Sequence.from_ids(rng.choice(np.arange(1, vocab.n), size=rng.integers(1, length + 1),
+                                         p=weights).tolist(), length) for _ in range(m)]
+    return Corpus(vocab, length, tuple(seqs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["token-indicator", "ngram-indicator", "log-ratio"]),
+       st.integers(3, 5), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_a_boosted_model_reads_back_with_the_traced_loss_and_rows(kind, n, length, seed):
+    """A boosted model written and read back has the live model's corpus rows
+    bit for bit, so its loss is the trace's final loss, with ==."""
+    corpus = skewed_corpus(np.random.default_rng(seed), make_vocab(n), length, 24)
+    if kind == "log-ratio":
+        q0, reference = ngram_mle_fit(corpus, 1, 0.5), ngram_mle_fit(corpus, 2, 0.1)
+    else:
+        q0, reference = UniformModel(corpus.vocab, length), None
+    model, trace = run_boost(q0, corpus, make_oracle(kind, 2, reference), BoostConfig(0.03))
+    loaded = model_from_text(model_to_text(model))
+    assert log_loss(loaded, corpus).log_loss == trace.records[-1].log_loss
+    live = prefix_conditionals(model, corpus)
+    assert prefix_conditionals(loaded, corpus).tobytes() == live.tobytes()
