@@ -37,10 +37,6 @@ from .models import (
 
 # The most token ids one block of ReweightedModel's batched rows extends to (2 MB).
 EXTENSION_BLOCK = 1 << 18
-# Up to this weight total a row's largest weight is at least e^-300 / n, far
-# from underflow, so logits are exponentiated as they are; past it, each row
-# is first shifted by its largest logit.
-SHIFT_PAST = 300.0
 
 
 def _row_keys(prefixes: np.ndarray) -> np.ndarray:
@@ -57,9 +53,10 @@ class ReweightedModel(SequentialModel):
     A prefix's logits are the log of its base row minus b_t g_t, one factor
     at a time in factor order; ``_rows`` turns them into conditionals, so a
     base-0 entry stays 0.  Weights must be nonnegative (a negative weight is a
-    flipped distinguisher) with a finite running total ``weight_total``, which
-    bounds every logit since each g is in [0, 1].  ``partition_scale`` is a
-    test hook that deliberately mis-scales the partition (1.0 in real use).
+    flipped distinguisher) whose running total ``weight_total`` is finite:
+    with each g in [0, 1], that keeps every logit finite.  ``partition_scale``
+    is a test hook that deliberately mis-scales the partition (1.0 in real
+    use).
 
     Logits are memoised in one block per prefix length L: the distinct
     prefixes seen so far, a (K, L) array sorted by their ``_row_keys``, the
@@ -150,10 +147,9 @@ class ReweightedModel(SequentialModel):
         return logits
 
     def _rows(self, logits: np.ndarray) -> np.ndarray:
-        """The conditionals of a (k, n) array of logits, each row on its own."""
-        if self.weight_total > SHIFT_PAST:
-            logits = logits - logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits)
+        """The conditionals of a (k, n) array of logits, each row shifted by its
+        largest logit first, so that no row underflows or overflows whole."""
+        weights = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
         return weights / (np.add.reduce(weights, axis=1, keepdims=True) * self.partition_scale)
 
     def extended(self, b: float, g: Distinguisher) -> "ReweightedModel":

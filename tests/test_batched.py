@@ -527,7 +527,7 @@ def test_memoised_rows_are_a_fresh_models_rows_bit_for_bit(data):
         assert got.tobytes() == fresh(model).conditionals(q, memo=False).tobytes()
         assert model.conditionals(q).tobytes() == got.tobytes()  # now every row hits
 
-    # A weight past SHIFT_PAST makes the child shift its rows and the parent not.
+    # Small weights and weights whose exp(-b) underflows alike.
     b = data.draw(st.one_of(st.floats(0.0, 2.0), st.floats(300.0, 1000.0)))
     g = data.draw(indicators(model.vocab))
     child = model.extended(b, g)

@@ -12,7 +12,6 @@ from seqboost.boost import (
     LogRatioOracle,
     MaxItersExceededError,
     NGramIndicatorOracle,
-    SHIFT_PAST,
     ReweightedModel,
     TokenIndicatorOracle,
     iteration_bound,
@@ -103,15 +102,21 @@ class TestStepwiseReweight:
             with pytest.raises(ValueError, match="running total inf is not finite"):
                 make()
 
-    def test_a_penalty_every_token_takes_leaves_the_base_row(self, ab_vocab, half_half):
-        # exp(-800) underflows to 0; past SHIFT_PAST each row is shifted by its
-        # largest logit first, so the row is the base's, and the pad stays 0.
-        g = token_indicator(ab_vocab, 2)
-        model = ReweightedModel(half_half(), [(800.0, g), (800.0, g.flipped())])
-        assert model.weight_total > SHIFT_PAST
-        row = model.next_token_dist(())
-        assert row[0] == 0.0
-        np.testing.assert_allclose(row, [0.0, 0.5, 0.5], rtol=1e-12)
+    @pytest.mark.parametrize("b, value", [(800.0, None), (1.0, 1000.0), (1.0, -1000.0)])
+    def test_a_penalty_every_token_takes_leaves_the_base_row(self, ab_vocab, half_half, b, value):
+        # Two factors that every token takes alike: an indicator and its flip,
+        # or a constant g outside [0, 1].  exp(-800) and exp(-2000) underflow
+        # and exp(2000) overflows, but each row is shifted by its largest logit
+        # first, so fresh and carried rows are the base's, and the pad stays 0.
+        if value is None:
+            g = token_indicator(ab_vocab, 2)
+            factors = [(b, g), (b, g.flipped())]
+        else:
+            factors = [(b, Distinguisher(lambda prefix: value, label="constant"))] * 2
+        carried = ReweightedModel(half_half(), factors[:1])
+        carried.next_token_dist(())  # memoised, so extended carries its logits
+        for model in (ReweightedModel(half_half(), factors), carried.extended(*factors[1])):
+            np.testing.assert_array_equal(model.next_token_dist(()), [0.0, 0.5, 0.5])
 
     def test_suite_with_an_infinite_min_slack_fails(self):
         # A zero partition scale makes every conditional infinite, so every
