@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import string
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .boost import (
     ReweightedModel,
     TokenIndicatorOracle,
     iteration_bound,
+    reweight_whole,
     run_boost,
 )
 from .corpus import Corpus, Vocabulary
@@ -49,16 +51,18 @@ class PropertyResult:
     instances: int
     min_slack: float
     passed: bool
-    detail: str = ""
 
 
-def _result(
-    name: str, count: int, min_slack: float, floor: float, ok: bool = True
+def _run(
+    name: str, count: int, seed: int, floor: float, slack: Callable[[np.random.Generator], float]
 ) -> PropertyResult:
-    """A suite passes when its min slack is finite and at least ``floor``: an
-    infinite or NaN slack is no evidence that the inequality holds."""
-    passed = ok and math.isfinite(min_slack) and min_slack >= floor
-    return PropertyResult(name, count, min_slack, passed)
+    """Draw ``count`` instances from one generator seeded with ``seed`` and
+    take the least slack; a NaN slack makes the least NaN.  The suite passes
+    when that least slack is finite and at least ``floor``: an infinite or
+    NaN slack is no evidence that the inequality holds."""
+    rng = np.random.default_rng(seed)
+    min_slack = float(np.min([slack(rng) for _ in range(count)], initial=math.inf))
+    return PropertyResult(name, count, min_slack, math.isfinite(min_slack) and min_slack >= floor)
 
 
 def make_vocab(n: int) -> Vocabulary:
@@ -100,36 +104,35 @@ def random_step_distinguisher(
     )
 
 
+def _table_pair(rng: np.random.Generator, max_n: int) -> tuple[JointTable, JointTable]:
+    """Two random tables over one vocabulary of 2..max_n-1 tokens, at length 1 or 2."""
+    vocab = make_vocab(int(rng.integers(2, max_n)))
+    length = int(rng.integers(1, 3))
+    return random_table(rng, vocab, length), random_table(rng, vocab, length)
+
+
 def whole_reweight_suite(count: int = 200, seed: int = 1) -> PropertyResult:
     """Reweighting by a distinguisher with advantage a drops the loss by >= a^2/2."""
-    from .boost import reweight_whole
-
-    rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    for _ in range(count):
+    def slack(rng):
         vocab = make_vocab(int(rng.integers(2, 9)))
         q = random_table(rng, vocab, 1)
         corpus = random_corpus(rng, vocab, 1, int(rng.integers(3, 26)))
         fvals = rng.random(vocab.n)
-        f = Distinguisher(values=lambda ids, fv=fvals: fv[ids[..., 0]])
+        f = Distinguisher(values=lambda ids: fvals[ids[..., 0]])
         a = training_advantage(f, corpus, q).value
         if a < 0:
-            fvals = 1.0 - fvals
-            a = -a
-        f = Distinguisher(values=lambda ids, fv=fvals: fv[ids[..., 0]])
+            f, a = f.flipped(), -a
         q2 = reweight_whole(q, f, a)
-        slack = _table_loss(q, corpus) - a * a / 2.0 - _table_loss(q2, corpus)
-        min_slack = min(min_slack, slack)
-    return _result("whole-sequence-reweight-bound", count, min_slack, -1e-9)
+        return _table_loss(q, corpus) - a * a / 2.0 - _table_loss(q2, corpus)
+
+    return _run("whole-sequence-reweight-bound", count, seed, -1e-9, slack)
 
 
 def stepwise_reweight_suite(
     count: int = 200, seed: int = 2, partition_scale: float = 1.0
 ) -> PropertyResult:
     """Step-wise reweighting by advantage b drops the loss by >= N b^2 / 2."""
-    rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    for _ in range(count):
+    def slack(rng):
         vocab = make_vocab(int(rng.integers(2, 6)))
         length = int(rng.integers(1, 4))
         q = random_table(rng, vocab, length)
@@ -137,47 +140,37 @@ def stepwise_reweight_suite(
         g = random_step_distinguisher(rng, vocab, length)
         b = generalized_advantage(g, corpus, q).value
         if b < 0:
-            g = g.flipped()
-            b = -b
+            g, b = g.flipped(), -b
         q2 = ReweightedModel(q, [(b, g)], partition_scale=partition_scale)
-        slack = (
-            log_loss(q, corpus).log_loss
-            - length * b * b / 2.0
-            - log_loss(q2, corpus).log_loss
-        )
-        min_slack = min(min_slack, slack)
-    return _result("stepwise-reweight-bound", count, min_slack, -1e-9)
+        loss, loss2 = log_loss(q, corpus).log_loss, log_loss(q2, corpus).log_loss
+        return loss - length * b * b / 2.0 - loss2
+
+    return _run("stepwise-reweight-bound", count, seed, -1e-9, slack)
 
 
 def log_ratio_suite(count: int = 200, seed: int = 3) -> PropertyResult:
     """The log-ratio distinguisher of two shared-support models stays in [0,1]
     and its advantage covers the loss gap divided by 2 log C."""
-    rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    for _ in range(count):
-        vocab = make_vocab(int(rng.integers(2, 7)))
-        length = int(rng.integers(1, 3))
-        qt = random_table(rng, vocab, length)
-        q2t = random_table(rng, vocab, length)
-        corpus = random_corpus(rng, vocab, length, int(rng.integers(3, 16)))
+    def slack(rng):
+        qt, q2t = _table_pair(rng, 7)
+        corpus = random_corpus(rng, qt.vocab, qt.length, int(rng.integers(3, 16)))
         c = minimal_ratio_bound(qt, q2t)
         f = log_ratio_distinguisher(qt, q2t, c)
         v = f.values(qt.ids)  # raises on a ratio violation
         assert np.all((0.0 <= v) & (v <= 1.0))
         alpha = training_advantage(f, corpus, qt).value
         gap = log_loss(qt, corpus).log_loss - log_loss(q2t, corpus).log_loss
-        slack = alpha - gap / (2.0 * math.log(c))
-        min_slack = min(min_slack, slack)
-    return _result("log-ratio-advantage-bound", count, min_slack, -1e-9)
+        return alpha - gap / (2.0 * math.log(c))
+
+    return _run("log-ratio-advantage-bound", count, seed, -1e-9, slack)
 
 
 def kl_gradient_fd_suite(count: int = 50, seed: int = 4) -> PropertyResult:
     """Analytic KL gradient of log-linear models vs central finite differences."""
-    rng = np.random.default_rng(seed)
     h = 1e-5
     tol = 1e-5
-    min_slack = math.inf
-    for _ in range(count):
+
+    def slack(rng):
         while True:
             n = int(rng.integers(2, 7))
             length = int(rng.integers(1, 4))
@@ -192,66 +185,49 @@ def kl_gradient_fd_suite(count: int = 50, seed: int = 4) -> PropertyResult:
         p = random_table(rng, vocab, length)
         analytic = kl_gradient(model, p)
 
-        def field(th, base=model, pt=p):
-            q = JointTable(base.vocab, base.length, base.with_theta(th).all_probs())
-            return kl_divergence(pt, q)
+        def field(th):
+            return kl_divergence(p, JointTable(vocab, length, model.with_theta(th).all_probs()))
 
         fd = finite_diff_gradient(field, theta, h)
         rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1e-6)
-        min_slack = min(min_slack, tol - float(rel.max()))
-    return _result("kl-gradient-finite-difference", count, min_slack, 0.0)
+        return tol - float(rel.max())
+
+    return _run("kl-gradient-finite-difference", count, seed, 0.0, slack)
 
 
 def pinsker_suite(count: int = 500, seed: int = 5) -> PropertyResult:
     """TVD <= sqrt(KL/2) on random table pairs."""
-    rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    for _ in range(count):
-        vocab = make_vocab(int(rng.integers(2, 8)))
-        length = int(rng.integers(1, 3))
-        p = random_table(rng, vocab, length)
-        q = random_table(rng, vocab, length)
-        slack = math.sqrt(kl_divergence(p, q) / 2.0) + 1e-12 - total_variation(p, q)
-        min_slack = min(min_slack, slack)
-    return _result("pinsker", count, min_slack, 0.0)
+    def slack(rng):
+        p, q = _table_pair(rng, 8)
+        return math.sqrt(kl_divergence(p, q) / 2.0) + 1e-12 - total_variation(p, q)
+
+    return _run("pinsker", count, seed, 0.0, slack)
 
 
 def advantage_tvd_suite(count: int = 500, seed: int = 6) -> PropertyResult:
     """|advantage of any [0,1]-valued distinguisher| <= total variation."""
-    rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    for _ in range(count):
-        vocab = make_vocab(int(rng.integers(2, 8)))
-        length = int(rng.integers(1, 3))
-        p = random_table(rng, vocab, length)
-        q = random_table(rng, vocab, length)
-        fvals = rng.random(vocab.n**length)
-        f = Distinguisher(values=lambda ids, fv=fvals, v=vocab: fv[sequence_index(v, ids)])
-        slack = total_variation(p, q) + 1e-12 - abs(advantage_exact(f, p, q))
-        min_slack = min(min_slack, slack)
-    return _result("advantage-below-tvd", count, min_slack, 0.0)
+    def slack(rng):
+        p, q = _table_pair(rng, 8)
+        fvals = rng.random(p.vocab.n**p.length)
+        f = Distinguisher(values=lambda ids: fvals[sequence_index(p.vocab, ids)])
+        return total_variation(p, q) + 1e-12 - abs(advantage_exact(f, p, q))
+
+    return _run("advantage-below-tvd", count, seed, 0.0, slack)
 
 
 def bayes_tvd_suite(count: int = 100, seed: int = 7) -> PropertyResult:
     """The q>p indicator achieves advantage exactly equal to total variation."""
-    rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    for _ in range(count):
-        vocab = make_vocab(int(rng.integers(2, 8)))
-        length = int(rng.integers(1, 3))
-        p = random_table(rng, vocab, length)
-        q = random_table(rng, vocab, length)
+    def slack(rng):
+        p, q = _table_pair(rng, 8)
         f = bayes_optimal_distinguisher(p, q)
-        gap = abs(advantage_exact(f, p, q) - total_variation(p, q))
-        min_slack = min(min_slack, 1e-12 - gap)
-    return _result("bayes-optimal-equals-tvd", count, min_slack, 0.0)
+        return 1e-12 - abs(advantage_exact(f, p, q) - total_variation(p, q))
+
+    return _run("bayes-optimal-equals-tvd", count, seed, 0.0, slack)
 
 
 def exhaustive_indicator_suite(count: int = 20, seed: int = 8) -> PropertyResult:
     """Max advantage over every indicator distinguisher equals total variation."""
-    rng = np.random.default_rng(seed)
-    min_slack = math.inf
-    for _ in range(count):
+    def slack(rng):
         vocab, length = [(make_vocab(3), 1), (make_vocab(2), 3), (make_vocab(3), 2)][
             int(rng.integers(0, 3))
         ]
@@ -259,9 +235,9 @@ def exhaustive_indicator_suite(count: int = 20, seed: int = 8) -> PropertyResult
         q = random_table(rng, vocab, length)
         family = all_indicator_distinguishers(vocab, length)
         value, _ = distinguishability_exhaustive(q, p, family)
-        gap = abs(value - total_variation(p, q))
-        min_slack = min(min_slack, 1e-12 - gap)
-    return _result("exhaustive-indicators-equal-tvd", count, min_slack, 0.0)
+        return 1e-12 - abs(value - total_variation(p, q))
+
+    return _run("exhaustive-indicators-equal-tvd", count, seed, 0.0, slack)
 
 
 def boost_termination_suite(
@@ -269,22 +245,21 @@ def boost_termination_suite(
 ) -> PropertyResult:
     """Boosting terminates within the iteration bound and really is
     epsilon-indistinguishable by the oracle afterwards."""
-    rng = np.random.default_rng(seed)
     oracle = TokenIndicatorOracle()
-    min_slack = math.inf
-    ok = True
-    for _ in range(count):
+
+    def slack(rng):
         vocab = make_vocab(int(rng.integers(2, 6)))
         length = int(rng.integers(1, 4))
         corpus = random_corpus(rng, vocab, length, int(rng.integers(4, 13)))
         q0 = UniformModel(vocab, length)
         model, trace = run_boost(q0, corpus, oracle, BoostConfig(epsilon=epsilon))
-        bound = iteration_bound(trace.initial_loss, length, epsilon)
-        updates = sum(1 for r in trace.records if r.b >= epsilon)
         final_b = generalized_advantage(oracle.propose(model, corpus), corpus, model).value
-        ok = ok and trace.termination == "indistinguishable" and final_b < epsilon
-        min_slack = min(min_slack, float(bound - updates))
-    return _result("boost-termination", count, min_slack, 0.0, ok)
+        if trace.termination != "indistinguishable" or not final_b < epsilon:
+            return -math.inf
+        bound = iteration_bound(trace.initial_loss, length, epsilon)
+        return float(bound - sum(1 for r in trace.records if r.b >= epsilon))
+
+    return _run("boost-termination", count, seed, 0.0, slack)
 
 
 def default_suites(stepwise_partition_scale: float = 1.0) -> list[PropertyResult]:

@@ -71,6 +71,8 @@ class UniformModel(SequentialModel):
     """
 
     def __init__(self, vocab: Vocabulary, length: int):
+        if vocab.n < 2:
+            raise ValueError("a uniform model needs a content token besides the pad")
         self.vocab = vocab
         self.length = length
         self._all = np.full(vocab.n, 1.0 / vocab.n)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqboost import checks
 from seqboost.boost import (
     BoostConfig,
     BoostTrace,
@@ -125,6 +126,32 @@ class TestStepwiseReweight:
             result = stepwise_reweight_suite(count=3, partition_scale=0.0)
         assert result.min_slack == math.inf
         assert not result.passed
+
+    @pytest.mark.parametrize("case", ["nan-once", "max-iters"])
+    def test_suite_whose_slack_is_not_a_number_fails(self, monkeypatch, case):
+        # One NaN TVD among ten Pinsker instances, or boosting runs that stop at
+        # their round cap: neither shows the inequality, so the suite fails.
+        if case == "nan-once":
+            calls = []
+
+            def tvd(p, q):
+                calls.append(None)
+                return math.nan if len(calls) == 4 else total_variation(p, q)
+
+            monkeypatch.setattr(checks, "total_variation", tvd)
+            result = checks.pinsker_suite(count=10)
+            assert len(calls) == 10 and math.isnan(result.min_slack)
+        else:
+
+            def capped(*args):
+                model, trace = run_boost(*args)
+                trace.termination = "max-iters"
+                return model, trace
+
+            monkeypatch.setattr(checks, "run_boost", capped)
+            result = checks.boost_termination_suite(count=3)
+            assert result.min_slack == -math.inf
+        assert result.passed is False
 
     def test_conditionals_stay_normalized(self):
         rng = np.random.default_rng(21)

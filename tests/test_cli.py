@@ -475,13 +475,15 @@ def fit_xy_unigram(runner, tmp_path):
 class TestModelFiles:
     """Every path that reads a model file exits 2 on a missing or malformed one."""
 
-    @pytest.fixture(params=["missing", "not-a-model", "truncated"])
+    @pytest.fixture(params=["missing", "not-a-model", "truncated", "one-token-uniform"])
     def bad_model(self, request, tmp_path):
         path = tmp_path / "bad_model.txt"
         if request.param == "not-a-model":
             path.write_text("a\nb\n")
         elif request.param == "truncated":
             path.write_text("seqboost-model v1\nkind=ngram\n")
+        elif request.param == "one-token-uniform":  # no content token: nothing to be uniform over
+            path.write_text("seqboost-model v2\nkind=uniform\nn=1\nlength=2\ntoken=<pad>\n")
         return str(path)
 
     def test_eval_model(self, runner, tmp_path, bad_model):
@@ -723,6 +725,8 @@ class TestModelHeaders:
         ("kind=reweighted\nn=3", "kind=reweighted\nn=4", "header n=4, length=2, factors=1"),
         ("n=3\nlength=2\nfactors", "n=3\nlength=3\nfactors", "header n=3, length=3"),
         ("factors=1", "factors=2", "factors=2 does not match"),
+        pytest.param("n=3\nlength=2\ntoken=<pad>\ntoken=a\ntoken=b\n",
+                     "n=1\nlength=2\ntoken=<pad>\n", "needs a content token", id="one-token-base"),
     ])
     def test_reweighted_file_exits_2(self, runner, tmp_path, old, new, message):
         assert old in REWEIGHTED_FILE
@@ -818,6 +822,19 @@ class TestOracleCheck:
         lines = out.read_text().splitlines()
         assert lines[0] == "property,instances,min_slack,pass"
         assert all(line.endswith(",1") for line in lines[1:])
+        # The nine suites, in order and at their stated sizes: the benchmark's
+        # exact-audit checks this set, so a tenth suite must be added there too.
+        assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+            ("whole-sequence-reweight-bound", "200"),
+            ("stepwise-reweight-bound", "200"),
+            ("log-ratio-advantage-bound", "200"),
+            ("kl-gradient-finite-difference", "50"),
+            ("pinsker", "500"),
+            ("advantage-below-tvd", "500"),
+            ("bayes-optimal-equals-tvd", "100"),
+            ("exhaustive-indicators-equal-tvd", "20"),
+            ("boost-termination", "20"),
+        ]
         assert "FAIL" not in result.output
 
     def test_fault_injection_is_detected(self, runner, tmp_path):
