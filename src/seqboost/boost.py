@@ -62,7 +62,9 @@ class ReweightedModel(SequentialModel):
     prefixes seen so far, a (K, L) array sorted by their ``_row_keys``, the
     keys (a view of that array) and the (K, n) logits in the same order.
     ``prefix_slot`` is where ``prefix_conditionals`` keeps the model's last
-    corpus array.
+    corpus array.  ``_index`` holds, for one ``corpus.ids`` object and the
+    blocks' prefix arrays it was built against, the row of every corpus
+    prefix (i, j) in the blocks' logits stacked in length order.
     """
 
     def __init__(
@@ -89,19 +91,26 @@ class ReweightedModel(SequentialModel):
         self.length = base.length
         self.partition_scale = partition_scale
         self._memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._index: tuple[np.ndarray, list[np.ndarray], np.ndarray] | None = None
         self.prefix_slot: tuple[np.ndarray, np.ndarray] | None = None
 
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
-        """Memoised logits where there are any, found with one ``searchsorted``;
-        the others from ``_logits``, each distinct prefix once, merged into the
-        memo unless ``memo`` is false.  Then ``_rows``."""
+        """``_rows`` of the prefixes' logits, found by ``_lookup``."""
         prefixes = np.ascontiguousarray(prefixes, dtype=np.int64)
         if not self.factors:
             return self.base.conditionals(prefixes, memo)
+        if not memo and prefixes.shape[1] not in self._memo:
+            return self._rows(self._logits(prefixes))
+        logits, pos = self._lookup(prefixes, memo)
+        return self._rows(logits.take(pos, axis=0))
+
+    def _lookup(self, prefixes: np.ndarray, memo: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """A (K, n) logits array and the row of each prefix of a C-contiguous
+        (k, L) int64 array in it: memoised logits where there are any, found
+        with one ``searchsorted``; the others from ``_logits``, each distinct
+        prefix once, merged into the memo unless ``memo`` is false."""
         L = prefixes.shape[1]
         block = self._memo.get(L)
-        if block is None and not memo:
-            return self._rows(self._logits(prefixes))
         keys = _row_keys(prefixes)
         if block is None:
             miss = np.arange(len(keys))
@@ -110,7 +119,7 @@ class ReweightedModel(SequentialModel):
             pos = known_keys.searchsorted(keys)
             hit = known_keys.take(pos, mode="clip") == keys
             if np.count_nonzero(hit) == len(keys):
-                return self._rows(logits.take(pos, axis=0))
+                return logits, pos
             miss = (~hit).nonzero()[0]
         # The missing rows in key order: each run of equal keys is one new prefix.
         miss = miss.take(keys.take(miss).argsort())
@@ -129,7 +138,25 @@ class ReweightedModel(SequentialModel):
         added_keys = _row_keys(added)
         if memo and len(added):  # a block is never empty, so it can always be searched
             self._memo[L] = added, added_keys, fresh
-        return self._rows(fresh.take(added_keys.searchsorted(keys), axis=0))
+        return fresh, added_keys.searchsorted(keys)
+
+    def corpus_conditionals(self, ids: np.ndarray) -> np.ndarray:
+        """One gather of the memoised logits of every corpus prefix through
+        ``_index``, then one ``_rows``.  The index is rebuilt for another ids
+        object or once a block it was built against has gained a prefix, by
+        ``_lookup`` at every length, which memoises a missing corpus prefix."""
+        if not self.factors or not ids.size:
+            return super().corpus_conditionals(ids)
+        index = self._index
+        if (index is None or index[0] is not ids
+                or any(self._memo[L][0] is not known for L, known in enumerate(index[1]))):
+            flat, offset = np.empty(ids.shape, dtype=np.int64), 0
+            for L in range(ids.shape[1]):
+                flat[:, L] = offset + self._lookup(np.ascontiguousarray(ids[:, :L]))[1]
+                offset += len(self._memo[L][0])
+            index = self._index = ids, [self._memo[L][0] for L in range(ids.shape[1])], flat
+        logits = np.concatenate([self._memo[L][2] for L in range(ids.shape[1])])
+        return self._rows(logits.take(index[2], axis=0))
 
     def _logits(self, prefixes: np.ndarray) -> np.ndarray:
         """The logits of a (k, L) prefix array from the base, in blocks whose
@@ -147,19 +174,21 @@ class ReweightedModel(SequentialModel):
         return logits
 
     def _rows(self, logits: np.ndarray) -> np.ndarray:
-        """The conditionals of a (k, n) array of logits, each row shifted by its
+        """The conditionals of a (..., n) array of logits, each row shifted by its
         largest logit first, so that no row underflows or overflows whole."""
-        weights = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
-        return weights / (np.add.reduce(weights, axis=1, keepdims=True) * self.partition_scale)
+        weights = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+        return weights / (np.add.reduce(weights, axis=-1, keepdims=True) * self.partition_scale)
 
     def extended(self, b: float, g: Distinguisher) -> "ReweightedModel":
         """This model with the factor (b, g) appended.  Each memo block's logits
         take the subtraction a fresh chain's last factor takes, so a new factor
         costs one pass over the memoised prefixes and a carried row is the
         fresh chain's bit for bit.  The child shares the blocks' prefix arrays.
-        This model's ``prefix_slot`` is emptied, so a run keeps one array."""
+        This model's ``prefix_slot`` is emptied, so a run keeps one array; its
+        ``_index`` is the child's too."""
         self.prefix_slot = None
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
+        child._index = self._index
         n = self.vocab.n
         for L, (known, keys, logits) in self._memo.items():
             child._memo[L] = known, keys, logits - b * g.values(extensions(known, n))

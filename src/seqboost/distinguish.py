@@ -138,21 +138,23 @@ def generalized_advantage(
 ) -> AdvantageEstimate:
     """Per-position advantage of a step-wise distinguisher, averaged over positions.
 
-    For each position j the model-side expectation over the replacement token
-    is computed exactly by summing the n conditional probabilities.  The sums
-    add tokens and then rows strictly left to right, as a scalar loop over
-    sequences and tokens would.
+    g is read once per position, on the corpus prefixes' extensions, into an
+    (m, N, n) array G.  The model-side expectation over the replacement token
+    is computed exactly by summing the n conditional probabilities; the data
+    side is G at the corpus tokens, since ``ids[:, :j+1]`` is the extension of
+    ``ids[:, :j]`` by ``ids[:, j]``.  The sums add tokens and then rows
+    strictly left to right, as a scalar loop over sequences and tokens would.
     """
     if corpus.m < 1:
         raise ValueError("empty corpus")
     ids, n = corpus.ids, corpus.vocab.n
     Q = prefix_conditionals(q, corpus)
-    terms = np.empty(ids.shape)
+    G = np.empty(Q.shape)
     for j in range(corpus.length):
-        dist = Q[:, j]
-        weighted = np.where(dist > 0, dist * g.values(extensions(ids[:, :j], n)), 0.0)
-        model_side = np.add.accumulate(weighted, axis=1)[:, -1]
-        terms[:, j] = model_side - g.values(ids[:, : j + 1])
+        G[:, j] = g.values(extensions(ids[:, :j], n))
+    model_side = np.add.accumulate(np.where(Q > 0, Q * G, 0.0), axis=2)[:, :, -1]
+    rows, at = np.arange(corpus.m)[:, None], np.arange(corpus.length)
+    terms = model_side - G[rows, at, ids]
     per_position = [float(acc) / corpus.m for acc in np.add.accumulate(terms, axis=0)[-1]]
     value = sum(per_position) / corpus.length
     return AdvantageEstimate(value, "stepwise-exact", per_position=tuple(per_position))

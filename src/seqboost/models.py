@@ -6,8 +6,9 @@ conditionals.  ``next_token_dist(prefix)`` is one row of it, and
 ``token_probs(prefixes, tokens)`` picks one given next token per row.  The
 joint probability of a sequence is the product of its conditionals; all
 arithmetic is done in log space so N-length products cannot underflow.
-Corpus-wide layers (``log_loss``, ``prefix_conditionals``,
-``enumerate_joint``, ``sample_many``) make one call per position.
+Corpus-wide layers (``log_loss``, ``enumerate_joint``, ``sample_many``)
+make one call per position, as ``prefix_conditionals`` does unless the model
+overrides ``corpus_conditionals``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ class SequentialModel(abc.ABC):
     def token_probs(self, prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """q(tokens[i] | prefixes[i]) for every row of a (k, L) prefix array: (k,)."""
         return self.conditionals(prefixes)[np.arange(len(prefixes)), tokens]
+
+    def corpus_conditionals(self, ids: np.ndarray) -> np.ndarray:
+        """Q[i, j] = q(. | ids[i, :j]) for an (m, N) id array: an (m, N, n)
+        array from one ``conditionals`` call per position."""
+        Q = np.empty(ids.shape + (self.vocab.n,))
+        for j in range(ids.shape[1]):
+            Q[:, j] = self.conditionals(ids[:, :j])
+        return Q
 
 
 @dataclass(frozen=True)
@@ -245,16 +254,14 @@ def summed_logs(probs: np.ndarray) -> np.ndarray:
 
 
 def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
-    """Q[i, j] = q(. | first j tokens of sequence i): a read-only (m, N, n)
-    array, from one ``conditionals`` call per position.  A model with a
-    ``prefix_slot`` keeps it there, returned again for the same ``corpus.ids``."""
+    """Q[i, j] = q(. | first j tokens of sequence i): the model's read-only
+    ``corpus_conditionals``.  A model with a ``prefix_slot`` keeps it there,
+    returned again for the same ``corpus.ids``."""
     ids = corpus.ids
     slot = getattr(q, "prefix_slot", None)
     if slot is not None and slot[0] is ids:
         return slot[1]
-    Q = np.empty(ids.shape + (corpus.vocab.n,))
-    for j in range(corpus.length):
-        Q[:, j] = q.conditionals(ids[:, :j])
+    Q = q.corpus_conditionals(ids)
     Q.flags.writeable = False
     if hasattr(q, "prefix_slot"):
         q.prefix_slot = ids, Q

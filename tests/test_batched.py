@@ -535,6 +535,51 @@ def test_memoised_rows_are_a_fresh_models_rows_bit_for_bit(data):
         assert child.conditionals(q).tobytes() == fresh(child).conditionals(q, memo=False).tobytes()
 
 
+def stacked_conditionals(model, corpus):
+    """A fresh copy's conditionals at every corpus prefix, one call per position."""
+    copy = fresh(model)
+    return np.stack([copy.conditionals(corpus.ids[:, :j]) for j in range(corpus.length)], axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
+    """``prefix_conditionals`` of a reweighted model, read through its corpus
+    index, is a fresh copy's rows bit for bit: with no factor; along a chain
+    grown by ``extended`` (indicator, custom and log-ratio factors), whose
+    index is handed down; after the memo gained another corpus's prefixes,
+    which rebuilds the index; and on a twin corpus whose ids are equal but
+    another object."""
+    corpus = data.draw(corpora())
+    vocab, length = corpus.vocab, corpus.length
+    twin = Corpus(vocab, length, corpus.ids.copy())
+    model = ReweightedModel(data.draw(base_models(vocab, length)), [],
+                            data.draw(st.sampled_from([1.0, 0.9, 1.01])))
+    for step in range(data.draw(st.integers(1, 4))):
+        untouched = step > 0  # the memo and index exactly as the parent left them
+        if data.draw(st.booleans()):
+            model.conditionals(data.draw(prefix_arrays(model)))
+            untouched = False
+        if data.draw(st.booleans()):
+            assert prefix_conditionals(model, twin).tobytes() == stacked_conditionals(model, twin).tobytes()
+            untouched = False
+        before = model._index
+        assert prefix_conditionals(model, corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
+        if untouched and len(model.factors) > 1:
+            assert model._index is before  # inherited, not rebuilt
+        b = data.draw(st.floats(0.0, 2.0))
+        kind = data.draw(st.sampled_from(["indicator", "custom", "log-ratio"]))
+        if kind == "log-ratio":
+            g = step_log_ratio(model, data.draw(base_models(vocab, length)),
+                               data.draw(st.floats(1.5, 10.0)), flip=data.draw(st.booleans()))
+        else:
+            g = data.draw(indicators(vocab))
+            g = scalar(g) if kind == "custom" else g
+        model = model.extended(b, g)
+    for c in (corpus, twin):
+        assert prefix_conditionals(model, c).tobytes() == stacked_conditionals(model, c).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):

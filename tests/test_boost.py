@@ -458,18 +458,23 @@ def test_an_impossible_sequence_on_the_round_loss_is_log_losss_error(aaab_corpus
     assert str(got.value) == str(want.value)
 
 
+def count_calls(monkeypatch, name):
+    """The number of calls of the ReweightedModel method ``name`` from now on, in a one-item list."""
+    calls = [0]
+    original = getattr(ReweightedModel, name)
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReweightedModel, name, counted)
+    return calls
+
+
 @pytest.fixture
 def counted_conditionals(monkeypatch):
     """The number of ReweightedModel.conditionals calls so far, in a one-item list."""
-    calls = [0]
-    original = ReweightedModel.conditionals
-
-    def conditionals(self, prefixes, memo=True):
-        calls[0] += 1
-        return original(self, prefixes, memo)
-
-    monkeypatch.setattr(ReweightedModel, "conditionals", conditionals)
-    return calls
+    return count_calls(monkeypatch, "conditionals")
 
 
 def deep_corpus(seed=5):
@@ -479,14 +484,27 @@ def deep_corpus(seed=5):
 
 class TestOneArrayPerRound:
     @pytest.mark.parametrize("rounds", [1, 7, 60])
-    def test_a_token_run_reads_each_model_once(self, counted_conditionals, rounds):
+    def test_a_token_run_reads_each_model_once(self, monkeypatch, counted_conditionals, rounds):
+        fresh_logits = count_calls(monkeypatch, "_logits")
         corpus = deep_corpus()
         oracle = Capped(TokenIndicatorOracle(), rounds)
         model, trace = run_boost(UniformModel(corpus.vocab, 8), corpus, oracle,
                                  BoostConfig(1e-12, max_iters=rounds + 1))
         assert len(model.factors) == rounds and trace.termination == "indistinguishable"
-        # N rows per round's new model, and N for the first proposal's start.
-        assert counted_conditionals[0] == 8 * rounds + 8
+        # N for the first proposal's start, whatever the number of rounds: the
+        # first reweighted model fills its memo (N blocks of fresh logits) and
+        # index without a call, and every later model gathers through the
+        # inherited index.
+        assert counted_conditionals[0] == 8 and fresh_logits[0] == 8
+
+    @pytest.mark.parametrize("rounds", [1, 7, 60])
+    def test_a_token_run_makes_one_rows_call_per_round(self, monkeypatch, rounds):
+        calls = count_calls(monkeypatch, "_rows")
+        corpus = deep_corpus()
+        run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(TokenIndicatorOracle(), rounds),
+                  BoostConfig(1e-12, max_iters=rounds + 1))
+        # One gather for each round's new model; the factorless start reads its base.
+        assert calls[0] == rounds
 
     def test_indicator_oracles_number_contexts_once_per_corpus(self, monkeypatch):
         import seqboost.boost as boost
@@ -506,18 +524,21 @@ class TestOneArrayPerRound:
             oracle.propose(UniformModel(corpus.vocab, 8), twin)
             assert len(calls) == 2 and calls[1] is twin.ids
 
-    def test_the_slot_is_read_only_and_keyed_by_the_ids_object(self, counted_conditionals):
+    def test_the_slot_is_read_only_and_keyed_by_the_ids_object(self, monkeypatch, counted_conditionals):
+        fresh_logits = count_calls(monkeypatch, "_logits")
         corpus = deep_corpus()
         model = ReweightedModel(UniformModel(corpus.vocab, 8), [(0.5, token_indicator(corpus.vocab, 1))])
         Q = prefix_conditionals(model, corpus)
+        assert fresh_logits[0] == 8  # one block of fresh logits per length
         assert model.prefix_slot[0] is corpus.ids and model.prefix_slot[1] is Q
         assert not Q.flags.writeable
         with pytest.raises(ValueError):
             Q[0, 0, 0] = 1.0
-        assert prefix_conditionals(model, corpus) is Q and counted_conditionals[0] == 8
+        assert prefix_conditionals(model, corpus) is Q and counted_conditionals[0] == 0
         twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
         twin_Q = prefix_conditionals(model, twin)
-        assert twin_Q is not Q and counted_conditionals[0] == 16
+        # The twin's prefixes are all in the memo: its index needs no new call.
+        assert twin_Q is not Q and counted_conditionals[0] == 0 and fresh_logits[0] == 8
         assert twin_Q.tobytes() == Q.tobytes() and model.prefix_slot[0] is twin.ids
 
     def test_extended_empties_the_parents_slot(self):
@@ -551,3 +572,6 @@ class TestOneArrayPerRound:
         captured = [g.models[0] for _, g in model.factors]
         assert len(captured) == 12
         assert sum(m.prefix_slot is not None for m in captured + [model]) <= 1
+        # One corpus index, built for the first reweighted model and handed down the chain.
+        assert captured[0]._index is None and model._index is not None
+        assert all(m._index is model._index for m in captured[1:])
