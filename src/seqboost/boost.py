@@ -62,7 +62,7 @@ class ReweightedModel(SequentialModel):
     prefixes seen so far, a (K, L) array sorted by their ``_row_keys``, the
     keys (a view of that array) and the (K, n) logits in the same order.
     ``prefix_slot`` is where ``prefix_conditionals`` keeps the model's last
-    corpus array.  ``_index`` holds, for one ``corpus.ids`` object and the
+    corpus array.  ``_index`` holds, for one read-only ids array and the
     blocks' prefix arrays it was built against, the row of every corpus
     prefix (i, j) in the blocks' logits stacked in length order.
     """
@@ -144,17 +144,21 @@ class ReweightedModel(SequentialModel):
         """One gather of the memoised logits of every corpus prefix through
         ``_index``, then one ``_rows``.  The index is rebuilt for another ids
         object or once a block it was built against has gained a prefix, by
-        ``_lookup`` at every length, which memoises a missing corpus prefix."""
+        ``_lookup`` at every length, which memoises a missing corpus prefix.
+        A writable ids array may change in place, so its index is built for
+        this call only and never kept (``Corpus.ids`` is read-only)."""
         if not self.factors or not ids.size:
             return super().corpus_conditionals(ids)
         index = self._index
-        if (index is None or index[0] is not ids
+        if (ids.flags.writeable or index is None or index[0] is not ids
                 or any(self._memo[L][0] is not known for L, known in enumerate(index[1]))):
             flat, offset = np.empty(ids.shape, dtype=np.int64), 0
             for L in range(ids.shape[1]):
                 flat[:, L] = offset + self._lookup(np.ascontiguousarray(ids[:, :L]))[1]
                 offset += len(self._memo[L][0])
-            index = self._index = ids, [self._memo[L][0] for L in range(ids.shape[1])], flat
+            index = ids, [self._memo[L][0] for L in range(ids.shape[1])], flat
+            if not ids.flags.writeable:
+                self._index = index
         logits = np.concatenate([self._memo[L][2] for L in range(ids.shape[1])])
         return self._rows(logits.take(index[2], axis=0))
 

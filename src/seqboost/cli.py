@@ -32,7 +32,7 @@ from .exact import (
     total_variation,
 )
 from .models import PAD_ID, UniformModel, log_loss, ngram_mle_fit
-from .serialize import load_model, save_model
+from .serialize import load_model, model_to_text
 
 NATS_TO_BITS = 1.0 / math.log(2.0)
 
@@ -51,10 +51,7 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     """
     if path is None:
         return
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise click.UsageError(f"cannot read config file: {exc}")
+    text = _read(path, "config file")
     known = {p.name for cmd in main.commands.values() for p in cmd.params} - {"config"}
     cfg: dict[str, str] = {}
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -88,23 +85,29 @@ def in_outdir(name: str):
     return default
 
 
-def _created(path: Path) -> Path:
-    """An output path whose directory exists, made when the file is written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+def _read(path, what: str) -> str:
+    """A file's text; one that cannot be read or is not UTF-8 is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"cannot read {what} {path}: {exc}")
+
+
+def _write(path: Path, text: str) -> None:
+    """Write a file, making its directory first; a path that cannot be
+    written is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
 
 
 def _load_corpus_checked(path, length, vocab=None):
-    if path is None:
-        raise click.UsageError("corpus path is required")
-    if not Path(path).exists():
-        raise click.UsageError(f"corpus file not found: {path}")
-    if length is None:
-        raise click.UsageError("sequence length is required")
     try:
         return load_corpus(path, length, vocab=vocab)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot load corpus {path}: {exc}")
 
 
 def _load_model_checked(path, vocab=None, length=None):
@@ -136,8 +139,8 @@ def main() -> None:
 
 @main.command()
 @config_option
-@click.option("--corpus", type=str, default=None)
-@click.option("--length", type=int, default=None, help="Padded sequence length N.")
+@click.option("--corpus", type=str, required=True)
+@click.option("--length", type=int, required=True, help="Padded sequence length N.")
 @click.option("--order", type=int, default=1, help="n-gram order (default 1).")
 @click.option("--lam", type=float, default=0.0, help="Laplace smoothing weight (default 0).")
 @click.option("--vocab", type=str, default=None)
@@ -153,7 +156,7 @@ def fit(corpus, length, order, lam, vocab, model_out):
         model = ngram_mle_fit(corpus, order, lam)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    save_model(model, _created(model_out))
+    _write(model_out, model_to_text(model) + "\n")
     try:
         loss = log_loss(model, corpus).log_loss
     except ValueError as exc:
@@ -165,8 +168,8 @@ def fit(corpus, length, order, lam, vocab, model_out):
 
 @main.command()
 @config_option
-@click.option("--corpus", type=str, default=None)
-@click.option("--length", type=int, default=None)
+@click.option("--corpus", type=str, required=True)
+@click.option("--length", type=int, required=True)
 @click.option("--init", type=click.Choice(["uniform", "ngram"]), default="uniform")
 @click.option("--order", type=int, default=1)
 @click.option("--lam", type=float, default=0.0)
@@ -197,12 +200,11 @@ def boost(corpus, length, init, order, lam, oracle, oracle_order, ref_model, eps
     try:
         model, trace = run_boost(q0, corpus, oracle, config)
     except MaxItersExceededError as exc:
-        _created(trace_out).write_text(exc.trace.to_csv_text(include_timings=timings),
-                                       encoding="utf-8")
+        _write(trace_out, exc.trace.to_csv_text(include_timings=timings))
         click.echo(str(exc), err=True)
         sys.exit(3)
-    _created(trace_out).write_text(trace.to_csv_text(include_timings=timings), encoding="utf-8")
-    save_model(model, _created(model_out))
+    _write(trace_out, trace.to_csv_text(include_timings=timings))
+    _write(model_out, model_to_text(model) + "\n")
     final_loss = trace.records[-1].log_loss
     click.echo(f"trace written to {trace_out} ({len(trace.records)} iterations)")
     click.echo(f"model written to {model_out}")
@@ -228,7 +230,7 @@ def _parse_step_distinguisher(spec: str, vocab: Vocabulary, q_model):
 
 @main.command()
 @config_option
-@click.option("--corpus", type=str, default=None)
+@click.option("--corpus", type=str, required=True)
 @click.option("--length", type=int, default=None)
 @click.option("--model", type=str, required=True)
 @click.option("--distinguisher", type=str, required=True,
@@ -261,10 +263,7 @@ def _load_table_csv(path: str, vocab: Vocabulary, length: int) -> JointTable:
     length, a sequence listed twice, a value that is not a finite real, and
     probabilities that are not a distribution are usage errors.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise click.UsageError(f"cannot read table {path}: {exc}")
+    lines = _read(path, "table").splitlines()
     probs = np.zeros(vocab.n**length)
     listed: set[int] = set()
     for no, raw in enumerate(lines[1:], start=2):
@@ -332,18 +331,16 @@ def age_experiment(ages, report_out):
     probs = None
     if ages is not None:
         try:
-            probs = np.array([float(v) for v in Path(ages).read_text(encoding="utf-8").split()])
-        except (OSError, ValueError) as exc:
+            probs = np.array([float(v) for v in _read(ages, "ages").split()])
+        except ValueError as exc:
             raise click.UsageError(f"cannot read ages {ages}: {exc}")
     try:
         report = age_mod.run_age_experiment(probs)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    with open(_created(report_out), "w", encoding="utf-8") as fh:
-        fh.write("key,value\n")
-        for field in dataclasses.fields(report):
-            value = getattr(report, field.name)
-            fh.write(f"{field.name},{value:.17g}\n" if isinstance(value, float) else f"{field.name},{value}\n")
+    _write(report_out, "key,value\n" + "".join(
+        f"{key},{value:.17g}\n" if isinstance(value, float) else f"{key},{value}\n"
+        for key, value in dataclasses.asdict(report).items()))
     click.echo(f"report written to {report_out}")
     click.echo(f"likelihood-best cap m = {report.uniform_mle_m}")
     click.echo(
@@ -360,16 +357,15 @@ def age_experiment(ages, report_out):
 @config_option
 @click.option("--report-out", type=Path, default=in_outdir("oracle_check.csv"))
 @click.option("--fault-z-scale", type=float, default=1.0,
-              help="Deliberately mis-scale the step-wise partition (fault-injection demo).")
+              help="Deliberately mis-scale the step-wise partition (fault-injection demo); "
+                   "only a scale above 1 is caught.")
 def oracle_check(report_out, fault_z_scale):
     """Run every randomized invariant suite and report per-property margins."""
     if not 0 < fault_z_scale < math.inf:  # NaN too
         raise click.BadParameter("must be positive and finite", param_hint="'--fault-z-scale'")
     results = default_suites(stepwise_partition_scale=fault_z_scale)
-    with open(_created(report_out), "w", encoding="utf-8") as fh:
-        fh.write("property,instances,min_slack,pass\n")
-        for r in results:
-            fh.write(f"{r.name},{r.instances},{r.min_slack:.17g},{int(r.passed)}\n")
+    _write(report_out, "property,instances,min_slack,pass\n" + "".join(
+        f"{r.name},{r.instances},{r.min_slack:.17g},{int(r.passed)}\n" for r in results))
     failures = [r for r in results if not r.passed]
     for r in results:
         status = "pass" if r.passed else "FAIL"

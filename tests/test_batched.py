@@ -580,6 +580,21 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
         assert prefix_conditionals(model, c).tobytes() == stacked_conditionals(model, c).tobytes()
 
 
+def test_a_writable_ids_array_changed_in_place_is_read_anew():
+    """The corpus index is kept only for a read-only ids array: a writable one
+    whose columns are rewritten between calls gets its new rows, not the
+    first call's."""
+    corpus = corpus_of("a b\nb a b\na\n", 3)
+    model = ReweightedModel(ngram_mle_fit(corpus, 2, 0.5),
+                            [(0.7, ngram_indicator(corpus.vocab, (1,), 2))])
+    ids = np.array([[1, 2, 1], [2, 1, 0]], dtype=np.int64)
+    model.corpus_conditionals(ids)
+    ids[:, 1:] = [[1, 2], [2, 2]]
+    got = model.corpus_conditionals(ids)
+    assert got.tobytes() == fresh(model).corpus_conditionals(ids).tobytes()
+    assert model.extended(0.1, token_indicator(corpus.vocab, 1))._index is None
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,25 @@ MC = ["--distinguisher", "token-indicator:a", "--estimator", "monte-carlo"]
     (["fit", "--corpus", "{long}", "--length", "2"], "line 3: 3 tokens exceeds length 2"),
     (["fit", "--corpus", "{padded}", "--length", "2"], "pad id 0 may not appear"),
     (["eval", "--model", "{aab_model}", "--corpus", "{xy}"], "line 1: token 'x' not in vocabulary"),
+    # Every output that cannot be written and every input that cannot be read
+    # or decoded is a usage error that names the file.
+    (["fit", *AAB, "--model-out", "{dir}"], "cannot write {dir}"),
+    (["fit", *AAB, "--model-out", "{aab}/x"], "cannot write {aab}/x"),
+    (["boost", *AAB, "--epsilon", "0.2", "--trace-out", "{dir}"], "cannot write {dir}"),
+    (["boost", *AAB, "--epsilon", "1e-6", "--max-iters", "1", "--trace-out", "{dir}"],
+     "cannot write {dir}"),
+    (["boost", *AAB, "--epsilon", "0.2", "--model-out", "{dir}"], "cannot write {dir}"),
+    (["oracle-check", "--report-out", "{dir}"], "cannot write {dir}"),
+    (["age-experiment", "--report-out", "{dir}"], "cannot write {dir}"),
+    (["SEQBOOST_OUTDIR={aab}", "fit", *AAB], "cannot write {aab}/model.txt"),
+    (["fit", "--corpus", "{dir}", "--length", "2"], "cannot load corpus {dir}"),
+    (["boost", "--corpus", "{dir}", "--length", "2"], "cannot load corpus {dir}"),
+    (["eval", "--model", "{aab_model}", "--corpus", "{dir}"], "cannot load corpus {dir}"),
+    (["distinguish", "--model", "{aab_model}", "--corpus", "{dir}", *MC],
+     "cannot load corpus {dir}"),
+    (["fit", "--config", "{latin1}"], "cannot read config file {latin1}"),
+    (["eval", "--model", "{aab_model}", "--table", "{latin1}"], "cannot read table {latin1}"),
+    (["distinguish", "--model", "{aab_model}", *MC], "Missing option '--corpus'"),
 ])
 def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
@@ -442,21 +462,27 @@ def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatc
              "xy": tmp_path / "xy_ages.txt", "wide": tmp_path / "wide.txt",
              "wide_model": tmp_path / "wide_model.txt", "aab_model": tmp_path / "aab_model.txt",
              "empty": tmp_path / "empty.txt", "long": tmp_path / "long.txt",
-             "padded": tmp_path / "padded.txt"}
+             "padded": tmp_path / "padded.txt", "dir": tmp_path / "dir",
+             "latin1": tmp_path / "latin1.txt"}
     files["aab"].write_text("a a\na a\na b\n")
     files["empty"].write_text("\n \t\n")
     files["long"].write_text("a\n\na b c\nb c d\n")
     files["padded"].write_text("a b\na <pad>\n")
     files["xy"].write_text("x y\n")
+    files["dir"].mkdir()
+    files["latin1"].write_bytes("length = 2  # déjà\n".encode("latin-1"))
     # 40 tokens at length 4: 41^4 sequences, past the default enumeration budget.
     files["wide"].write_text("".join(f"t{i % 40} t{(i * 7) % 40}\n" for i in range(60)))
     for corpus, model, length in (("aab", "aab_model", "2"), ("wide", "wide_model", "4")):
         fitted = runner.invoke(main, ["fit", "--corpus", str(files[corpus]), "--length", length,
                                       "--model-out", str(files[model])])
         assert fitted.exit_code == 0
-    result = runner.invoke(main, [arg.format(**files) for arg in args])
+    # Leading NAME=value words set the environment, as on a shell line.
+    line = [arg.format(**files) for arg in args]
+    env = dict(arg.split("=", 1) for arg in itertools.takewhile(lambda a: "=" in a, line))
+    result = runner.invoke(main, line[len(env):], env=env)
     assert result.exit_code == 2, result.output
-    assert message in result.output
+    assert message.format(**files) in result.output
     assert "Traceback" not in result.output
 
 
