@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, row_keys
 from .distinguish import (
     Distinguisher,
     extensions,
@@ -25,26 +25,11 @@ from .distinguish import (
     token_indicator,
 )
 from .exact import JointTable
-from .models import (
-    SequentialModel,
-    context_groups,
-    log_loss,
-    loss_report,
-    prefix_conditionals,
-    summed_logs,
-)
+from .models import SequentialModel, log_loss, loss_report, summed_logs
 
 
 # The most token ids one block of ReweightedModel's batched rows extends to (2 MB).
 EXTENSION_BLOCK = 1 << 18
-
-
-def _row_keys(prefixes: np.ndarray) -> np.ndarray:
-    """One byte key per row of a C-contiguous (k, L) int64 array, a ``np.void``
-    view of its rows: equal rows have equal keys, and keys sort and search as
-    bytes, however large n^L is.  Every empty prefix has the same key."""
-    k, L = prefixes.shape
-    return prefixes.view(f"V{8 * L}").reshape(k) if L else np.zeros(k, dtype="V1")
 
 
 class ReweightedModel(SequentialModel):
@@ -59,12 +44,11 @@ class ReweightedModel(SequentialModel):
     use).
 
     Logits are memoised in one block per prefix length L: the distinct
-    prefixes seen so far, a (K, L) array sorted by their ``_row_keys``, the
-    keys (a view of that array) and the (K, n) logits in the same order.
-    ``prefix_slot`` is where ``prefix_conditionals`` keeps the model's last
-    corpus array.  ``_index`` holds, for one read-only ids array and the
-    blocks' prefix arrays it was built against, the row of every corpus
-    prefix (i, j) in the blocks' logits stacked in length order.
+    prefixes seen so far, a (K, L) array sorted by their ``row_keys``, the
+    keys (a view of that array) and the (K, n) logits in the same order.  A
+    block that ``corpus_conditionals`` fills holds the corpus's own
+    ``prefix_index`` arrays.  ``prefix_slot`` keeps the last corpus and its
+    ``corpus_conditionals`` array.
     """
 
     def __init__(
@@ -91,8 +75,7 @@ class ReweightedModel(SequentialModel):
         self.length = base.length
         self.partition_scale = partition_scale
         self._memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._index: tuple[np.ndarray, list[np.ndarray], np.ndarray] | None = None
-        self.prefix_slot: tuple[np.ndarray, np.ndarray] | None = None
+        self.prefix_slot: tuple[Corpus, np.ndarray] | None = None
 
     def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
         """``_rows`` of the prefixes' logits, found by ``_lookup``."""
@@ -111,7 +94,7 @@ class ReweightedModel(SequentialModel):
         prefix once, merged into the memo unless ``memo`` is false."""
         L = prefixes.shape[1]
         block = self._memo.get(L)
-        keys = _row_keys(prefixes)
+        keys = row_keys(prefixes)
         if block is None:
             miss = np.arange(len(keys))
         else:
@@ -135,32 +118,32 @@ class ReweightedModel(SequentialModel):
             # key order among themselves, so the block stays sorted.
             at = pos.take(new)
             added, fresh = np.insert(known, at, added, axis=0), np.insert(logits, at, fresh, axis=0)
-        added_keys = _row_keys(added)
+        added_keys = row_keys(added)
         if memo and len(added):  # a block is never empty, so it can always be searched
             self._memo[L] = added, added_keys, fresh
         return fresh, added_keys.searchsorted(keys)
 
-    def corpus_conditionals(self, ids: np.ndarray) -> np.ndarray:
-        """One gather of the memoised logits of every corpus prefix through
-        ``_index``, then one ``_rows``.  The index is rebuilt for another ids
-        object or once a block it was built against has gained a prefix, by
-        ``_lookup`` at every length, which memoises a missing corpus prefix.
-        A writable ids array may change in place, so its index is built for
-        this call only and never kept (``Corpus.ids`` is read-only)."""
-        if not self.factors or not ids.size:
-            return super().corpus_conditionals(ids)
-        index = self._index
-        if (ids.flags.writeable or index is None or index[0] is not ids
-                or any(self._memo[L][0] is not known for L, known in enumerate(index[1]))):
-            flat, offset = np.empty(ids.shape, dtype=np.int64), 0
-            for L in range(ids.shape[1]):
-                flat[:, L] = offset + self._lookup(np.ascontiguousarray(ids[:, :L]))[1]
-                offset += len(self._memo[L][0])
-            index = ids, [self._memo[L][0] for L in range(ids.shape[1])], flat
-            if not ids.flags.writeable:
-                self._index = index
-        logits = np.concatenate([self._memo[L][2] for L in range(ids.shape[1])])
-        return self._rows(logits.take(index[2], axis=0))
+    def corpus_conditionals(self, corpus: Corpus) -> np.ndarray:
+        """The base class's array, kept in ``prefix_slot`` for this corpus.  With
+        a factor, one ``_rows`` over the logits of ``corpus.prefix_index``'s
+        distinct prefixes, then one gather.  A missing memo block is the index's
+        own prefix array, which ``extended`` hands to the child, so no later
+        model searches for its rows; a block with other prefixes is searched."""
+        if self.prefix_slot is not None and self.prefix_slot[0] is corpus:
+            return self.prefix_slot[1]
+        if not self.factors or not corpus.ids.size:
+            Q = super().corpus_conditionals(corpus)
+        else:
+            (distinct, rows), parts = corpus.prefix_index, []
+            for L, own in enumerate(distinct):
+                if L not in self._memo:
+                    self._memo[L] = own, row_keys(own), self._logits(own)
+                known, _, logits = self._memo[L]
+                parts.append(logits if known is own else np.take(*self._lookup(own), axis=0))
+            Q = self._rows(np.concatenate(parts)).take(rows, axis=0)
+            Q.flags.writeable = False
+        self.prefix_slot = corpus, Q
+        return Q
 
     def _logits(self, prefixes: np.ndarray) -> np.ndarray:
         """The logits of a (k, L) prefix array from the base, in blocks whose
@@ -188,11 +171,9 @@ class ReweightedModel(SequentialModel):
         take the subtraction a fresh chain's last factor takes, so a new factor
         costs one pass over the memoised prefixes and a carried row is the
         fresh chain's bit for bit.  The child shares the blocks' prefix arrays.
-        This model's ``prefix_slot`` is emptied, so a run keeps one array; its
-        ``_index`` is the child's too."""
+        This model's ``prefix_slot`` is emptied, so a run keeps one array."""
         self.prefix_slot = None
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
-        child._index = self._index
         n = self.vocab.n
         for L, (known, keys, logits) in self._memo.items():
             child._memo[L] = known, keys, logits - b * g.values(extensions(known, n))
@@ -272,7 +253,7 @@ def run_boost(
     b_t, stops if b_t < epsilon, and otherwise folds exp(-b_t g_t) into the
     model.  The returned model is epsilon-indistinguishable by this oracle.
     A round's loss is ``log_loss``'s float, read from the array
-    (``prefix_conditionals``) that the next round's oracle reads.
+    (``corpus_conditionals``) that the next round's oracle reads.
     """
     loss0 = log_loss(q0, corpus).log_loss  # raises if any sequence is impossible
     trace = BoostTrace(initial_loss=loss0)
@@ -293,7 +274,7 @@ def run_boost(
             trace.termination = "indistinguishable"
             return model, trace
         model = model.extended(b, g)
-        probs = prefix_conditionals(model, corpus)[rows, at, corpus.ids]
+        probs = model.corpus_conditionals(corpus)[rows, at, corpus.ids]
         current_loss = loss_report(summed_logs(probs)).log_loss
         t2 = time.perf_counter()
         trace.records.append(IterationRecord(t, b, current_loss, t1 - t0, t2 - t1))
@@ -310,44 +291,25 @@ def run_boost(
 TIE_TOLERANCE = 1e-13
 
 
-def indicator_cells(
-    corpus: Corpus, context_length: int
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """The corpus-only part of ``best_indicator``: the contexts of the positions
-    j >= k in rank order (``context_groups``), the cell (context rank * n +
-    token) of every (position, token) pair, positions in row-major order, and
-    the count of each cell's token at its context's positions."""
-    ids, n, k = corpus.ids, corpus.vocab.n, context_length
-    if corpus.length <= k:
-        raise ValueError(f"no context of {k} tokens fits before a token in length {corpus.length}")
-    counted = np.zeros(ids.shape, dtype=bool)
-    counted[:, k:] = True
-    group, contexts = context_groups(ids, k, counted)
-    counts = np.bincount(group * n + ids[:, k:].reshape(-1), minlength=len(contexts) * n)
-    return contexts, (group[:, None] * n + np.arange(n)).reshape(-1), counts
-
-
-def best_indicator(
-    q: SequentialModel, corpus: Corpus, context_length: int, cells: tuple
-) -> tuple[tuple[int, ...], int, bool]:
+def best_indicator(q: SequentialModel, corpus: Corpus, k: int) -> tuple[tuple[int, ...], int, bool]:
     """The (context, token, flip) whose indicator has the largest step-wise advantage.
 
-    A candidate is 1 where the prefix ends with ``context_length`` context
-    tokens followed by the token.  All candidates are scored from one
+    A candidate is 1 where the prefix ends with k context tokens followed by
+    the token.  All candidates are scored from one
     conditional array Q (m, N, n): over the positions j >= k whose previous k
     tokens are the context c,
 
         adv[c, t] = (sum of Q[i, j, t] - count of t) / (m N),
 
     and the flipped candidate scores (sum of Q - m N) / (m N) - adv[c, t].
-    The counts come with ``cells``, ``indicator_cells(corpus, k)``; the sums
-    are one ``np.bincount`` over its cells, adding in position order.
+    The counts are ``corpus.indicator_cells(k)``'s; the sums are one
+    ``np.bincount`` over its cells, adding in position order.
     Contexts rank in order of first appearance in the corpus, then tokens,
     then unflipped before flipped, and the first maximum wins, as in a scan
     that keeps a candidate only when it is strictly better (up to TIE_TOLERANCE).
     """
-    (contexts, cell, counts), n, k = cells, corpus.vocab.n, context_length
-    Q = prefix_conditionals(q, corpus)
+    n, (contexts, cell, counts) = corpus.vocab.n, corpus.indicator_cells(k)
+    Q = q.corpus_conditionals(corpus)
     sums = np.bincount(cell, weights=Q[:, k:].reshape(-1), minlength=len(counts))
     total = corpus.m * corpus.length
     adv = (sums - counts).reshape(-1, n) / total
@@ -361,51 +323,39 @@ def best_indicator(
 
 
 class NGramIndicatorOracle:
-    """Search order-k context-token indicators over contexts seen in the corpus.
-    Its ``indicator_cells`` are counted again only for another ``corpus.ids``."""
+    """Search order-k context-token indicators over contexts seen in the corpus."""
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self._cells: tuple = (None,)
-
-    def _best(self, q: SequentialModel, corpus: Corpus) -> tuple[tuple[int, ...], int, bool]:
-        if self._cells[0] is not corpus.ids:
-            self._cells = corpus.ids, indicator_cells(corpus, self.order - 1)
-        return best_indicator(q, corpus, self.order - 1, self._cells[1])
 
     def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
-        ctx, tok, flip = self._best(q, corpus)
+        ctx, tok, flip = best_indicator(q, corpus, self.order - 1)
         return ngram_indicator(corpus.vocab, ctx, tok, flip)
 
 
-class TokenIndicatorOracle(NGramIndicatorOracle):
+class TokenIndicatorOracle:
     """Search last-token indicators (and their flips) for the best advantage."""
 
-    def __init__(self):
-        super().__init__(1)
-
     def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
-        _, tok, flip = self._best(q, corpus)
+        _, tok, flip = best_indicator(q, corpus, 0)
         return token_indicator(corpus.vocab, tok, flip)
 
 
 class LogRatioOracle:
-    """Distinguish via conditional log-ratios against a lower-loss reference model.
-    The reference's corpus conditionals are read again only for another ``corpus.ids``."""
+    """Distinguish via conditional log-ratios against a lower-loss reference model,
+    whose corpus array a factorless ``ReweightedModel``'s ``prefix_slot`` keeps."""
 
     def __init__(self, reference: SequentialModel, ratio_cap: float = 1e6):
         self.reference = reference
         self.ratio_cap = ratio_cap
-        self._reference_rows: tuple = (None,)
+        self._slotted_reference = ReweightedModel(reference, [])
 
     def _bound(self, q: SequentialModel, corpus: Corpus) -> float:
         """The largest ratio either way between q and the reference at the
         corpus prefixes, where both are positive, clamped to (1, ratio_cap]."""
-        if self._reference_rows[0] is not corpus.ids:
-            self._reference_rows = corpus.ids, prefix_conditionals(self.reference, corpus)
-        dq, dr = prefix_conditionals(q, corpus), self._reference_rows[1]
+        dq, dr = q.corpus_conditionals(corpus), self._slotted_reference.corpus_conditionals(corpus)
         both = (dq > 0) & (dr > 0)
         r = dq[both] / dr[both]
         worst = max(1.0, float(r.max()), float((1.0 / r).max())) if r.size else 1.0

@@ -103,6 +103,20 @@ def _write(path: Path, text: str) -> None:
         raise click.UsageError(f"cannot write {path}: {exc}")
 
 
+def _writable(*paths: Path) -> None:
+    """``_write``'s usage error, before any work, for an output path that
+    cannot be written; a file made to find out is removed again."""
+    for path in paths:
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            made = not path.exists()
+            path.open("a").close()
+            if made:
+                path.unlink()
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {path}: {exc}")
+
+
 def _load_corpus_checked(path, length, vocab=None):
     try:
         return load_corpus(path, length, vocab=vocab)
@@ -197,6 +211,7 @@ def boost(corpus, length, init, order, lam, oracle, oracle_order, ref_model, eps
         config = BoostConfig(epsilon=epsilon, max_iters=max_iters)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    _writable(trace_out, model_out)
     try:
         model, trace = run_boost(q0, corpus, oracle, config)
     except MaxItersExceededError as exc:
@@ -363,6 +378,7 @@ def oracle_check(report_out, fault_z_scale):
     """Run every randomized invariant suite and report per-property margins."""
     if not 0 < fault_z_scale < math.inf:  # NaN too
         raise click.BadParameter("must be positive and finite", param_hint="'--fault-z-scale'")
+    _writable(report_out)
     results = default_suites(stepwise_partition_scale=fault_z_scale)
     _write(report_out, "property,instances,min_slack,pass\n" + "".join(
         f"{r.name},{r.instances},{r.min_slack:.17g},{int(r.passed)}\n" for r in results))

@@ -8,6 +8,7 @@ cheap to detect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
@@ -98,13 +99,58 @@ class Sequence:
         return self.token_ids[:j]
 
 
+def row_keys(prefixes: np.ndarray) -> np.ndarray:
+    """One byte key per row of a C-contiguous (k, L) int64 array, a ``np.void``
+    view of its rows: equal rows have equal keys, and keys sort and search as
+    bytes, however large n^L is.  Every empty prefix has the same key."""
+    k, L = prefixes.shape
+    return prefixes.view(f"V{8 * L}").reshape(k) if L else np.zeros(k, dtype="V1")
+
+
+def row_numbers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a (k, w) array of ints >= -1: each row's
+    number, and for each number the index of its first row.  Numbers follow
+    the rows' lexicographic order; with no column, every row is number 0.
+
+    One 1-D ``np.unique`` per column, renumbering after each so that the
+    numbers stay below k: no row sort.
+    """
+    base = int(rows.max(initial=0)) + 2  # above every entry + 1
+    codes, first = np.zeros(len(rows), dtype=np.int64), np.arange(min(len(rows), 1))
+    for col in rows.T:
+        _, first, codes = np.unique(codes * base + col + 1, return_index=True, return_inverse=True)
+    return codes, first
+
+
+def context_groups(
+    ids: np.ndarray, width: int, counted: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Number the contexts of the positions of an (m, N) id array where the
+    (m, N) boolean mask ``counted`` is true.
+
+    The context of position j is the ``width`` ids before it, fewer at the
+    start of a sequence.  Returns the rank of every counted position's
+    context, in row-major order, and the contexts in rank order: contexts rank
+    in order of first appearance, row by row.
+    """
+    padded = np.concatenate([np.full((len(ids), width), -1, dtype=np.int64), ids], axis=1)
+    rows, cols = np.nonzero(counted)
+    # context[p]: the width ids before counted position p, -1 before the start.
+    context = padded[rows[:, None], cols[:, None] + np.arange(width)]
+    codes, first = row_numbers(context)
+    by_first = np.argsort(first)
+    contexts = [tuple(t for t in ctx if t >= 0) for ctx in context[first[by_first]].tolist()]
+    return np.argsort(by_first)[codes], contexts
+
+
 class Corpus:
     """m sequences sharing one vocabulary and padded length N, stored only as
     their read-only (m, N) int64 id array ``ids``.  ``rows`` is that array or
     one ``Sequence`` per row; the padding contract is not checked, so raw
     domain rows are allowed (``save_corpus`` rejects rows it cannot write).
     An int64 array that is writable or a view of another array is copied, so
-    no later write to the caller's buffer reaches ``ids``."""
+    no later write to the caller's buffer reaches ``ids``.  What depends on
+    ``ids`` alone, ``prefix_index`` and ``indicator_cells``, is built on first use."""
 
     def __init__(self, vocab: Vocabulary, length: int, rows) -> None:
         if isinstance(rows, np.ndarray):
@@ -120,6 +166,7 @@ class Corpus:
             raise ValueError("all corpus sequences must share the padded length")
         ids.flags.writeable = False
         self.vocab, self.length, self.ids = vocab, length, ids
+        self._counts_by_context: dict[int, tuple] = {}
 
     @property
     def m(self) -> int:
@@ -133,6 +180,42 @@ class Corpus:
     @property
     def has_padding(self) -> bool:
         return bool((self.ids == 0).any())
+
+    @cached_property
+    def prefix_index(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The distinct prefixes of the rows, and where each position's is.
+        For each length L < N, the (K_L, L) array of the distinct
+        ``ids[:, :L]`` in ``row_keys`` order, one ``np.unique`` of their keys;
+        and the (m, N) array whose entry (i, j) is the row of ``ids[i, :j]``
+        in those arrays stacked by length.  Every array is read-only."""
+        prefixes, rows = [], np.empty(self.ids.shape, dtype=np.int64)
+        for L in range(self.length):
+            keys = row_keys(np.ascontiguousarray(self.ids[:, :L]))
+            _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+            rows[:, L] = at + sum(map(len, prefixes))
+            prefixes.append(np.ascontiguousarray(self.ids[first, :L]))
+        for a in prefixes + [rows]:
+            a.flags.writeable = False
+        return tuple(prefixes), rows
+
+    def indicator_cells(self, k: int) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+        """What an indicator search over contexts of k tokens reads of the
+        corpus, counted once per k: the contexts of the positions j >= k in
+        rank order (``context_groups``), the cell (context rank * n + token)
+        of every (position, token) pair, positions in row-major order, and the
+        count of each cell's token at its context's positions.  The arrays
+        are read-only."""
+        ids, n = self.ids, self.vocab.n
+        if self.length <= k:
+            raise ValueError(f"no context of {k} tokens fits before a token in length {self.length}")
+        if k not in self._counts_by_context:
+            counted = np.broadcast_to(np.arange(self.length) >= k, ids.shape)
+            group, contexts = context_groups(ids, k, counted)
+            counts = np.bincount(group * n + ids[:, k:].reshape(-1), minlength=len(contexts) * n)
+            cell = (group[:, None] * n + np.arange(n)).reshape(-1)
+            cell.flags.writeable = counts.flags.writeable = False
+            self._counts_by_context[k] = contexts, cell, counts
+        return self._counts_by_context[k]
 
 
 def load_corpus(

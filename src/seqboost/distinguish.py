@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, Vocabulary
 from .exact import DEFAULT_BUDGET, JointTable, check_shared, enumerate_joint, sequence_index
-from .models import SequentialModel, prefix_conditionals, sample_many, sequence_log_probs
+from .models import SequentialModel, sample_many, sequence_log_probs
 
 
 def _row_values(fn: Callable[[tuple[int, ...]], float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -148,7 +148,7 @@ def generalized_advantage(
     if corpus.m < 1:
         raise ValueError("empty corpus")
     ids, n = corpus.ids, corpus.vocab.n
-    Q = prefix_conditionals(q, corpus)
+    Q = q.corpus_conditionals(corpus)
     G = np.empty(Q.shape)
     for j in range(corpus.length):
         G[:, j] = g.values(extensions(ids[:, :j], n))

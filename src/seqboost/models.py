@@ -7,8 +7,8 @@ conditionals.  ``next_token_dist(prefix)`` is one row of it, and
 joint probability of a sequence is the product of its conditionals; all
 arithmetic is done in log space so N-length products cannot underflow.
 Corpus-wide layers (``log_loss``, ``enumerate_joint``, ``sample_many``)
-make one call per position, as ``prefix_conditionals`` does unless the model
-overrides ``corpus_conditionals``.
+make one call per position, as ``corpus_conditionals`` does unless the model
+overrides it: a ``ReweightedModel`` reads the corpus's own ``prefix_index``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, context_groups, row_numbers
 
 PAD_ID = 0
 
@@ -54,12 +54,13 @@ class SequentialModel(abc.ABC):
         """q(tokens[i] | prefixes[i]) for every row of a (k, L) prefix array: (k,)."""
         return self.conditionals(prefixes)[np.arange(len(prefixes)), tokens]
 
-    def corpus_conditionals(self, ids: np.ndarray) -> np.ndarray:
-        """Q[i, j] = q(. | ids[i, :j]) for an (m, N) id array: an (m, N, n)
+    def corpus_conditionals(self, corpus: Corpus) -> np.ndarray:
+        """Q[i, j] = q(. | first j tokens of sequence i): a read-only (m, N, n)
         array from one ``conditionals`` call per position."""
-        Q = np.empty(ids.shape + (self.vocab.n,))
-        for j in range(ids.shape[1]):
-            Q[:, j] = self.conditionals(ids[:, :j])
+        Q = np.empty(corpus.ids.shape + (self.vocab.n,))
+        for j in range(corpus.length):
+            Q[:, j] = self.conditionals(corpus.ids[:, :j])
+        Q.flags.writeable = False
         return Q
 
 
@@ -159,42 +160,6 @@ class NGramModel(SequentialModel):
         return out
 
 
-def row_numbers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of a (k, w) array of ints >= -1: each row's
-    number, and for each number the index of its first row.  Numbers follow
-    the rows' lexicographic order; with no column, every row is number 0.
-
-    One 1-D ``np.unique`` per column, renumbering after each so that the
-    numbers stay below k: no row sort.
-    """
-    base = int(rows.max(initial=0)) + 2  # above every entry + 1
-    codes, first = np.zeros(len(rows), dtype=np.int64), np.arange(min(len(rows), 1))
-    for col in rows.T:
-        _, first, codes = np.unique(codes * base + col + 1, return_index=True, return_inverse=True)
-    return codes, first
-
-
-def context_groups(
-    ids: np.ndarray, width: int, counted: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Number the contexts of the positions of an (m, N) id array where the
-    (m, N) boolean mask ``counted`` is true.
-
-    The context of position j is the ``width`` ids before it, fewer at the
-    start of a sequence.  Returns the rank of every counted position's
-    context, in row-major order, and the contexts in rank order: contexts rank
-    in order of first appearance, row by row.
-    """
-    padded = np.concatenate([np.full((len(ids), width), -1, dtype=np.int64), ids], axis=1)
-    rows, cols = np.nonzero(counted)
-    # context[p]: the width ids before counted position p, -1 before the start.
-    context = padded[rows[:, None], cols[:, None] + np.arange(width)]
-    codes, first = row_numbers(context)
-    by_first = np.argsort(first)
-    contexts = [tuple(t for t in ctx if t >= 0) for ctx in context[first[by_first]].tolist()]
-    return np.argsort(by_first)[codes], contexts
-
-
 def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
     """Fit an order-k model by counting, with optional Laplace smoothing.
 
@@ -251,21 +216,6 @@ def summed_logs(probs: np.ndarray) -> np.ndarray:
     for j in range(probs.shape[1]):
         total += logs[:, j]
     return total
-
-
-def prefix_conditionals(q: SequentialModel, corpus: Corpus) -> np.ndarray:
-    """Q[i, j] = q(. | first j tokens of sequence i): the model's read-only
-    ``corpus_conditionals``.  A model with a ``prefix_slot`` keeps it there,
-    returned again for the same ``corpus.ids``."""
-    ids = corpus.ids
-    slot = getattr(q, "prefix_slot", None)
-    if slot is not None and slot[0] is ids:
-        return slot[1]
-    Q = q.corpus_conditionals(ids)
-    Q.flags.writeable = False
-    if hasattr(q, "prefix_slot"):
-        q.prefix_slot = ids, Q
-    return Q
 
 
 def loss_report(log_probs: np.ndarray) -> LossReport:

@@ -29,7 +29,7 @@ from seqboost.boost import (
 )
 from seqboost.checks import make_vocab
 from seqboost.cli import main
-from seqboost.corpus import Corpus, Sequence, Vocabulary
+from seqboost.corpus import Corpus, Sequence, Vocabulary, context_groups
 from seqboost.distinguish import (
     Distinguisher,
     StepDistinguisher,
@@ -49,10 +49,8 @@ from seqboost.models import (
     NGramModel,
     SequentialModel,
     UniformModel,
-    context_groups,
     log_loss,
     ngram_mle_fit,
-    prefix_conditionals,
     sample_many,
 )
 
@@ -180,9 +178,9 @@ def test_batched_advantage_matches_the_scalar_loop(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_prefix_conditionals_are_the_models_conditionals(data):
+def test_corpus_conditionals_are_the_models_conditionals(data):
     corpus, q = data.draw(instances())
-    Q = prefix_conditionals(q, corpus)
+    Q = q.corpus_conditionals(corpus)
     assert Q.shape == (corpus.m, corpus.length, corpus.vocab.n)
     for i, seq in enumerate(corpus.sequences):
         for j in range(corpus.length):
@@ -544,29 +542,29 @@ def stacked_conditionals(model, corpus):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
-    """``prefix_conditionals`` of a reweighted model, read through its corpus
-    index, is a fresh copy's rows bit for bit: with no factor; along a chain
-    grown by ``extended`` (indicator, custom and log-ratio factors), whose
-    index is handed down; after the memo gained another corpus's prefixes,
-    which rebuilds the index; and on a twin corpus whose ids are equal but
-    another object."""
+    """``corpus_conditionals`` of a reweighted model, read through the corpus's
+    prefix index, is a fresh copy's rows bit for bit: with no factor; along a
+    chain grown by ``extended`` (indicator, custom and log-ratio factors),
+    whose memo blocks are the corpus's own prefix arrays; after the memo
+    gained other prefixes, so that its blocks are searched; and on a twin
+    corpus whose ids are equal but whose index is another."""
     corpus = data.draw(corpora())
     vocab, length = corpus.vocab, corpus.length
     twin = Corpus(vocab, length, corpus.ids.copy())
     model = ReweightedModel(data.draw(base_models(vocab, length)), [],
                             data.draw(st.sampled_from([1.0, 0.9, 1.01])))
-    for step in range(data.draw(st.integers(1, 4))):
-        untouched = step > 0  # the memo and index exactly as the parent left them
+    own = True  # every block the corpus's own prefix array, as the chain hands it down
+    for _ in range(data.draw(st.integers(1, 4))):
         if data.draw(st.booleans()):
             model.conditionals(data.draw(prefix_arrays(model)))
-            untouched = False
+            own = False
         if data.draw(st.booleans()):
-            assert prefix_conditionals(model, twin).tobytes() == stacked_conditionals(model, twin).tobytes()
-            untouched = False
-        before = model._index
-        assert prefix_conditionals(model, corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
-        if untouched and len(model.factors) > 1:
-            assert model._index is before  # inherited, not rebuilt
+            assert model.corpus_conditionals(twin).tobytes() == stacked_conditionals(model, twin).tobytes()
+            own = False
+        assert model.corpus_conditionals(corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
+        if own and model.factors:
+            assert all(model._memo[L][0] is prefixes
+                       for L, prefixes in enumerate(corpus.prefix_index[0]))
         b = data.draw(st.floats(0.0, 2.0))
         kind = data.draw(st.sampled_from(["indicator", "custom", "log-ratio"]))
         if kind == "log-ratio":
@@ -577,22 +575,7 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
             g = scalar(g) if kind == "custom" else g
         model = model.extended(b, g)
     for c in (corpus, twin):
-        assert prefix_conditionals(model, c).tobytes() == stacked_conditionals(model, c).tobytes()
-
-
-def test_a_writable_ids_array_changed_in_place_is_read_anew():
-    """The corpus index is kept only for a read-only ids array: a writable one
-    whose columns are rewritten between calls gets its new rows, not the
-    first call's."""
-    corpus = corpus_of("a b\nb a b\na\n", 3)
-    model = ReweightedModel(ngram_mle_fit(corpus, 2, 0.5),
-                            [(0.7, ngram_indicator(corpus.vocab, (1,), 2))])
-    ids = np.array([[1, 2, 1], [2, 1, 0]], dtype=np.int64)
-    model.corpus_conditionals(ids)
-    ids[:, 1:] = [[1, 2], [2, 2]]
-    got = model.corpus_conditionals(ids)
-    assert got.tobytes() == fresh(model).corpus_conditionals(ids).tobytes()
-    assert model.extended(0.1, token_indicator(corpus.vocab, 1))._index is None
+        assert model.corpus_conditionals(c).tobytes() == stacked_conditionals(model, c).tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -29,7 +29,7 @@ from seqboost.distinguish import (
     token_indicator,
 )
 from seqboost.exact import JointTable, enumerate_joint, total_variation
-from seqboost.models import UniformModel, log_loss, ngram_mle_fit, prefix_conditionals
+from seqboost.models import UniformModel, log_loss, ngram_mle_fit
 
 
 def ab_table(pa, pb):
@@ -435,7 +435,7 @@ def test_run_boost_is_the_composition_of_its_pieces_bit_for_bit(data):
     assert oracle.labels == [label for _, _, label in want]
     if model is not None:
         assert model.factors == want_model.factors
-        Q, want_Q = prefix_conditionals(model, corpus), prefix_conditionals(bare(want_model), corpus)
+        Q, want_Q = model.corpus_conditionals(corpus), bare(want_model).corpus_conditionals(corpus)
         assert Q.tobytes() == want_Q.tobytes()
 
 
@@ -506,45 +506,66 @@ class TestOneArrayPerRound:
         # One gather for each round's new model; the factorless start reads its base.
         assert calls[0] == rounds
 
-    def test_indicator_oracles_number_contexts_once_per_corpus(self, monkeypatch):
-        import seqboost.boost as boost
+    @pytest.mark.parametrize("kind", ["token", "ngram-3"])
+    def test_rounds_make_no_lookup_call(self, monkeypatch, kind):
+        lookups = count_calls(monkeypatch, "_lookup")
+        corpus = deep_corpus()
+        inner = TokenIndicatorOracle() if kind == "token" else NGramIndicatorOracle(3)
+        model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(inner, 30),
+                             BoostConfig(1e-12, max_iters=31))
+        # The first reweighted model fills its memo from the corpus's prefix
+        # index, and every later one finds the corpus's prefix arrays there.
+        assert len(model.factors) == 30 and lookups[0] == 0
+        assert all(model._memo[L][0] is prefixes
+                   for L, prefixes in enumerate(corpus.prefix_index[0]))
+
+    def test_indicator_cells_are_counted_once_per_corpus_across_oracles(self, monkeypatch):
+        import seqboost.corpus
 
         calls = []
-        original = boost.context_groups
-        monkeypatch.setattr(boost, "context_groups",
-                            lambda *args: calls.append(args[0]) or original(*args))
+        original = seqboost.corpus.context_groups
+        monkeypatch.setattr(seqboost.corpus, "context_groups",
+                            lambda *args: calls.append(args[1]) or original(*args))
         corpus = deep_corpus()
-        for oracle in (TokenIndicatorOracle(), NGramIndicatorOracle(3)):
-            calls.clear()
+        for oracle in (TokenIndicatorOracle(), NGramIndicatorOracle(3), NGramIndicatorOracle(1),
+                       NGramIndicatorOracle(3)):
             run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(oracle, 5),
                       BoostConfig(1e-12, max_iters=6))
-            assert len(calls) == 1 and calls[0] is corpus.ids
-            # Another corpus, even with equal ids, is counted anew.
-            twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
-            oracle.propose(UniformModel(corpus.vocab, 8), twin)
-            assert len(calls) == 2 and calls[1] is twin.ids
+        # One numbering per context length, whichever oracle asked first.
+        assert calls == [0, 2]
+        # Another corpus, even with equal ids, is counted anew.
+        twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
+        TokenIndicatorOracle().propose(UniformModel(corpus.vocab, 8), twin)
+        assert calls == [0, 2, 0]
+        contexts, cell, counts = corpus.indicator_cells(2)
+        assert corpus.indicator_cells(2)[1] is cell
+        assert not cell.flags.writeable and not counts.flags.writeable
 
-    def test_the_slot_is_read_only_and_keyed_by_the_ids_object(self, monkeypatch, counted_conditionals):
+    def test_the_slot_is_read_only_keyed_by_the_corpus_and_emptied_by_extended(
+            self, monkeypatch, counted_conditionals):
         fresh_logits = count_calls(monkeypatch, "_logits")
         corpus = deep_corpus()
         model = ReweightedModel(UniformModel(corpus.vocab, 8), [(0.5, token_indicator(corpus.vocab, 1))])
-        Q = prefix_conditionals(model, corpus)
+        Q = model.corpus_conditionals(corpus)
         assert fresh_logits[0] == 8  # one block of fresh logits per length
-        assert model.prefix_slot[0] is corpus.ids and model.prefix_slot[1] is Q
+        assert model.prefix_slot[0] is corpus and model.prefix_slot[1] is Q
         assert not Q.flags.writeable
         with pytest.raises(ValueError):
             Q[0, 0, 0] = 1.0
-        assert prefix_conditionals(model, corpus) is Q and counted_conditionals[0] == 0
+        assert model.corpus_conditionals(corpus) is Q and counted_conditionals[0] == 0
         twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
-        twin_Q = prefix_conditionals(model, twin)
-        # The twin's prefixes are all in the memo: its index needs no new call.
+        twin_Q = model.corpus_conditionals(twin)
+        # The twin's prefixes are all in the memo: its rows need no new logits.
         assert twin_Q is not Q and counted_conditionals[0] == 0 and fresh_logits[0] == 8
-        assert twin_Q.tobytes() == Q.tobytes() and model.prefix_slot[0] is twin.ids
+        assert twin_Q.tobytes() == Q.tobytes() and model.prefix_slot[0] is twin
+        assert not twin_Q.flags.writeable
+        child = model.extended(0.25, token_indicator(corpus.vocab, 2))
+        assert model.prefix_slot is None and child.prefix_slot is None
 
     def test_extended_empties_the_parents_slot(self):
         corpus = deep_corpus()
         parent = ReweightedModel(UniformModel(corpus.vocab, 8), [])
-        prefix_conditionals(parent, corpus)
+        parent.corpus_conditionals(corpus)
         child = parent.extended(0.25, token_indicator(corpus.vocab, 2))
         assert parent.prefix_slot is None and child.prefix_slot is None
 
@@ -572,6 +593,7 @@ class TestOneArrayPerRound:
         captured = [g.models[0] for _, g in model.factors]
         assert len(captured) == 12
         assert sum(m.prefix_slot is not None for m in captured + [model]) <= 1
-        # One corpus index, built for the first reweighted model and handed down the chain.
-        assert captured[0]._index is None and model._index is not None
-        assert all(m._index is model._index for m in captured[1:])
+        # The chain's memo blocks are the corpus's own prefix arrays, handed down.
+        prefixes = corpus.prefix_index[0]
+        assert captured[0]._memo == {}
+        assert all(m._memo[L][0] is prefixes[L] for m in captured[1:] + [model] for L in range(8))

@@ -486,6 +486,41 @@ def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatc
     assert "Traceback" not in result.output
 
 
+def deep_ci_corpus(tmp_path):
+    """The CI workflow's 80-line, length-8, 3-letter corpus."""
+    import random
+
+    r = random.Random(0)
+    path = tmp_path / "deep.txt"
+    path.write_text("\n".join(" ".join(r.choice("abc") for _ in range(r.randint(2, 8)))
+                              for _ in range(80)) + "\n")
+    return path
+
+
+def test_unwritable_outputs_exit_2_before_any_work(runner, tmp_path, monkeypatch):
+    import seqboost.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_boost", lambda *args: calls.append("run_boost"))
+    monkeypatch.setattr(cli, "default_suites", lambda **kwargs: calls.append("default_suites"))
+    deep, trace, out = deep_ci_corpus(tmp_path), tmp_path / "trace.csv", tmp_path / "out"
+    out.mkdir()
+    boost = ["boost", "--corpus", str(deep), "--length", "8", "--oracle", "ngram-indicator",
+             "--oracle-order", "3", "--epsilon", "0.001"]
+    result = runner.invoke(main, boost + ["--trace-out", str(out)])
+    assert result.exit_code == 2 and f"cannot write {out}" in result.output
+    # A bad model path leaves no trace file, and an existing one as it was.
+    result = runner.invoke(main, boost + ["--trace-out", str(trace), "--model-out", str(out)])
+    assert result.exit_code == 2 and f"cannot write {out}" in result.output
+    assert not trace.exists()
+    trace.write_text("kept\n")
+    assert runner.invoke(main, boost + ["--trace-out", str(trace), "--model-out", str(out)]).exit_code == 2
+    assert trace.read_text() == "kept\n"
+    result = runner.invoke(main, ["oracle-check", "--report-out", str(out)])
+    assert result.exit_code == 2 and f"cannot write {out}" in result.output
+    assert calls == []
+
+
 def fit_xy_unigram(runner, tmp_path):
     """A unigram fitted on x y / y x at length 3: another vocabulary and length than aab."""
     corpus = tmp_path / "xy.txt"

@@ -11,6 +11,7 @@ from seqboost.corpus import (
     Sequence,
     Vocabulary,
     load_corpus,
+    row_keys,
     save_corpus,
 )
 from seqboost.distinguish import Distinguisher
@@ -148,6 +149,40 @@ def test_corpus_ids_do_not_alias_the_callers_array(tmp_path):
     path.write_text("a b\n", encoding="utf-8")
     loaded, _ = load_corpus(path, 3, vocab)
     assert loaded.ids.base is None and not loaded.ids.flags.writeable
+
+
+@st.composite
+def repeating_corpora(draw):
+    """A corpus of 1-8 rows drawn with repeats from 1-4 padded sequences, N 1-5."""
+    length = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=length),
+                         min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    vocab = Vocabulary.build(["a", "b", "c"])
+    return Corpus(vocab, length, tuple(Sequence.from_ids(r, length) for r in rows))
+
+
+@settings(deadline=None, max_examples=150)
+@given(repeating_corpora())
+def test_the_prefix_index_gathers_back_every_prefix(corpus):
+    index, ids, N = corpus.prefix_index, corpus.ids, corpus.length
+    assert corpus.prefix_index is index  # built once
+    distinct, rows = index
+    assert len(distinct) == N and rows.shape == ids.shape
+    for L, prefixes in enumerate(distinct):
+        assert prefixes.shape == (len({tuple(r) for r in ids[:, :L].tolist()}), L)
+        # Unique and in key order: the keys' bytes strictly increase.
+        keys = [k.tobytes() for k in row_keys(prefixes)]
+        assert keys == sorted(set(keys))
+    # Each prefix padded with -1 to N, stacked by length, gathered through the row map.
+    stacked = np.concatenate([np.pad(p, ((0, 0), (0, N - p.shape[1])), constant_values=-1)
+                              for p in distinct])
+    gathered = stacked[rows]
+    for L in range(N):
+        assert gathered[:, L, :L].tolist() == ids[:, :L].tolist()
+        assert (gathered[:, L, L:] == -1).all()
+    for a in distinct + (rows,):
+        assert not a.flags.writeable
 
 
 def test_save_corpus_rejects_rows_it_cannot_write(tmp_path):

@@ -18,7 +18,6 @@ from seqboost.models import (
     kl_gradient,
     log_loss,
     ngram_mle_fit,
-    prefix_conditionals,
     sample_many,
     sequence_log_probs,
 )
@@ -656,5 +655,5 @@ def test_a_boosted_model_reads_back_with_the_traced_loss_and_rows(kind, n, lengt
     model, trace = run_boost(q0, corpus, make_oracle(kind, 2, reference), BoostConfig(0.03))
     loaded = model_from_text(model_to_text(model))
     assert log_loss(loaded, corpus).log_loss == trace.records[-1].log_loss
-    live = prefix_conditionals(model, corpus)
-    assert prefix_conditionals(loaded, corpus).tobytes() == live.tobytes()
+    live = model.corpus_conditionals(corpus)
+    assert loaded.corpus_conditionals(corpus).tobytes() == live.tobytes()
