@@ -25,7 +25,7 @@ from .distinguish import (
     token_indicator,
 )
 from .exact import JointTable
-from .models import SequentialModel, log_loss, loss_report, summed_logs
+from .models import SequentialModel, log_loss, summed_logs
 
 
 # The most token ids one block of ReweightedModel's batched rows extends to (2 MB).
@@ -145,6 +145,15 @@ class ReweightedModel(SequentialModel):
         self.prefix_slot = corpus, Q
         return Q
 
+    def corpus_log_probs(self, corpus: Corpus) -> np.ndarray:
+        """With a factor, ``summed_logs`` of the corpus tokens' probabilities in
+        ``corpus_conditionals``, one log per distinct (prefix, token) cell."""
+        if not self.factors or not corpus.ids.size:
+            return super().corpus_log_probs(corpus)
+        rows, at = np.arange(corpus.m)[:, None], np.arange(corpus.length)
+        probs = self.corpus_conditionals(corpus)[rows, at, corpus.ids]
+        return summed_logs(probs, corpus.token_cells)
+
     def _logits(self, prefixes: np.ndarray) -> np.ndarray:
         """The logits of a (k, L) prefix array from the base, in blocks whose
         (rows, n, L + 1) token extensions hold at most EXTENSION_BLOCK ids."""
@@ -155,7 +164,7 @@ class ReweightedModel(SequentialModel):
                                    for i in range(0, k, step)])
         with np.errstate(divide="ignore"):
             logits = np.log(self.base.conditionals(prefixes))
-        ext = extensions(prefixes, n)
+        ext = extensions(prefixes, n) if self.factors else None
         for b, g in self.factors:
             logits -= b * g.values(ext)
         return logits
@@ -166,17 +175,27 @@ class ReweightedModel(SequentialModel):
         weights = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
         return weights / (np.add.reduce(weights, axis=-1, keepdims=True) * self.partition_scale)
 
-    def extended(self, b: float, g: Distinguisher) -> "ReweightedModel":
+    def extended(self, b: float, g: Distinguisher, step_values: tuple = ()) -> "ReweightedModel":
         """This model with the factor (b, g) appended.  Each memo block's logits
         take the subtraction a fresh chain's last factor takes, so a new factor
         costs one pass over the memoised prefixes and a carried row is the
         fresh chain's bit for bit.  The child shares the blocks' prefix arrays.
-        This model's ``prefix_slot`` is emptied, so a run keeps one array."""
+        ``step_values``, g's reads on a corpus's distinct prefixes
+        (``AdvantageEstimate.step_values``), stand in for g on a block that is
+        one of their prefix arrays, and give a length with no block its
+        corpus block; any other block reads g itself.  This model's
+        ``prefix_slot`` is emptied, so a run keeps one array."""
         self.prefix_slot = None
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
-        n = self.vocab.n
-        for L, (known, keys, logits) in self._memo.items():
-            child._memo[L] = known, keys, logits - b * g.values(extensions(known, n))
+        blocks = dict(self._memo)
+        for L, (own, _) in enumerate(step_values):
+            if L not in blocks:
+                blocks[L] = own, row_keys(own), self._logits(own)
+        for L, (known, keys, logits) in blocks.items():
+            own, values = step_values[L] if L < len(step_values) else (None, None)
+            if known is not own:
+                values = g.values(extensions(known, self.vocab.n))
+            child._memo[L] = known, keys, logits - b * values
         return child
 
 
@@ -252,7 +271,9 @@ def run_boost(
     Each round asks the oracle for a distinguisher, measures its advantage
     b_t, stops if b_t < epsilon, and otherwise folds exp(-b_t g_t) into the
     model.  The returned model is epsilon-indistinguishable by this oracle.
-    A round's loss is ``log_loss``'s float, read from the array
+    A round reads each distinct corpus prefix once: g's reads in
+    ``generalized_advantage`` carry the new factor into the child's memo
+    (``extended``), and the round's loss is ``log_loss``, read from the array
     (``corpus_conditionals``) that the next round's oracle reads.
     """
     loss0 = log_loss(q0, corpus).log_loss  # raises if any sequence is impossible
@@ -262,20 +283,19 @@ def run_boost(
         cap = max(1, 10 * iteration_bound(loss0, corpus.length, config.epsilon))
     model = ReweightedModel(q0, [])
     current_loss = loss0
-    rows, at = np.arange(corpus.m)[:, None], np.arange(corpus.length)
     for t in range(cap):
         t0 = time.perf_counter()
         g = oracle.propose(model, corpus)
         t1 = time.perf_counter()
-        b = generalized_advantage(g, corpus, model).value
+        estimate = generalized_advantage(g, corpus, model)
+        b = estimate.value
         if b < config.epsilon:
             t2 = time.perf_counter()
             trace.records.append(IterationRecord(t, b, current_loss, t1 - t0, t2 - t1))
             trace.termination = "indistinguishable"
             return model, trace
-        model = model.extended(b, g)
-        probs = model.corpus_conditionals(corpus)[rows, at, corpus.ids]
-        current_loss = loss_report(summed_logs(probs)).log_loss
+        model = model.extended(b, g, estimate.step_values)
+        current_loss = log_loss(model, corpus).log_loss
         t2 = time.perf_counter()
         trace.records.append(IterationRecord(t, b, current_loss, t1 - t0, t2 - t1))
     trace.termination = "max-iters"

@@ -150,7 +150,8 @@ class Corpus:
     domain rows are allowed (``save_corpus`` rejects rows it cannot write).
     An int64 array that is writable or a view of another array is copied, so
     no later write to the caller's buffer reaches ``ids``.  What depends on
-    ``ids`` alone, ``prefix_index`` and ``indicator_cells``, is built on first use."""
+    ``ids`` alone, ``prefix_index``, ``token_cells`` and ``indicator_cells``,
+    is built on first use."""
 
     def __init__(self, vocab: Vocabulary, length: int, rows) -> None:
         if isinstance(rows, np.ndarray):
@@ -182,21 +183,49 @@ class Corpus:
         return bool((self.ids == 0).any())
 
     @cached_property
+    def _prefix_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows sorted once, by the ``row_keys`` of the whole row, so that
+        the distinct prefixes of each length L = 0..N come in key order, each
+        a run of sorted rows: the sorted rows, the sort order, the (N + 1, m)
+        mask of the sorted rows that start a run of L-token prefixes, and the
+        (m, N + 1) number of every row's L-token prefix among the runs,
+        stacked by length."""
+        ids, (m, N) = self.ids, self.ids.shape
+        order = row_keys(np.ascontiguousarray(ids)).argsort()
+        ordered = ids.take(order, axis=0)
+        starts = np.empty((N + 1, m), dtype=bool)
+        starts[:, :1] = True
+        starts[0, 1:] = False  # every row's empty prefix is the same
+        starts[1:, 1:] = np.logical_or.accumulate(ordered[1:] != ordered[:-1], axis=1).T
+        numbers = np.empty((m, N + 1), dtype=np.int64)
+        numbers[order] = (starts.cumsum() - 1).reshape(N + 1, m).T
+        return ordered, order, starts, numbers
+
+    @cached_property
     def prefix_index(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """The distinct prefixes of the rows, and where each position's is.
         For each length L < N, the (K_L, L) array of the distinct
-        ``ids[:, :L]`` in ``row_keys`` order, one ``np.unique`` of their keys;
-        and the (m, N) array whose entry (i, j) is the row of ``ids[i, :j]``
-        in those arrays stacked by length.  Every array is read-only."""
-        prefixes, rows = [], np.empty(self.ids.shape, dtype=np.int64)
-        for L in range(self.length):
-            keys = row_keys(np.ascontiguousarray(self.ids[:, :L]))
-            _, first, at = np.unique(keys, return_index=True, return_inverse=True)
-            rows[:, L] = at + sum(map(len, prefixes))
-            prefixes.append(np.ascontiguousarray(self.ids[first, :L]))
+        ``ids[:, :L]`` in ``row_keys`` order; and the (m, N) array whose entry
+        (i, j) is the row of ``ids[i, :j]`` in those arrays stacked by length.
+        Every array is read-only."""
+        ordered, _, starts, numbers = self._prefix_runs
+        prefixes = [ordered[starts[L], :L] for L in range(self.length)]
+        rows = numbers[:, :-1].copy()
         for a in prefixes + [rows]:
             a.flags.writeable = False
         return tuple(prefixes), rows
+
+    @cached_property
+    def token_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (prefix, token) cells of the positions: the flat index
+        in ``ids`` of one position of each cell, and the (m, N) cell of every
+        position.  Position (i, j)'s cell is ``ids[i, :j + 1]``, so the cells
+        are the runs of lengths 1..N.  Both arrays are read-only."""
+        _, order, starts, numbers = self._prefix_runs
+        at, r = np.nonzero(starts[1:])  # the runs by length, then in key order
+        first, cell = order[r] * self.length + at, numbers[:, 1:] - min(self.m, 1)
+        first.flags.writeable = cell.flags.writeable = False
+        return first, cell
 
     def indicator_cells(self, k: int) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
         """What an indicator search over contexts of k tokens reads of the

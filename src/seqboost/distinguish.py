@@ -72,10 +72,15 @@ StepDistinguisher = Distinguisher  # the step-wise reading has no type of its ow
 
 @dataclass(frozen=True)
 class AdvantageEstimate:
+    """An advantage and how it was estimated.  ``step_values`` are the
+    (prefixes, values) pairs a step-wise estimate read g on, one per length:
+    a corpus's distinct prefixes and g at their token extensions, (K, n)."""
+
     value: float
     estimator: str  # "exact-enumeration" | "monte-carlo" | "stepwise-exact"
     sample_count: int | None = None
     per_position: tuple[float, ...] | None = None
+    step_values: tuple = field(default=(), compare=False, repr=False)
 
 
 def advantage_exact(f: Distinguisher, p: JointTable, q: JointTable) -> float:
@@ -138,26 +143,29 @@ def generalized_advantage(
 ) -> AdvantageEstimate:
     """Per-position advantage of a step-wise distinguisher, averaged over positions.
 
-    g is read once per position, on the corpus prefixes' extensions, into an
-    (m, N, n) array G.  The model-side expectation over the replacement token
-    is computed exactly by summing the n conditional probabilities; the data
-    side is G at the corpus tokens, since ``ids[:, :j+1]`` is the extension of
-    ``ids[:, :j]`` by ``ids[:, j]``.  The sums add tokens and then rows
-    strictly left to right, as a scalar loop over sequences and tokens would.
+    g is read once per length, on the extensions of ``corpus.prefix_index``'s
+    distinct prefixes, and gathered into an (m, N, n) array G; the estimate
+    carries those reads as ``step_values``.  The model-side expectation over
+    the replacement token is computed exactly by summing the n conditional
+    probabilities; the data side is G at the corpus tokens, since
+    ``ids[:, :j+1]`` is the extension of ``ids[:, :j]`` by ``ids[:, j]``.  The
+    sums add tokens and then rows strictly left to right, as a scalar loop
+    over sequences and tokens would.
     """
-    if corpus.m < 1:
+    if corpus.m < 1 or corpus.length < 1:
         raise ValueError("empty corpus")
     ids, n = corpus.ids, corpus.vocab.n
     Q = q.corpus_conditionals(corpus)
-    G = np.empty(Q.shape)
-    for j in range(corpus.length):
-        G[:, j] = g.values(extensions(ids[:, :j], n))
+    distinct, prefix_rows = corpus.prefix_index
+    step_values = tuple((p, g.values(extensions(p, n))) for p in distinct)
+    G = np.concatenate([v for _, v in step_values], dtype=float).take(prefix_rows, axis=0)
     model_side = np.add.accumulate(np.where(Q > 0, Q * G, 0.0), axis=2)[:, :, -1]
     rows, at = np.arange(corpus.m)[:, None], np.arange(corpus.length)
     terms = model_side - G[rows, at, ids]
     per_position = [float(acc) / corpus.m for acc in np.add.accumulate(terms, axis=0)[-1]]
     value = sum(per_position) / corpus.length
-    return AdvantageEstimate(value, "stepwise-exact", per_position=tuple(per_position))
+    return AdvantageEstimate(value, "stepwise-exact", per_position=tuple(per_position),
+                             step_values=step_values)
 
 
 def bayes_optimal_distinguisher(p: JointTable, q: JointTable) -> Distinguisher:

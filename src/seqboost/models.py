@@ -6,9 +6,11 @@ conditionals.  ``next_token_dist(prefix)`` is one row of it, and
 ``token_probs(prefixes, tokens)`` picks one given next token per row.  The
 joint probability of a sequence is the product of its conditionals; all
 arithmetic is done in log space so N-length products cannot underflow.
-Corpus-wide layers (``log_loss``, ``enumerate_joint``, ``sample_many``)
-make one call per position, as ``corpus_conditionals`` does unless the model
-overrides it: a ``ReweightedModel`` reads the corpus's own ``prefix_index``.
+Corpus-wide layers (``enumerate_joint``, ``sample_many``) make one call per
+position, as ``corpus_conditionals`` and ``corpus_log_probs`` (which
+``log_loss`` reads) do unless the model overrides them: a ``ReweightedModel``
+reads the corpus's own ``prefix_index``, each distinct prefix once, and takes
+one log per distinct (prefix, token) cell.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ class SequentialModel(abc.ABC):
             Q[:, j] = self.conditionals(corpus.ids[:, :j])
         Q.flags.writeable = False
         return Q
+
+    def corpus_log_probs(self, corpus: Corpus) -> np.ndarray:
+        """The log-probability of every sequence of the corpus, -inf for an
+        impossible one: ``sequence_log_probs`` of its ids."""
+        return sequence_log_probs(self, corpus.ids)
 
 
 @dataclass(frozen=True)
@@ -205,13 +212,24 @@ def sequence_log_probs(model: SequentialModel, ids: np.ndarray) -> np.ndarray:
     return summed_logs(probs)
 
 
-def summed_logs(probs: np.ndarray) -> np.ndarray:
-    """The sum over positions of the logs of an (m, N) array of probabilities,
-    -inf for a row with a 0.  The logs are ``math.log`` and are added position
-    by position, so each sum is the same float as a scalar loop."""
+def _logs(probs: np.ndarray) -> np.ndarray:
+    """``math.log`` of every entry, -inf where it is 0."""
     logs = np.full(probs.shape, -math.inf)
     possible = probs > 0.0
     logs[possible] = list(map(math.log, probs[possible].tolist()))
+    return logs
+
+
+def summed_logs(probs: np.ndarray, cells: tuple | None = None) -> np.ndarray:
+    """The sum over positions of the logs of an (m, N) array of probabilities,
+    -inf for a row with a 0.  The logs are ``math.log`` and are added position
+    by position, so each sum is the same float as a scalar loop.  Given a
+    corpus's ``token_cells`` and its tokens' probabilities, the log of each
+    distinct cell is taken once and gathered back to its positions."""
+    if cells is None:
+        logs = _logs(probs)
+    else:
+        logs = _logs(probs.reshape(-1).take(cells[0])).take(cells[1])
     total = np.zeros(len(probs))
     for j in range(probs.shape[1]):
         total += logs[:, j]
@@ -234,13 +252,13 @@ def loss_report(log_probs: np.ndarray) -> LossReport:
 def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
     """Negative mean log-likelihood of the corpus, in nats per sequence.
 
-    The per-sequence terms come from ``sequence_log_probs`` and are added
-    sequence by sequence (``loss_report``), so the result is the same float
-    as a scalar loop over sequences and positions.
+    The per-sequence terms come from the model's ``corpus_log_probs`` and are
+    added sequence by sequence (``loss_report``), so the result is the same
+    float as a scalar loop over sequences and positions.
     """
     if corpus.m < 1:
         raise ValueError("empty corpus")
-    return loss_report(sequence_log_probs(model, corpus.ids))
+    return loss_report(model.corpus_log_probs(corpus))
 
 
 def sample_many(model: SequentialModel, k: int, rng_seed: int) -> np.ndarray:

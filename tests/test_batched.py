@@ -50,9 +50,12 @@ from seqboost.models import (
     SequentialModel,
     UniformModel,
     log_loss,
+    loss_report,
     ngram_mle_fit,
     sample_many,
+    sequence_log_probs,
 )
+from seqboost.serialize import model_from_text, model_to_text
 
 
 def scalar(g):
@@ -109,13 +112,22 @@ def scalar_best(q, corpus, cands):
 
 @st.composite
 def corpora(draw):
-    n = draw(st.integers(2, 5))
     length = draw(st.integers(1, 4))
-    vocab = make_vocab(n)
+    return draw(corpora_over(make_vocab(draw(st.integers(2, 5))), length, max_size=6))
+
+
+@st.composite
+def corpora_over(draw, vocab, length, max_size=8):
+    """A padded corpus over a given vocabulary and length, whose rows may
+    repeat earlier ones, so that positions share prefixes and cells."""
     seqs = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_size))):
+        if seqs and draw(st.booleans()):
+            seqs.append(draw(st.sampled_from(seqs)))
+            continue
         true_length = draw(st.integers(1, length))
-        ids = draw(st.lists(st.integers(1, n - 1), min_size=true_length, max_size=true_length))
+        ids = draw(st.lists(st.integers(1, vocab.n - 1), min_size=true_length,
+                            max_size=true_length))
         seqs.append(Sequence.from_ids(ids, length))
     return Corpus(vocab, length, tuple(seqs))
 
@@ -539,6 +551,16 @@ def stacked_conditionals(model, corpus):
     return np.stack([copy.conditionals(corpus.ids[:, :j]) for j in range(corpus.length)], axis=1)
 
 
+def drawn_step_distinguisher(data, model):
+    """An indicator, the same as a custom distinguisher, or a log-ratio of the model."""
+    kind = data.draw(st.sampled_from(["indicator", "custom", "log-ratio"]))
+    if kind == "log-ratio":
+        return step_log_ratio(model, data.draw(base_models(model.vocab, model.length)),
+                              data.draw(st.floats(1.5, 10.0)), flip=data.draw(st.booleans()))
+    g = data.draw(indicators(model.vocab))
+    return scalar(g) if kind == "custom" else g
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
@@ -566,16 +588,40 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
             assert all(model._memo[L][0] is prefixes
                        for L, prefixes in enumerate(corpus.prefix_index[0]))
         b = data.draw(st.floats(0.0, 2.0))
-        kind = data.draw(st.sampled_from(["indicator", "custom", "log-ratio"]))
-        if kind == "log-ratio":
-            g = step_log_ratio(model, data.draw(base_models(vocab, length)),
-                               data.draw(st.floats(1.5, 10.0)), flip=data.draw(st.booleans()))
-        else:
-            g = data.draw(indicators(vocab))
-            g = scalar(g) if kind == "custom" else g
-        model = model.extended(b, g)
+        model = model.extended(b, drawn_step_distinguisher(data, model))
     for c in (corpus, twin):
         assert model.corpus_conditionals(c).tobytes() == stacked_conditionals(model, c).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extended_with_handed_values_is_extended_without_them_bit_for_bit(data):
+    """``extended`` given ``generalized_advantage``'s reads of g leaves every
+    memo block as ``extended`` reading g itself does, byte for byte: blocks
+    that are the corpus's own prefix arrays, blocks that gained other
+    prefixes, and the blocks of a twin corpus, whose reads are not handed on.
+    A length with no block gets the corpus's block with a fresh chain's logits."""
+    corpus = data.draw(corpora())
+    vocab, length = corpus.vocab, corpus.length
+    twin = Corpus(vocab, length, corpus.ids.copy())
+    model = ReweightedModel(data.draw(base_models(vocab, length)), data.draw(factor_lists(vocab)),
+                            data.draw(st.sampled_from([1.0, 0.9, 1.01])))
+    for c in data.draw(st.lists(st.sampled_from([corpus, twin]), max_size=2)):
+        model.corpus_conditionals(c)
+    if data.draw(st.booleans()):
+        model.conditionals(data.draw(prefix_arrays(model)))
+    g = drawn_step_distinguisher(data, model)
+    handed = generalized_advantage(g, data.draw(st.sampled_from([corpus, twin])), model).step_values
+    b = data.draw(st.floats(0.0, 2.0))
+    plain, child = model.extended(b, g), model.extended(b, g, handed)
+    assert set(plain._memo) <= set(child._memo)
+    for L, (known, keys, logits) in child._memo.items():
+        if L in plain._memo:
+            assert plain._memo[L][0] is known and plain._memo[L][1] is keys
+            assert logits.tobytes() == plain._memo[L][2].tobytes()
+        else:
+            assert known is handed[L][0]
+            assert logits.tobytes() == fresh(child)._logits(known).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -646,18 +692,6 @@ def test_enumerate_joint_leaves_the_memo_unchanged(data):
     assert memo_blocks(model) == before
 
 
-@st.composite
-def corpora_over(draw, vocab, length, max_size=8):
-    """A padded corpus over a given vocabulary and length."""
-    seqs = []
-    for _ in range(draw(st.integers(1, max_size))):
-        true_length = draw(st.integers(1, length))
-        ids = draw(st.lists(st.integers(1, vocab.n - 1), min_size=true_length,
-                            max_size=true_length))
-        seqs.append(Sequence.from_ids(ids, length))
-    return Corpus(vocab, length, tuple(seqs))
-
-
 def scalar_log_loss(model, corpus):
     """The mean of -sum(math.log(q(x_j | x_<j))) over the corpus, or the index
     of the first sequence with a zero-probability token."""
@@ -684,6 +718,52 @@ def test_log_loss_matches_the_scalar_loop(data):
         got = log_loss(fresh(model), corpus)
         assert abs(got.log_loss - want) <= 1e-12 * abs(want)
         assert got.log_loss == sum(got.per_sequence) / corpus.m
+
+
+def loss_or_error(loss, model, corpus):
+    """``loss(model, corpus)``, or the message of the ValueError it raises."""
+    try:
+        return loss(model, corpus)
+    except ValueError as exc:
+        return str(exc)
+
+
+def token_probs_loss(model, corpus):
+    """The loss from one ``token_probs`` call per position on a fresh copy."""
+    return loss_report(sequence_log_probs(fresh(model), corpus.ids))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_reweighted_models_log_loss_is_the_token_probs_loop(data):
+    """``log_loss`` of a reweighted model, read from ``corpus_conditionals``
+    with one log per distinct (prefix, token) cell, is the per-position
+    ``token_probs`` loop's report with ``==``, or raises its error naming the
+    same sequence: for a fresh chain, a chain grown by ``extended`` (with or
+    without handed reads of g), a reloaded chain, a partition_scale other
+    than 1, and a memo holding another corpus's prefixes."""
+    vocab, length = make_vocab(data.draw(st.integers(2, 4))), data.draw(st.integers(1, 4))
+    corpus = data.draw(corpora_over(vocab, length))
+    base = data.draw(base_models(vocab, length))
+    scale = data.draw(st.sampled_from([1.0, 0.9, 1.01]))
+    factors = data.draw(factor_lists(vocab))
+    how = data.draw(st.sampled_from(["fresh", "extended", "reloaded"]))
+    if how == "extended":
+        model = ReweightedModel(base, [], scale)
+        for b, g in factors:
+            if data.draw(st.booleans()):
+                model.corpus_conditionals(corpus)
+            handed = generalized_advantage(g, corpus, model).step_values
+            model = model.extended(b, g, handed if data.draw(st.booleans()) else ())
+    elif how == "reloaded":  # a joint table has no model file
+        base = UniformModel(vocab, length) if isinstance(base, JointTable) else base
+        model = model_from_text(model_to_text(ReweightedModel(base, factors)))
+    else:
+        model = ReweightedModel(base, factors, scale)
+    want = loss_or_error(token_probs_loss, model, corpus)
+    if data.draw(st.booleans()):
+        model.corpus_conditionals(data.draw(corpora_over(vocab, length)))
+    assert loss_or_error(log_loss, model, corpus) == want
 
 
 def test_log_loss_reports_the_first_impossible_sequence():

@@ -1,10 +1,13 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqboost.boost
+import seqboost.distinguish
 from seqboost import checks
 from seqboost.boost import (
     BoostConfig,
@@ -471,6 +474,21 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_module_calls(monkeypatch, name, *modules):
+    """The number of calls of the function ``name``, bound in each of these
+    modules, from now on, in a one-item list."""
+    calls = [0]
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def counted_conditionals(monkeypatch):
     """The number of ReweightedModel.conditionals calls so far, in a one-item list."""
@@ -505,6 +523,35 @@ class TestOneArrayPerRound:
                   BoostConfig(1e-12, max_iters=rounds + 1))
         # One gather for each round's new model; the factorless start reads its base.
         assert calls[0] == rounds
+
+    @pytest.mark.parametrize("rounds", [1, 7, 60])
+    def test_a_token_run_reads_each_g_once_per_length(self, monkeypatch, rounds):
+        extension_calls = count_module_calls(
+            monkeypatch, "extensions", seqboost.distinguish, seqboost.boost)
+        reads = []
+
+        class CountingReads:
+            """The inner oracle's g, with a count of its ``values`` calls."""
+
+            def propose(self, q, corpus):
+                g, t = inner.propose(q, corpus), len(reads)
+                reads.append(0)
+
+                def values(ids):
+                    reads[t] += 1
+                    return g.values(ids)
+
+                return dataclasses.replace(g, values=values)
+
+        inner = Capped(TokenIndicatorOracle(), rounds)
+        corpus = deep_corpus()
+        run_boost(UniformModel(corpus.vocab, 8), corpus, CountingReads(),
+                  BoostConfig(1e-12, max_iters=rounds + 1))
+        # Every round's g, the last round's stop included, is read N times, once
+        # per length in generalized_advantage; extended carries those reads into
+        # the child's memo instead of reading g again.
+        assert reads == [8] * (rounds + 1)
+        assert extension_calls[0] == 8 * (rounds + 1)
 
     @pytest.mark.parametrize("kind", ["token", "ngram-3"])
     def test_rounds_make_no_lookup_call(self, monkeypatch, kind):

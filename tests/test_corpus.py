@@ -153,11 +153,11 @@ def test_corpus_ids_do_not_alias_the_callers_array(tmp_path):
 
 @st.composite
 def repeating_corpora(draw):
-    """A corpus of 1-8 rows drawn with repeats from 1-4 padded sequences, N 1-5."""
+    """A corpus of 0-8 rows drawn with repeats from 1-4 padded sequences, N 1-5."""
     length = draw(st.integers(1, 5))
     pool = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=length),
                          min_size=1, max_size=4))
-    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=8))
     vocab = Vocabulary.build(["a", "b", "c"])
     return Corpus(vocab, length, tuple(Sequence.from_ids(r, length) for r in rows))
 
@@ -183,6 +183,13 @@ def test_the_prefix_index_gathers_back_every_prefix(corpus):
         assert (gathered[:, L, L:] == -1).all()
     for a in distinct + (rows,):
         assert not a.flags.writeable
+    # The (prefix, token) cells: one position of each distinct cell, and
+    # every position's cell among them.
+    first, cell = corpus.token_cells
+    pairs = [(tuple(r[:j]), r[j]) for r in ids.tolist() for j in range(N)]
+    assert len(first) == len(set(pairs)) and cell.shape == ids.shape
+    assert [pairs[first[c]] for c in cell.reshape(-1)] == pairs
+    assert not first.flags.writeable and not cell.flags.writeable
 
 
 def test_save_corpus_rejects_rows_it_cannot_write(tmp_path):
