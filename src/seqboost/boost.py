@@ -20,6 +20,7 @@ from .distinguish import (
     Distinguisher,
     extensions,
     generalized_advantage,
+    log_ratio,
     ngram_indicator,
     step_log_ratio,
     token_indicator,
@@ -32,23 +33,33 @@ from .models import SequentialModel, log_loss, summed_logs
 EXTENSION_BLOCK = 1 << 18
 
 
+def _is_chain(q: SequentialModel, base: SequentialModel, factors: list, scale: float) -> bool:
+    """Whether q is this chain (or, with no factors, the base itself), each g
+    compared by identity: distinguishers that differ can compare equal."""
+    if not isinstance(q, ReweightedModel):
+        return q is base and not factors
+    return (q.base is base and q.partition_scale == scale and len(q.factors) == len(factors)
+            and all(b == c and g is h for (b, g), (c, h) in zip(q.factors, factors)))
+
+
 class ReweightedModel(SequentialModel):
     """A base model with an ordered list of (weight, step distinguisher) factors.
 
     A prefix's logits are the log of its base row minus b_t g_t, one factor
     at a time in factor order; ``_rows`` turns them into conditionals, so a
     base-0 entry stays 0.  Weights must be nonnegative (a negative weight is a
-    flipped distinguisher) whose running total ``weight_total`` is finite:
-    with each g in [0, 1], that keeps every logit finite.  ``partition_scale``
-    is a test hook that deliberately mis-scales the partition (1.0 in real
-    use).
+    flipped distinguisher) with a running total ``weight_total`` of at most
+    2**23: with each g in [0, 1], that keeps every row within 1e-9 of its
+    exact value.  A log-ratio factor must compare the chain before it, whose
+    rows the chain has just computed, as ``run_boost`` and the model reader
+    build them.  ``partition_scale`` is a test hook that deliberately
+    mis-scales the partition (1.0 in real use).
 
-    Logits are memoised in one block per prefix length L: the distinct
-    prefixes seen so far, a (K, L) array sorted by their ``row_keys``, the
-    keys (a view of that array) and the (K, n) logits in the same order.  A
-    block that ``corpus_conditionals`` fills holds the corpus's own
-    ``prefix_index`` arrays.  ``prefix_slot`` keeps the last corpus and its
-    ``corpus_conditionals`` array.
+    ``corpus_conditionals`` and ``extended`` memoise logits in one block per
+    prefix length L: a corpus's own (K, L) ``prefix_index`` array, sorted by
+    its ``row_keys``, the keys (a view of it) and the (K, n) logits in the
+    same order; ``conditionals`` only reads them.  ``prefix_slot`` keeps the
+    last corpus and its ``corpus_conditionals`` array.
     """
 
     def __init__(
@@ -63,11 +74,21 @@ class ReweightedModel(SequentialModel):
         if not all(b < math.inf for b, _ in factors):  # NaN too
             raise ValueError("weight must be finite")
         total = sum((b for b, _ in factors), getattr(base, "weight_total", 0.0))
-        if not total < math.inf:
-            raise ValueError(f"the weights' running total {total} is not finite")
+        # Above 2**23, one rounding unit of a logit (total x 2^-53) can exceed
+        # the 1e-9 that SequentialModel's contract allows a row.
+        if not total <= 2.0**23:
+            raise ValueError(f"the weights' running total {total} exceeds 2**23, "
+                             "beyond which the rows lose precision")
+        parent, start = None, 0
         if isinstance(base, ReweightedModel):
-            factors = base.factors + factors
-            base = base.base
+            # The parent's factors were checked at its scale; at another, all are.
+            parent, factors, base = base, base.factors + factors, base.base
+            start = len(parent.factors) if parent.partition_scale == partition_scale else 0
+        for t in range(start, len(factors)):
+            q = factors[t][1].models[0] if factors[t][1].kind == "log-ratio" else None
+            if q is not None and not (start and t == start and q is parent  # extended: O(1)
+                                      or _is_chain(q, base, factors[:t], partition_scale)):
+                raise ValueError("a log-ratio factor must compare the chain before it")
         self.base = base
         self.factors = factors
         self.weight_total = total
@@ -77,51 +98,29 @@ class ReweightedModel(SequentialModel):
         self._memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.prefix_slot: tuple[Corpus, np.ndarray] | None = None
 
-    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+    def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
         """``_rows`` of the prefixes' logits, found by ``_lookup``."""
         prefixes = np.ascontiguousarray(prefixes, dtype=np.int64)
         if not self.factors:
-            return self.base.conditionals(prefixes, memo)
-        if not memo and prefixes.shape[1] not in self._memo:
-            return self._rows(self._logits(prefixes))
-        logits, pos = self._lookup(prefixes, memo)
-        return self._rows(logits.take(pos, axis=0))
+            return self.base.conditionals(prefixes)
+        return self._rows(self._lookup(prefixes))
 
-    def _lookup(self, prefixes: np.ndarray, memo: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """A (K, n) logits array and the row of each prefix of a C-contiguous
-        (k, L) int64 array in it: memoised logits where there are any, found
-        with one ``searchsorted``; the others from ``_logits``, each distinct
-        prefix once, merged into the memo unless ``memo`` is false."""
-        L = prefixes.shape[1]
-        block = self._memo.get(L)
-        keys = row_keys(prefixes)
-        if block is None:
-            miss = np.arange(len(keys))
-        else:
-            known, known_keys, logits = block
-            pos = known_keys.searchsorted(keys)
-            hit = known_keys.take(pos, mode="clip") == keys
-            if np.count_nonzero(hit) == len(keys):
-                return logits, pos
-            miss = (~hit).nonzero()[0]
-        # The missing rows in key order: each run of equal keys is one new prefix.
-        miss = miss.take(keys.take(miss).argsort())
-        ordered = keys.take(miss)
-        starts = np.empty(len(miss), dtype=bool)
-        starts[:1] = True
-        starts[1:] = ordered[1:] != ordered[:-1]
-        new = miss[starts]
-        added = prefixes.take(new, axis=0)
-        fresh = self._logits(added)
+    def _lookup(self, prefixes: np.ndarray) -> np.ndarray:
+        """The (k, n) logits of a C-contiguous (k, L) int64 prefix array: a memo
+        block's, found with one ``searchsorted``, where it has the prefix, and
+        ``_logits`` of each distinct missing prefix, computed once.  The memo
+        is left as it was."""
+        keys, block = row_keys(prefixes), self._memo.get(prefixes.shape[1])
+        out, miss = np.empty((len(keys), self.vocab.n)), np.arange(len(keys))
         if block is not None:
-            # Each new prefix goes in at its search position, the new ones in
-            # key order among themselves, so the block stays sorted.
-            at = pos.take(new)
-            added, fresh = np.insert(known, at, added, axis=0), np.insert(logits, at, fresh, axis=0)
-        added_keys = row_keys(added)
-        if memo and len(added):  # a block is never empty, so it can always be searched
-            self._memo[L] = added, added_keys, fresh
-        return fresh, added_keys.searchsorted(keys)
+            _, known, logits = block
+            pos = known.searchsorted(keys)
+            hit = known.take(pos, mode="clip") == keys
+            out[hit], miss = logits.take(pos[hit], axis=0), miss[~hit]
+        if miss.size:
+            _, first, inverse = np.unique(keys.take(miss), return_index=True, return_inverse=True)
+            out[miss] = self._logits(prefixes.take(miss.take(first), axis=0)).take(inverse, axis=0)
+        return out
 
     def corpus_conditionals(self, corpus: Corpus) -> np.ndarray:
         """The base class's array, kept in ``prefix_slot`` for this corpus.  With
@@ -139,7 +138,7 @@ class ReweightedModel(SequentialModel):
                 if L not in self._memo:
                     self._memo[L] = own, row_keys(own), self._logits(own)
                 known, _, logits = self._memo[L]
-                parts.append(logits if known is own else np.take(*self._lookup(own), axis=0))
+                parts.append(logits if known is own else self._lookup(own))
             Q = self._rows(np.concatenate(parts)).take(rows, axis=0)
             Q.flags.writeable = False
         self.prefix_slot = corpus, Q
@@ -156,17 +155,24 @@ class ReweightedModel(SequentialModel):
 
     def _logits(self, prefixes: np.ndarray) -> np.ndarray:
         """The logits of a (k, L) prefix array from the base, in blocks whose
-        (rows, n, L + 1) token extensions hold at most EXTENSION_BLOCK ids."""
+        (rows, n, L + 1) token extensions hold at most EXTENSION_BLOCK ids.  A
+        log-ratio factor reads the rows computed so far (the base's before
+        the first factor) and its reference's conditionals (``log_ratio``)."""
         (k, L), n = prefixes.shape, self.vocab.n
         step = max(1, EXTENSION_BLOCK // (n * (L + 1)))
         if k > step:
             return np.concatenate([self._logits(prefixes[i : i + step])
                                    for i in range(0, k, step)])
+        rows = self.base.conditionals(prefixes)
         with np.errstate(divide="ignore"):
-            logits = np.log(self.base.conditionals(prefixes))
+            logits = np.log(rows)
         ext = extensions(prefixes, n) if self.factors else None
-        for b, g in self.factors:
-            logits -= b * g.values(ext)
+        for t, (b, g) in enumerate(self.factors):
+            if g.kind == "log-ratio":
+                pq = rows if t == 0 else self._rows(logits)
+                logits -= b * log_ratio(pq, g.models[1].conditionals(prefixes), g.params)
+            else:
+                logits -= b * g.values(ext)
         return logits
 
     def _rows(self, logits: np.ndarray) -> np.ndarray:
@@ -363,23 +369,26 @@ class TokenIndicatorOracle:
         return token_indicator(corpus.vocab, tok, flip)
 
 
+# The largest C a log-ratio oracle uses.
+RATIO_CAP = 1e6
+
+
 class LogRatioOracle:
     """Distinguish via conditional log-ratios against a lower-loss reference model,
     whose corpus array a factorless ``ReweightedModel``'s ``prefix_slot`` keeps."""
 
-    def __init__(self, reference: SequentialModel, ratio_cap: float = 1e6):
+    def __init__(self, reference: SequentialModel):
         self.reference = reference
-        self.ratio_cap = ratio_cap
         self._slotted_reference = ReweightedModel(reference, [])
 
     def _bound(self, q: SequentialModel, corpus: Corpus) -> float:
         """The largest ratio either way between q and the reference at the
-        corpus prefixes, where both are positive, clamped to (1, ratio_cap]."""
+        corpus prefixes, where both are positive, clamped to (1, RATIO_CAP]."""
         dq, dr = q.corpus_conditionals(corpus), self._slotted_reference.corpus_conditionals(corpus)
         both = (dq > 0) & (dr > 0)
         r = dq[both] / dr[both]
         worst = max(1.0, float(r.max()), float((1.0 / r).max())) if r.size else 1.0
-        return min(max(worst, 1.0 + 1e-12), self.ratio_cap)
+        return min(max(worst, 1.0 + 1e-12), RATIO_CAP)
 
     def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
         c = self._bound(q, corpus)

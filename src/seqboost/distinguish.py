@@ -41,8 +41,9 @@ class Distinguisher:
     which is turned into ``values`` here, once.  ``kind``/``params`` carry
     serialization metadata for the built-in families (``from_params`` reads
     them back); custom distinguishers leave them empty.  ``models`` is the
-    (model, reference) pair a log-ratio distinguisher compares, which a model
-    file needs to rebuild it.
+    (model, reference) pair a log-ratio distinguisher compares.  As a factor
+    of a ``ReweightedModel`` its model must be the chain before the factor,
+    whose rows the chain computes itself; only the reference is read.
     """
 
     fn: Callable[[tuple[int, ...]], float] | None = None
@@ -250,31 +251,39 @@ def ngram_indicator(
     return base.flipped() if flip else base
 
 
+def log_ratio(pq: np.ndarray, pr: np.ndarray, params: tuple) -> np.ndarray:
+    """A step log-ratio's values from q's and the reference's probabilities of
+    the same tokens (two arrays of one shape) and its ``params``: C, then one
+    ``"flip"`` for each flip.  log(C pq / pr) / (2 log C), clamped to [0, 1];
+    a token neither model allows scores 1/2, one only the reference allows 0,
+    and one only q allows 1."""
+    log_c = math.log(params[0])
+    out = np.where(pq > 0.0, 1.0, np.where(pr > 0.0, 0.0, 0.5))
+    both = (pq > 0.0) & (pr > 0.0)
+    # math.log, not np.log: numpy's can differ in the last bit, which
+    # would change the traces of log-ratio boosts.
+    lq = np.array([math.log(x) for x in pq[both].tolist()])
+    lr = np.array([math.log(x) for x in pr[both].tolist()])
+    out[both] = np.clip((log_c + lq - lr) / (2.0 * log_c), 0.0, 1.0)
+    for _ in params[1:]:
+        out = 1.0 - out
+    return out
+
+
 def step_log_ratio(
     q: SequentialModel, ref: SequentialModel, C: float, flip: bool = False
 ) -> Distinguisher:
-    """Conditional log-ratio of q vs a reference model, scaled and clamped to [0,1].
-
-    Both models' probabilities come from ``token_probs``, one call each for a
-    whole id array.  A token neither model allows scores 1/2, one only the
-    reference allows 0, and one only q allows 1.
-    """
+    """Conditional log-ratio of q vs a reference model, scaled and clamped to [0,1]
+    (``log_ratio``).  Both models' probabilities come from ``token_probs``, one
+    call each for a whole id array."""
     if not 1.0 < C < math.inf:  # NaN too
         raise ValueError(f"C must be finite and exceed 1, got {C}")
-    log_c = math.log(C)
 
     def values(ids: np.ndarray) -> np.ndarray:
         rows = ids.reshape(-1, ids.shape[-1])
         pq = q.token_probs(rows[:, :-1], rows[:, -1])
         pr = ref.token_probs(rows[:, :-1], rows[:, -1])
-        out = np.where(pq > 0.0, 1.0, np.where(pr > 0.0, 0.0, 0.5))
-        both = (pq > 0.0) & (pr > 0.0)
-        # math.log, not np.log: numpy's can differ in the last bit, which
-        # would change the traces of log-ratio boosts.
-        lq = np.array([math.log(x) for x in pq[both].tolist()])
-        lr = np.array([math.log(x) for x in pr[both].tolist()])
-        out[both] = np.clip((log_c + lq - lr) / (2.0 * log_c), 0.0, 1.0)
-        return out.reshape(ids.shape[:-1])
+        return log_ratio(pq, pr, (C,)).reshape(ids.shape[:-1])
 
     base = Distinguisher(
         label=f"step-log-ratio(C={C:g})", kind="log-ratio", params=(C,),

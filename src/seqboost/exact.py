@@ -57,8 +57,7 @@ class JointTable(SequentialModel):
     (n^L, n) conditionals of every length-L prefix, built once per table
     from the longest prefixes up: each level's masses are the row sums of the
     level below, so no mass is a difference and none is lost.  The levels
-    take n(n^N - 1)/(n - 1) floats, at most twice ``probs``; they are the
-    table itself, so ``memo`` does not apply to them.
+    take n(n^N - 1)/(n - 1) floats, at most twice ``probs``.
     """
 
     vocab: Vocabulary
@@ -95,7 +94,7 @@ class JointTable(SequentialModel):
             masses = totals
         return levels[::-1]
 
-    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+    def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
         """One gather from the level of the prefixes' length."""
         prefixes = np.asarray(prefixes)
         return self._levels[prefixes.shape[1]][sequence_index(self.vocab, prefixes)]
@@ -120,7 +119,6 @@ def enumerate_joint(
 
     Level j holds the log-probabilities of all n^j prefixes of length j in
     lexicographic order; one ``conditionals`` call per level extends them.
-    The model keeps none of the rows in its memo.
     """
     n, N = model.vocab.n, model.length
     if n**N > budget:
@@ -128,7 +126,7 @@ def enumerate_joint(
     level = np.zeros(1)  # log-probabilities of all prefixes of the current length
     with np.errstate(divide="ignore"):
         for j in range(N):
-            level = (level[:, None] + np.log(model.conditionals(all_ids(n, j), memo=False))).ravel()
+            level = (level[:, None] + np.log(model.conditionals(all_ids(n, j)))).ravel()
     return JointTable(model.vocab, N, np.exp(level))
 
 

@@ -40,13 +40,10 @@ class SequentialModel(abc.ABC):
     length: int
 
     @abc.abstractmethod
-    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+    def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
         """q(. | row) for every row of a (k, L) array of prefixes: a (k, n) array.
-
-        A model that memoises its conditionals keeps the rows computed here
-        unless ``memo`` is false; a sweep that visits each prefix once
-        (``enumerate_joint``) passes false so its rows do not stay in memory.
-        """
+        No model keeps the rows computed here, so a sweep that visits each
+        prefix once (``enumerate_joint``) leaves nothing behind."""
 
     def next_token_dist(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Conditional distribution q(. | prefix): one row of ``conditionals``."""
@@ -98,7 +95,7 @@ class UniformModel(SequentialModel):
         self._pad_onehot = np.zeros(vocab.n)
         self._pad_onehot[PAD_ID] = 1.0
 
-    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+    def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
         prefixes = np.asarray(prefixes)
         if prefixes.shape[1] == 0:
             return np.tile(self._content, (len(prefixes), 1))
@@ -139,7 +136,7 @@ class NGramModel(SequentialModel):
         """The context columns of a (k, L) prefix array: its last order-1 (at most L)."""
         return prefixes[:, prefixes.shape[1] - min(self.order - 1, prefixes.shape[1]) :]
 
-    def conditionals(self, prefixes: np.ndarray, memo: bool = True) -> np.ndarray:
+    def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
         """One dictionary lookup per distinct context (``row_numbers``), then a gather."""
         prefixes = np.asarray(prefixes)
         contexts = self._contexts(prefixes)

@@ -13,10 +13,11 @@ the dense v1 rows, ``context=<ids>|<p> <p> ...``.  Rows are written and read
 in blocks of at most ``BLOCK_ENTRIES`` table entries, each checked as a whole;
 a loaded model's rows are row views of one (contexts, n) table.
 
-A reweighted model lists its factors, then the reference model of its
+A reweighted model lists its factors, then the one reference model of its
 log-ratio factors under ``reference:`` (when it has any), then its base under
-``base:``.  A factor is decoded by ``distinguish.from_params``; log-ratio
-factor t compares the chain before it, the base with factors 0..t-1.
+``base:``.  The reader rebuilds the chain as ``run_boost`` grows it: the base,
+then ``extended`` by each factor, decoded by ``distinguish.from_params``; a
+log-ratio factor compares the chain before it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .boost import ReweightedModel
 from .corpus import Vocabulary
-from .distinguish import Distinguisher, from_params
+from .distinguish import from_params
 from .models import NGramModel, SequentialModel, UniformModel
 
 FORMAT_HEADER = "seqboost-model v2"
@@ -72,23 +73,6 @@ def _sparse_rows(rows: np.ndarray, keys: list[str]) -> list[str]:
     return [f"{_fmt(f)}|{' '.join(islice(pairs, c))}" for f, c in zip(fills, counts)]
 
 
-def _log_ratio_reference(model: ReweightedModel) -> SequentialModel | None:
-    """The one reference of the model's log-ratio factors; each factor must
-    compare the chain before it, as ``run_boost`` builds them."""
-    reference = None
-    for t, (_, g) in enumerate(model.factors):
-        if g.kind != "log-ratio":
-            continue
-        q, ref = g.models
-        base, factors = (q.base, q.factors) if isinstance(q, ReweightedModel) else (q, [])
-        if base is not model.base or factors != model.factors[:t]:
-            raise ValueError("cannot serialize a log-ratio factor not built on the chain before it")
-        if reference is not None and ref is not reference:
-            raise ValueError("cannot serialize log-ratio factors with more than one reference")
-        reference = ref
-    return reference
-
-
 def model_to_text(model: SequentialModel) -> str:
     lines = [FORMAT_HEADER]
     if isinstance(model, ReweightedModel):
@@ -101,10 +85,12 @@ def model_to_text(model: SequentialModel) -> str:
                 raise ValueError("cannot serialize a custom step distinguisher")
             payload = json.dumps({"kind": g.kind, "params": list(g.params)})
             lines.append(f"factor={_fmt(b)}|{payload}")
-        reference = _log_ratio_reference(model)
-        if reference is not None:
+        references = [g.models[1] for _, g in model.factors if g.kind == "log-ratio"]
+        if any(ref is not references[0] for ref in references):
+            raise ValueError("cannot serialize log-ratio factors with more than one reference")
+        if references:
             lines.append("reference:")
-            lines.append(model_to_text(reference))
+            lines.append(model_to_text(references[0]))
         lines.append("base:")
         lines.append(model_to_text(model.base))
         return "\n".join(lines)
@@ -251,14 +237,13 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
                              f"and {len(raw_factors)} factor lines")
         if reference is not None:
             _check_reference(reference, base)
-        factors: list[tuple[float, Distinguisher]] = []
+        model = ReweightedModel(base)
         for b, payload in raw_factors:
             if not isinstance(payload, dict):
                 raise ValueError(f"factor payload {payload!r} is not an object")
-            q = None if reference is None else ReweightedModel(base, factors)
-            factors.append((b, from_params(payload["kind"], payload["params"], base.vocab,
-                                           q, reference)))
-        return ReweightedModel(base, factors), idx
+            g = from_params(payload["kind"], payload["params"], base.vocab, model, reference)
+            model = model.extended(b, g)
+        return model, idx
     n = int(meta["n"])
     if n != len(tokens):
         raise ValueError(f"n={n} but the file lists {len(tokens)} tokens")

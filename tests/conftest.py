@@ -13,7 +13,7 @@ class StubModel(SequentialModel):
         self.length = length
         self._dist = np.asarray(dist, dtype=float)
 
-    def conditionals(self, prefixes, memo=True):
+    def conditionals(self, prefixes):
         return np.tile(self._dist, (len(prefixes), 1))
 
 

@@ -12,12 +12,14 @@ references too.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import seqboost.boost
 from seqboost.boost import (
     BoostConfig,
     LogRatioOracle,
@@ -35,7 +37,9 @@ from seqboost.distinguish import (
     StepDistinguisher,
     advantage_exact,
     bayes_optimal_distinguisher,
+    extensions,
     generalized_advantage,
+    log_ratio,
     log_ratio_distinguisher,
     minimal_ratio_bound,
     ngram_indicator,
@@ -63,15 +67,16 @@ def scalar(g):
     return StepDistinguisher(lambda prefix: g(prefix), label=g.label)
 
 
-def scalar_per_position(g, corpus, q):
-    """The step-wise advantage per position, one prefix and token at a time."""
+def scalar_per_position(g, corpus, q, rows=None):
+    """The step-wise advantage per position, one prefix and token at a time;
+    ``rows``, if given, maps every corpus prefix to its ``next_token_dist``."""
     n = corpus.vocab.n
     per_position = []
     for j in range(1, corpus.length + 1):
         acc = 0.0
         for seq in corpus.sequences:
             prefix = seq.prefix(j - 1)
-            dist = q.next_token_dist(prefix)
+            dist = q.next_token_dist(prefix) if rows is None else rows[prefix]
             model_side = sum(float(dist[w]) * g(prefix + (w,)) for w in range(n) if dist[w] > 0)
             acc += model_side - g(seq.prefix(j))
         per_position.append(acc / corpus.m)
@@ -101,10 +106,12 @@ def candidates(corpus, order):
 
 
 def scalar_best(q, corpus, cands):
-    """The scalar oracle: the first candidate with the largest scalar advantage."""
+    """The scalar oracle: the first candidate with the largest scalar advantage.
+    Each corpus prefix's row is read once, for all candidates."""
+    rows = {prefix: q.next_token_dist(prefix) for prefix in corpus_prefixes(corpus)}
     best_b, best_g = -math.inf, None
     for g in cands:
-        b = sum(scalar_per_position(g, corpus, q)) / corpus.length
+        b = sum(scalar_per_position(g, corpus, q, rows)) / corpus.length
         if b > best_b:
             best_b, best_g = b, g
     return best_g, best_b
@@ -324,27 +331,29 @@ def base_models(draw, vocab, length):
 @st.composite
 def models(draw):
     """A base model, or one reweighted by 0-3 factors of every kind: indicators
-    (flipped or not), custom distinguishers and log-ratio distinguishers, with
-    a partition_scale that may differ from 1."""
+    (flipped or not), custom distinguishers and log-ratio distinguishers (each
+    comparing the chain before it), with a partition_scale that may differ
+    from 1."""
     n = draw(st.integers(2, 4))
     length = draw(st.integers(1, 3))
     vocab = make_vocab(n)
     base = draw(base_models(vocab, length))
     if draw(st.booleans()):
         return base
+    scale = draw(st.sampled_from([1.0, 1.0, 1.01, 0.9]))
     factors = []
     for _ in range(draw(st.integers(0, 3))):
         b = draw(st.floats(0.0, 2.0))
         kind = draw(st.sampled_from(["indicator", "custom", "log-ratio"]))
         if kind == "log-ratio":
             reference = draw(base_models(vocab, length))
-            g = step_log_ratio(ReweightedModel(base, factors), reference,
+            g = step_log_ratio(ReweightedModel(base, factors, scale), reference,
                                draw(st.floats(1.5, 10.0)), flip=draw(st.booleans()))
         else:
             g = draw(indicators(vocab))
             g = scalar(g) if kind == "custom" else g
         factors.append((b, g))
-    return ReweightedModel(base, factors, draw(st.sampled_from([1.0, 1.0, 1.01, 0.9])))
+    return ReweightedModel(base, factors, scale)
 
 
 def fresh(model):
@@ -497,52 +506,54 @@ def memo_blocks(model):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_memo_false_leaves_the_memo_as_it_was(data):
+def test_conditionals_and_enumerate_joint_add_nothing_to_the_memo(data):
+    """The memo holds only what ``corpus_conditionals`` and ``extended`` put
+    there: reading rows, one prefix array at a time or the whole joint, leaves
+    every block as it was."""
     model = data.draw(models())
-    if not isinstance(model, ReweightedModel):
+    if not isinstance(model, ReweightedModel) or not model.factors:
         model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
-    model.conditionals(data.draw(prefix_arrays(model)))
+    if data.draw(st.booleans()):
+        model.corpus_conditionals(data.draw(corpora_over(model.vocab, model.length)))
     before = memo_blocks(model)
-    model.conditionals(data.draw(prefix_arrays(model)), memo=False)
+    for _ in range(data.draw(st.integers(1, 3))):
+        model.conditionals(data.draw(prefix_arrays(model)))
+    if model.partition_scale == 1.0:  # otherwise not a joint table
+        enumerate_joint(model)
     assert memo_blocks(model) == before
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_memoised_rows_are_a_fresh_models_rows_bit_for_bit(data):
-    """Over a run of queries that repeat, permute and partly overlap each other,
-    across prefix lengths, every row read through the memo is the row a fresh
-    model computes with memo=False.  After ``extended``, every row, carried
-    from the memo or not, is the fresh child's row."""
+def test_memo_hits_are_a_fresh_models_rows_bit_for_bit(data):
+    """Over queries that repeat and permute a corpus's prefixes (memo hits)
+    shuffled in with other prefixes (computed once per call), across prefix
+    lengths, every row is the row of a fresh model, which has no memo: before
+    and after ``extended`` carries the blocks forward by one factor."""
     model = data.draw(models())
     if not isinstance(model, ReweightedModel) or not model.factors:
         model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
-    n = model.vocab.n
+    corpus = data.draw(corpora_over(model.vocab, model.length))
+    model.corpus_conditionals(corpus)
 
-    def overlapping(seen):
-        """Some rows already queried at a length, shuffled in with new ones."""
-        width = seen.shape[1] if len(seen) and data.draw(st.booleans()) else None
-        rows = data.draw(prefix_arrays(model, width))
-        if len(seen) and rows.shape[1] == seen.shape[1]:
-            some = data.draw(st.lists(st.integers(0, len(seen) - 1), max_size=6))
-            rows = np.concatenate([rows, seen[some]])
+    def query():
+        """Rows of one length: some of the corpus's prefixes and drawn ones, shuffled."""
+        width = data.draw(st.integers(0, model.length - 1))
+        known = corpus.prefix_index[0][width]
+        some = data.draw(st.lists(st.integers(0, len(known) - 1), max_size=6))
+        rows = np.concatenate([data.draw(prefix_arrays(model, width)), known[some]])
         return rows[data.draw(st.permutations(range(len(rows))))]
 
-    first = data.draw(prefix_arrays(model))
-    queries = [first, first[data.draw(st.permutations(range(len(first))))]]
-    queries += [overlapping(first) for _ in range(data.draw(st.integers(1, 4)))]
-    for q in queries:
+    for q in [query() for _ in range(data.draw(st.integers(1, 4)))]:
         got = model.conditionals(q)
-        assert got.shape == (len(q), n)
-        assert got.tobytes() == fresh(model).conditionals(q, memo=False).tobytes()
-        assert model.conditionals(q).tobytes() == got.tobytes()  # now every row hits
+        assert got.shape == (len(q), model.vocab.n)
+        assert got.tobytes() == fresh(model).conditionals(q).tobytes()
 
     # Small weights and weights whose exp(-b) underflows alike.
     b = data.draw(st.one_of(st.floats(0.0, 2.0), st.floats(300.0, 1000.0)))
-    g = data.draw(indicators(model.vocab))
-    child = model.extended(b, g)
-    for q in [overlapping(first) for _ in range(data.draw(st.integers(1, 3)))]:
-        assert child.conditionals(q).tobytes() == fresh(child).conditionals(q, memo=False).tobytes()
+    child = model.extended(b, drawn_step_distinguisher(data, model))
+    for q in [query() for _ in range(data.draw(st.integers(1, 3)))]:
+        assert child.conditionals(q).tobytes() == fresh(child).conditionals(q).tobytes()
 
 
 def stacked_conditionals(model, corpus):
@@ -624,11 +635,48 @@ def test_extended_with_handed_values_is_extended_without_them_bit_for_bit(data):
             assert logits.tobytes() == fresh(child)._logits(known).tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_log_ratio_factor_reads_the_rows_of_the_chain_it_extends(data):
+    """Along a chain grown by ``extended`` (with or without handed reads of g)
+    by log-ratio factors, flipped 0-2 times, and indicators, over uniform,
+    n-gram and table bases at partition scales 1.0, 0.9 and 1.01:
+    ``log_ratio`` of the chain's rows and the reference's is the new factor's
+    ``values`` on their token extensions bit for bit, and a fresh copy, which
+    computes every factor from its own running rows, has the live chain's rows
+    bit for bit, at drawn prefixes and at the corpus's (carried memo blocks)."""
+    vocab, length = make_vocab(data.draw(st.integers(2, 4))), data.draw(st.integers(1, 3))
+    corpus = data.draw(corpora_over(vocab, length))
+    reference = data.draw(base_models(vocab, length))
+    model = ReweightedModel(data.draw(base_models(vocab, length)), [],
+                            data.draw(st.sampled_from([1.0, 0.9, 1.01])))
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            model.corpus_conditionals(corpus)
+        if data.draw(st.booleans()):
+            g = step_log_ratio(model, reference, data.draw(st.floats(1.5, 10.0)))
+            for _ in range(data.draw(st.integers(0, 2))):
+                g = g.flipped()
+            prefixes = data.draw(prefix_arrays(model))
+            values = log_ratio(model.conditionals(prefixes), reference.conditionals(prefixes),
+                               g.params)
+            assert values.tobytes() == g.values(extensions(prefixes, vocab.n)).tobytes()
+        else:
+            g = data.draw(indicators(vocab))
+        handed = generalized_advantage(g, corpus, model).step_values
+        model = model.extended(data.draw(st.floats(0.0, 2.0)),
+                               g, handed if data.draw(st.booleans()) else ())
+        prefixes = data.draw(prefix_arrays(model))
+        assert model.conditionals(prefixes).tobytes() == fresh(model).conditionals(prefixes).tobytes()
+        assert model.corpus_conditionals(corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
     """Over 1,201 tokens, 7-token prefixes number 1201^7 > 2^63.  Prefixes that
-    differ only in their first token get their own rows: only the one that
+    differ only in their first token get their own rows, whether a corpus put
+    them in the memo or they are computed once per call: only the one that
     matches a 7-token n-gram indicator's context is reweighted."""
     n, L = 1201, 7
     assert n**L > 2**63
@@ -639,12 +687,15 @@ def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
     tok = data.draw(st.integers(1, n - 1))
     model = ReweightedModel(UniformModel(vocab, L + 1),
                             [(1.0, ngram_indicator(vocab, (firsts[0], *tail), tok))])
+    held = data.draw(st.lists(st.integers(0, len(firsts) - 1), max_size=4))
+    if held:  # these prefixes in the memo, the others not
+        ids = np.array([[firsts[i], *tail, tok] for i in held], dtype=np.int64)
+        model.corpus_conditionals(Corpus(vocab, L + 1, ids))
+        assert len(model._memo[L][0]) == len(set(held))
     order = data.draw(st.lists(st.integers(0, len(firsts) - 1), min_size=1, max_size=8))
     prefixes = np.array([[firsts[i], *tail] for i in order], dtype=np.int64)
-    if data.draw(st.booleans()):  # the others first, so the matching row is a later miss
-        model.conditionals(prefixes[np.array(order) != 0])
     got = model.conditionals(prefixes)
-    assert got.tobytes() == fresh(model).conditionals(prefixes, memo=False).tobytes()
+    assert got.tobytes() == fresh(model).conditionals(prefixes).tobytes()
     uniform = np.full(n, 1.0 / n)
     for i, row in zip(order, got):
         if i == 0:
@@ -652,7 +703,6 @@ def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
         else:
             assert row.tobytes() == model.next_token_dist(tuple([firsts[i], *tail])).tobytes()
             np.testing.assert_allclose(row, uniform, rtol=1e-12)
-    assert len(model._memo[L][0]) == len(set(order))
 
 
 def chain_rule_table(model):
@@ -679,17 +729,6 @@ def test_enumerate_joint_is_the_scalar_chain_rule_bit_for_bit(data):
             enumerate_joint(fresh(model))
     else:
         assert enumerate_joint(fresh(model)).probs.tobytes() == want.tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_enumerate_joint_leaves_the_memo_unchanged(data):
-    corpus, q = data.draw(instances())
-    model = ReweightedModel(q, [(0.7, token_indicator(corpus.vocab, 1))])
-    log_loss(model, corpus)
-    before = memo_blocks(model)
-    enumerate_joint(model)
-    assert memo_blocks(model) == before
 
 
 def scalar_log_loss(model, corpus):
@@ -884,7 +923,7 @@ def test_ngram_conditionals_edge_cases(order, rows):
     assert_ngram_rows_are_dict_lookups(NGramModel(make_vocab(3), 6, order, cond), rows)
 
 
-def scalar_bound(q, reference, corpus, ratio_cap):
+def scalar_bound(q, reference, corpus, cap):
     worst = 1.0
     for seq in corpus.sequences:
         for j in range(corpus.length):
@@ -894,7 +933,7 @@ def scalar_bound(q, reference, corpus, ratio_cap):
             if np.any(both):
                 r = dq[both] / dr[both]
                 worst = max(worst, float(r.max()), float((1.0 / r).max()))
-    return min(max(worst, 1.0 + 1e-12), ratio_cap)
+    return min(max(worst, 1.0 + 1e-12), cap)
 
 
 @settings(max_examples=100, deadline=None)
@@ -904,8 +943,9 @@ def test_log_ratio_bound_is_the_scalar_loops(data):
     reference = data.draw(base_models(model.vocab, model.length))
     corpus = data.draw(corpora_over(model.vocab, model.length))
     cap = data.draw(st.sampled_from([1e6, 3.0]))
-    oracle = LogRatioOracle(reference, ratio_cap=cap)
-    assert oracle._bound(fresh(model), corpus) == scalar_bound(fresh(model), reference, corpus, cap)
+    with mock.patch.object(seqboost.boost, "RATIO_CAP", cap):
+        bound = LogRatioOracle(reference)._bound(fresh(model), corpus)
+    assert bound == scalar_bound(fresh(model), reference, corpus, cap)
 
 
 # ---------------------------------------------------------------------------

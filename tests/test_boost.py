@@ -32,7 +32,8 @@ from seqboost.distinguish import (
     token_indicator,
 )
 from seqboost.exact import JointTable, enumerate_joint, total_variation
-from seqboost.models import UniformModel, log_loss, ngram_mle_fit
+from seqboost.models import NGramModel, UniformModel, log_loss, ngram_mle_fit
+from seqboost.serialize import model_from_text, model_to_text
 
 
 def ab_table(pa, pb):
@@ -98,12 +99,22 @@ class TestStepwiseReweight:
         with pytest.raises(ValueError, match="^weight must be finite$"):
             ReweightedModel(half_half(), [(b, token_indicator(ab_vocab, 2))])
 
-    def test_weights_whose_running_total_overflows_rejected(self, ab_vocab, half_half):
-        g = token_indicator(ab_vocab, 2)
-        model = ReweightedModel(half_half(), [(1e308, g)])
-        for make in (lambda: model.extended(1e308, g.flipped()),
-                     lambda: ReweightedModel(half_half(), [(1e308, g), (1e308, g.flipped())])):
-            with pytest.raises(ValueError, match="running total inf is not finite"):
+    @pytest.mark.parametrize("b", [1e15, 1e308])
+    def test_weights_whose_running_total_exceeds_2_to_the_23_rejected(self, b):
+        # An indicator and its flip penalise every token alike, so the rows are
+        # the base's.  At b = 1e15 one rounding unit of a logit is 0.125, and the
+        # rows would come out as [0, 0.3208, 0.6792]; at 1e308 the total is inf.
+        vocab = make_vocab(3)
+        base = NGramModel(vocab, 2, 1, {(): np.array([0.0, 1 / 3, 2 / 3])})
+        g = token_indicator(vocab, 1)
+        at_bound = ReweightedModel(base, [(2.0**22, g), (2.0**22, g.flipped())])
+        assert at_bound.weight_total == 2.0**23
+        np.testing.assert_allclose(at_bound.next_token_dist(()), [0.0, 1 / 3, 2 / 3],
+                                   rtol=0.0, atol=1e-9)
+        half = ReweightedModel(base, [(min(b, 2.0**22), g)])
+        for make in (lambda: half.extended(b, g.flipped()),
+                     lambda: ReweightedModel(base, [(b, g), (b, g.flipped())])):
+            with pytest.raises(ValueError, match=r"running total \S+ exceeds 2\*\*23"):
                 make()
 
     @pytest.mark.parametrize("b, value", [(800.0, None), (1.0, 1000.0), (1.0, -1000.0)])
@@ -199,8 +210,10 @@ class TestStepwiseReweight:
 
     def test_memoization_returns_consistent_results(self, ab_vocab, half_half):
         g = token_indicator(ab_vocab, 2)
-        cached = ReweightedModel(half_half(), [(0.5, g)])
+        cached = ReweightedModel(half_half(2), [(0.5, g)])
         first = cached.next_token_dist(())
+        assert cached._memo == {}  # conditionals adds nothing to the memo
+        cached.corpus_conditionals(Corpus(ab_vocab, 2, np.array([[1, 0], [2, 1]])))
         known, _, logits = cached._memo[0]
         assert known.shape == (1, 0) and cached._rows(logits).tobytes() == first.tobytes()
         # Planted logits give what both forms return: the memo is read, not recomputed.
@@ -210,15 +223,19 @@ class TestStepwiseReweight:
         np.testing.assert_array_equal(cached.conditionals(np.zeros((2, 0), dtype=np.int64)),
                                       [sentinel, sentinel])
         # In a block of several prefixes, the search finds the planted one's logits.
-        cached.conditionals(np.array([[2], [1], [0], [1]]))
         known, _, logits = cached._memo[1]
-        assert sorted(known.ravel().tolist()) == [0, 1, 2]
+        assert sorted(known.ravel().tolist()) == [1, 2]
         logits[known.ravel().tolist().index(1)] = [-math.inf, 0.0, 0.0]
         got = cached.conditionals(np.array([[1], [2], [1]]))
         np.testing.assert_array_equal(got[[0, 2]], [sentinel, sentinel])
         assert got[1].tobytes() == cached.next_token_dist((2,)).tobytes()
         assert not np.array_equal(got[1], sentinel)
-        fresh = ReweightedModel(half_half(), [(0.5, g)])
+        # A prefix the block does not hold is computed, and not added.
+        got = cached.conditionals(np.array([[0], [1], [0]]))
+        np.testing.assert_array_equal(got[1], sentinel)
+        assert got[0].tobytes() == got[2].tobytes() == first.tobytes()
+        assert sorted(cached._memo[1][0].ravel().tolist()) == [1, 2]
+        fresh = ReweightedModel(half_half(2), [(0.5, g)])
         assert fresh._memo == {}
         np.testing.assert_array_equal(fresh.next_token_dist(()), first)
 
@@ -621,8 +638,8 @@ class TestOneArrayPerRound:
         reference = ngram_mle_fit(corpus, 2, 0.5)
         calls = []
         original = reference.conditionals
-        reference.conditionals = lambda prefixes, memo=True: (
-            calls.append(prefixes.shape[1]) or original(prefixes, memo))
+        reference.conditionals = lambda prefixes: (
+            calls.append(prefixes.shape[1]) or original(prefixes))
         oracle = LogRatioOracle(reference)
         model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(oracle, 10),
                              BoostConfig(1e-12, max_iters=11))
@@ -644,3 +661,21 @@ class TestOneArrayPerRound:
         prefixes = corpus.prefix_index[0]
         assert captured[0]._memo == {}
         assert all(m._memo[L][0] is prefixes[L] for m in captured[1:] + [model] for L in range(8))
+
+    def test_a_reloaded_log_ratio_chain_reads_no_level_model(self):
+        corpus = deep_corpus()
+        reference = ngram_mle_fit(corpus, 2, 0.5)
+        model, trace = run_boost(UniformModel(corpus.vocab, 8), corpus,
+                                 Capped(LogRatioOracle(reference), 40), BoostConfig(1e-12, max_iters=41))
+        loaded = model_from_text(model_to_text(model))
+        levels = [g.models[0] for _, g in loaded.factors]
+        assert len(levels) == 40 and loaded not in levels
+
+        def refuse(*args):
+            raise AssertionError("a level model was read")
+
+        # Each log-ratio factor reads the rows the chain has just computed, so
+        # no level model is asked for rows, and nothing recomputes earlier factors.
+        for level in levels:
+            level.conditionals = level.token_probs = refuse
+        assert log_loss(loaded, corpus).log_loss == trace.records[-1].log_loss

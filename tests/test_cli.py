@@ -795,14 +795,21 @@ class TestModelHeaders:
         assert result.exit_code == 2, result.output
         assert "cannot load model" in result.output and message in result.output
 
-    def test_weights_whose_total_overflows_exit_2(self, runner, tmp_path):
-        # Every token takes one penalty of 2e308: the true conditionals are the
-        # base's, but the running total of the weights is not finite.
+    @pytest.mark.parametrize("b, base", [
+        ("1e308", UNIFORM_SECTION),
+        # The base's rows are [0, 1/3, 2/3]; the reweighted rows would read
+        # [0, 0.3208, 0.6792], an eval loss that is silently wrong.
+        ("1e15", UNIFORM_SECTION.replace("kind=uniform\n", "kind=ngram\norder=1\nlambda=0\n")
+         + "context=|0|1:0.33333333333333331 2:0.66666666666666663\n"),
+    ], ids=["uniform-1e308", "unigram-1e15"])
+    def test_weights_whose_total_exceeds_2_to_the_23_exit_2(self, runner, tmp_path, b, base):
+        # Every token takes the same two penalties, b each: the true conditionals
+        # are the base's, but the running total of the weights exceeds 2**23.
         flip = TOKEN_FACTOR.replace("[1]", '[1, "flip"]')
-        factors = "".join(f"factor=1e308|{g}\n" for g in (TOKEN_FACTOR, TOKEN_FACTOR, flip, flip))
-        text = REWEIGHTED_FILE.replace("factors=1\n", "factors=4\n").replace(
-            f"factor=0.5|{TOKEN_FACTOR}\n", factors)
-        assert text.count("factor=1e308|") == 4
+        factors = "".join(f"factor={b}|{g}\n" for g in (TOKEN_FACTOR, flip))
+        text = REWEIGHTED_FILE.replace("factors=1\n", "factors=2\n").replace(
+            f"factor=0.5|{TOKEN_FACTOR}\n", factors).replace(UNIFORM_SECTION, base)
+        assert text.count(f"factor={b}|") == 2 and text.endswith(base)
         corpus = tmp_path / "aab.txt"
         corpus.write_text("a a\na a\na b\n")
         by_table = self.eval_table(runner, tmp_path, text)
@@ -810,7 +817,7 @@ class TestModelHeaders:
                                          "--corpus", str(corpus)])
         for result in (by_table, by_corpus):
             assert result.exit_code == 2, result.output
-            assert "cannot load model" in result.output and "not finite" in result.output
+            assert "cannot load model" in result.output and "exceeds 2**23" in result.output
 
     @pytest.mark.parametrize("kind", ["uniform", "ngram"])
     @pytest.mark.parametrize("length", ["-1", "0"])

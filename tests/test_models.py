@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from seqboost.boost import BoostConfig, ReweightedModel, make_oracle, run_boost
 from seqboost.checks import make_vocab, random_corpus, random_table
 from seqboost.corpus import Corpus, Sequence, Vocabulary
-from seqboost.distinguish import ngram_indicator, step_log_ratio, token_indicator
+from seqboost.distinguish import Distinguisher, ngram_indicator, step_log_ratio, token_indicator
 from seqboost.exact import JointTable, all_sequences, kl_divergence
 from seqboost.models import (
     LogLinearModel,
@@ -621,12 +621,40 @@ class TestLogRatioFile:
         for prefix in prefixes:
             np.testing.assert_array_equal(loaded.next_token_dist(prefix), model.next_token_dist(prefix))
 
+    def test_a_log_ratio_factor_must_compare_the_chain_before_it(self, ab_vocab):
+        base = UniformModel(ab_vocab, 2)
+        ref, other = (random_bigram(np.random.default_rng(s), ab_vocab, 2) for s in (1, 2))
+        with pytest.raises(ValueError, match="chain before it"):
+            ReweightedModel(base, [(0.3, step_log_ratio(other, ref, 2.0))])
+        # Custom distinguishers with the default label compare equal, and so do
+        # tables with equal arrays; a level built on them is another chain.
+        table = random_table(np.random.default_rng(3), ab_vocab, 2)
+        twin_table = JointTable(ab_vocab, 2, table.probs.copy())
+        ours = [(0.3, Distinguisher(values=lambda ids: (ids[..., -1] == 1).astype(float)))]
+        theirs = [(0.3, Distinguisher(values=lambda ids: (ids[..., -1] == 1).astype(float)))]
+        assert ours == theirs
+        for level, scale in [(ReweightedModel(base, theirs), 1.0),
+                             (ReweightedModel(base, ours), 0.9),
+                             (ReweightedModel(twin_table, ours), 1.0)]:
+            root = table if level.base is twin_table else base
+            g = step_log_ratio(level, ref, 2.0)
+            with pytest.raises(ValueError, match="chain before it"):
+                ReweightedModel(root, ours + [(0.2, g)], scale)
+            with pytest.raises(ValueError, match="chain before it"):
+                ReweightedModel(root, ours, scale).extended(0.2, g)
+        # The same objects: built at once, by extended, or from the base itself.
+        level = ReweightedModel(table, ours)
+        chain = ReweightedModel(table, ours + [(0.2, step_log_ratio(level, ref, 2.0))])
+        level.extended(0.2, step_log_ratio(level, ref, 2.0))
+        ReweightedModel(table, [(0.2, step_log_ratio(table, ref, 2.0))])
+        # The chain's own factors at another scale compare other chains.
+        ReweightedModel(chain, [])
+        with pytest.raises(ValueError, match="chain before it"):
+            ReweightedModel(chain, [], 0.9)
+
     def test_writer_refuses_factors_it_cannot_rebuild(self, ab_vocab):
         base = UniformModel(ab_vocab, 2)
         ref, other = (random_bigram(np.random.default_rng(s), ab_vocab, 2) for s in (1, 2))
-        foreign = ReweightedModel(base, [(0.3, step_log_ratio(other, ref, 2.0))])
-        with pytest.raises(ValueError, match="chain before it"):
-            model_to_text(foreign)
         first = ReweightedModel(base, [(0.3, step_log_ratio(base, ref, 2.0))])
         two_refs = first.extended(0.2, step_log_ratio(first, other, 2.0))
         with pytest.raises(ValueError, match="more than one reference"):
