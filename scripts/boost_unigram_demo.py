@@ -10,15 +10,14 @@ import math
 import numpy as np
 
 from seqboost.boost import BoostConfig, TokenIndicatorOracle, run_boost
-from seqboost.corpus import Corpus, Sequence, Vocabulary
+from seqboost.corpus import Corpus, Vocabulary
 from seqboost.exact import JointTable, enumerate_joint, total_variation
 from seqboost.models import UniformModel
 
 
 def main() -> None:
     vocab = Vocabulary.build(["a", "b"])
-    seqs = tuple(Sequence.from_ids((1,), 1) for _ in range(3)) + (Sequence.from_ids((2,), 1),)
-    corpus = Corpus(vocab, 1, seqs)
+    corpus = Corpus(vocab, 1, np.array([[1], [1], [1], [2]]))
     model, trace = run_boost(
         UniformModel(vocab, 1), corpus, TokenIndicatorOracle(), BoostConfig(epsilon=0.01)
     )

@@ -26,7 +26,7 @@ from .distinguish import (
     token_indicator,
 )
 from .exact import JointTable
-from .models import SequentialModel, log_loss, summed_logs
+from .models import SequentialModel, check_corpus, log_loss, summed_logs
 
 
 # The most token ids one block of ReweightedModel's batched rows extends to (2 MB).
@@ -55,11 +55,10 @@ class ReweightedModel(SequentialModel):
     build them.  ``partition_scale`` is a test hook that deliberately
     mis-scales the partition (1.0 in real use).
 
-    ``corpus_conditionals`` and ``extended`` memoise logits in one block per
-    prefix length L: a corpus's own (K, L) ``prefix_index`` array, sorted by
-    its ``row_keys``, the keys (a view of it) and the (K, n) logits in the
-    same order; ``conditionals`` only reads them.  ``prefix_slot`` keeps the
-    last corpus and its ``corpus_conditionals`` array.
+    ``corpus_conditionals`` and ``extended`` set ``_memo`` to (corpus, logits):
+    the (K, n) logits of the distinct prefixes of ``corpus.prefix_index``,
+    stacked by length as it numbers them; ``conditionals`` only reads it.
+    ``prefix_slot`` keeps the last corpus and its ``corpus_conditionals`` array.
     """
 
     def __init__(
@@ -95,7 +94,7 @@ class ReweightedModel(SequentialModel):
         self.vocab = base.vocab
         self.length = base.length
         self.partition_scale = partition_scale
-        self._memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._memo: tuple[Corpus, np.ndarray] | None = None
         self.prefix_slot: tuple[Corpus, np.ndarray] | None = None
 
     def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
@@ -106,40 +105,39 @@ class ReweightedModel(SequentialModel):
         return self._rows(self._lookup(prefixes))
 
     def _lookup(self, prefixes: np.ndarray) -> np.ndarray:
-        """The (k, n) logits of a C-contiguous (k, L) int64 prefix array: a memo
-        block's, found with one ``searchsorted``, where it has the prefix, and
-        ``_logits`` of each distinct missing prefix, computed once.  The memo
-        is left as it was."""
-        keys, block = row_keys(prefixes), self._memo.get(prefixes.shape[1])
-        out, miss = np.empty((len(keys), self.vocab.n)), np.arange(len(keys))
-        if block is not None:
-            _, known, logits = block
+        """The (k, n) logits of a C-contiguous (k, L) int64 prefix array: the
+        memo's where its corpus has the prefix, found with one ``searchsorted``
+        among the distinct L-token prefixes and offset into the stack, and
+        ``_logits`` of each distinct missing prefix, computed once."""
+        (k, L), keys = prefixes.shape, row_keys(prefixes)
+        out, miss = np.empty((k, self.vocab.n)), np.arange(k)
+        if self._memo is not None and L < self._memo[0].length:
+            distinct, logits = self._memo[0].prefix_index[0], self._memo[1]
+            known = row_keys(distinct[L])
             pos = known.searchsorted(keys)
             hit = known.take(pos, mode="clip") == keys
-            out[hit], miss = logits.take(pos[hit], axis=0), miss[~hit]
+            out[hit], miss = logits.take(pos[hit] + sum(map(len, distinct[:L])), axis=0), miss[~hit]
         if miss.size:
             _, first, inverse = np.unique(keys.take(miss), return_index=True, return_inverse=True)
             out[miss] = self._logits(prefixes.take(miss.take(first), axis=0)).take(inverse, axis=0)
         return out
 
+    def _corpus_logits(self, corpus: Corpus) -> np.ndarray:
+        """The stacked logits of ``corpus.prefix_index``'s distinct prefixes: the
+        memo's for this corpus, or ``_logits`` per length, which replace it."""
+        if self._memo is None or self._memo[0] is not corpus:
+            self._memo = corpus, np.concatenate([self._logits(p) for p in corpus.prefix_index[0]])
+        return self._memo[1]
+
     def corpus_conditionals(self, corpus: Corpus) -> np.ndarray:
         """The base class's array, kept in ``prefix_slot`` for this corpus.  With
-        a factor, one ``_rows`` over the logits of ``corpus.prefix_index``'s
-        distinct prefixes, then one gather.  A missing memo block is the index's
-        own prefix array, which ``extended`` hands to the child, so no later
-        model searches for its rows; a block with other prefixes is searched."""
+        a factor, one ``_rows`` over ``_corpus_logits``, then one gather."""
         if self.prefix_slot is not None and self.prefix_slot[0] is corpus:
             return self.prefix_slot[1]
         if not self.factors or not corpus.ids.size:
             Q = super().corpus_conditionals(corpus)
         else:
-            (distinct, rows), parts = corpus.prefix_index, []
-            for L, own in enumerate(distinct):
-                if L not in self._memo:
-                    self._memo[L] = own, row_keys(own), self._logits(own)
-                known, _, logits = self._memo[L]
-                parts.append(logits if known is own else self._lookup(own))
-            Q = self._rows(np.concatenate(parts)).take(rows, axis=0)
+            Q = self._rows(self._corpus_logits(corpus)).take(corpus.prefix_index[1], axis=0)
             Q.flags.writeable = False
         self.prefix_slot = corpus, Q
         return Q
@@ -182,26 +180,17 @@ class ReweightedModel(SequentialModel):
         return weights / (np.add.reduce(weights, axis=-1, keepdims=True) * self.partition_scale)
 
     def extended(self, b: float, g: Distinguisher, step_values: tuple = ()) -> "ReweightedModel":
-        """This model with the factor (b, g) appended.  Each memo block's logits
-        take the subtraction a fresh chain's last factor takes, so a new factor
-        costs one pass over the memoised prefixes and a carried row is the
-        fresh chain's bit for bit.  The child shares the blocks' prefix arrays.
-        ``step_values``, g's reads on a corpus's distinct prefixes
-        (``AdvantageEstimate.step_values``), stand in for g on a block that is
-        one of their prefix arrays, and give a length with no block its
-        corpus block; any other block reads g itself.  This model's
+        """This model with the factor (b, g) appended.  Given ``step_values``,
+        (corpus, g's reads) as ``AdvantageEstimate`` carries them, the child's
+        memo is this model's ``_corpus_logits`` of that corpus minus b times the
+        reads: a fresh chain's last subtraction, so its rows are the fresh
+        chain's bit for bit.  Without them the child has no memo.  This model's
         ``prefix_slot`` is emptied, so a run keeps one array."""
         self.prefix_slot = None
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
-        blocks = dict(self._memo)
-        for L, (own, _) in enumerate(step_values):
-            if L not in blocks:
-                blocks[L] = own, row_keys(own), self._logits(own)
-        for L, (known, keys, logits) in blocks.items():
-            own, values = step_values[L] if L < len(step_values) else (None, None)
-            if known is not own:
-                values = g.values(extensions(known, self.vocab.n))
-            child._memo[L] = known, keys, logits - b * values
+        if step_values:
+            corpus, reads = step_values
+            child._memo = corpus, self._corpus_logits(corpus) - b * reads
         return child
 
 
@@ -334,6 +323,7 @@ def best_indicator(q: SequentialModel, corpus: Corpus, k: int) -> tuple[tuple[in
     then unflipped before flipped, and the first maximum wins, as in a scan
     that keeps a candidate only when it is strictly better (up to TIE_TOLERANCE).
     """
+    check_corpus(q, corpus)
     n, (contexts, cell, counts) = corpus.vocab.n, corpus.indicator_cells(k)
     Q = q.corpus_conditionals(corpus)
     sums = np.bincount(cell, weights=Q[:, k:].reshape(-1), minlength=len(counts))

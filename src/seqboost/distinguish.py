@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, Vocabulary
 from .exact import DEFAULT_BUDGET, JointTable, check_shared, enumerate_joint, sequence_index
-from .models import SequentialModel, sample_many, sequence_log_probs
+from .models import SequentialModel, check_corpus, sample_many, sequence_log_probs
 
 
 def _row_values(fn: Callable[[tuple[int, ...]], float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -73,9 +73,9 @@ StepDistinguisher = Distinguisher  # the step-wise reading has no type of its ow
 
 @dataclass(frozen=True)
 class AdvantageEstimate:
-    """An advantage and how it was estimated.  ``step_values`` are the
-    (prefixes, values) pairs a step-wise estimate read g on, one per length:
-    a corpus's distinct prefixes and g at their token extensions, (K, n)."""
+    """An advantage and how it was estimated.  A step-wise estimate's
+    ``step_values`` are (corpus, reads): g at the token extensions of the
+    distinct prefixes of ``corpus.prefix_index``, a stacked (K, n) array."""
 
     value: float
     estimator: str  # "exact-enumeration" | "monte-carlo" | "stepwise-exact"
@@ -114,8 +114,7 @@ def training_advantage(
     The model expectation is either an exact enumeration or a seeded
     Monte-Carlo mean over ``samples`` draws.
     """
-    if corpus.m < 1:
-        raise ValueError("empty corpus")
+    check_corpus(q, corpus)
     emp = float(f.values(corpus.ids).sum()) / corpus.m
     if estimator == "exact":
         table = enumerate_joint(q, budget=budget)
@@ -145,28 +144,29 @@ def generalized_advantage(
     """Per-position advantage of a step-wise distinguisher, averaged over positions.
 
     g is read once per length, on the extensions of ``corpus.prefix_index``'s
-    distinct prefixes, and gathered into an (m, N, n) array G; the estimate
-    carries those reads as ``step_values``.  The model-side expectation over
-    the replacement token is computed exactly by summing the n conditional
-    probabilities; the data side is G at the corpus tokens, since
+    distinct prefixes; the stacked reads, which the estimate carries as
+    ``step_values``, are gathered into an (m, N, n) array G.  The model-side
+    expectation over the replacement token is computed exactly by summing the
+    n conditional probabilities; the data side is G at the corpus tokens, since
     ``ids[:, :j+1]`` is the extension of ``ids[:, :j]`` by ``ids[:, j]``.  The
     sums add tokens and then rows strictly left to right, as a scalar loop
     over sequences and tokens would.
     """
-    if corpus.m < 1 or corpus.length < 1:
+    if corpus.length < 1:
         raise ValueError("empty corpus")
+    check_corpus(q, corpus)
     ids, n = corpus.ids, corpus.vocab.n
     Q = q.corpus_conditionals(corpus)
     distinct, prefix_rows = corpus.prefix_index
-    step_values = tuple((p, g.values(extensions(p, n))) for p in distinct)
-    G = np.concatenate([v for _, v in step_values], dtype=float).take(prefix_rows, axis=0)
+    reads = np.concatenate([g.values(extensions(p, n)) for p in distinct], dtype=float)
+    G = reads.take(prefix_rows, axis=0)
     model_side = np.add.accumulate(np.where(Q > 0, Q * G, 0.0), axis=2)[:, :, -1]
     rows, at = np.arange(corpus.m)[:, None], np.arange(corpus.length)
     terms = model_side - G[rows, at, ids]
     per_position = [float(acc) / corpus.m for acc in np.add.accumulate(terms, axis=0)[-1]]
     value = sum(per_position) / corpus.length
     return AdvantageEstimate(value, "stepwise-exact", per_position=tuple(per_position),
-                             step_values=step_values)
+                             step_values=(corpus, reads))
 
 
 def bayes_optimal_distinguisher(p: JointTable, q: JointTable) -> Distinguisher:

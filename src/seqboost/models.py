@@ -246,6 +246,16 @@ def loss_report(log_probs: np.ndarray) -> LossReport:
     return LossReport(sum(per) / len(per), tuple(per))
 
 
+def check_corpus(model: SequentialModel, corpus: Corpus) -> None:
+    """Raise ValueError if the corpus is empty or lies outside the model's
+    domain: another vocabulary or another padded length."""
+    if corpus.m < 1:
+        raise ValueError("empty corpus")
+    if corpus.vocab.tokens != model.vocab.tokens or corpus.length != model.length:
+        raise ValueError(f"the corpus's domain ({corpus.vocab.n} tokens, length {corpus.length}) "
+                         f"is not the model's ({model.vocab.n} tokens, length {model.length})")
+
+
 def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
     """Negative mean log-likelihood of the corpus, in nats per sequence.
 
@@ -253,8 +263,7 @@ def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
     added sequence by sequence (``loss_report``), so the result is the same
     float as a scalar loop over sequences and positions.
     """
-    if corpus.m < 1:
-        raise ValueError("empty corpus")
+    check_corpus(model, corpus)
     return loss_report(model.corpus_log_probs(corpus))
 
 

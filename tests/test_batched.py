@@ -497,11 +497,13 @@ def test_log_ratio_values_are_its_scalar_calls_bit_for_bit(data):
     assert [g(tuple(row)) for row in rows] == want.tolist()
 
 
-def memo_blocks(model):
-    """Every memo block's arrays, by prefix length: the same objects and bytes
-    mean that the memo was neither replaced nor written to."""
-    return {L: [(id(a), a.shape, a.tobytes()) for a in block]
-            for L, block in model._memo.items()}
+def memo_state(model):
+    """The memo's corpus and logits: the same objects and bytes mean that the
+    memo was neither replaced nor written to."""
+    if model._memo is None:
+        return None
+    corpus, logits = model._memo
+    return id(corpus), id(logits), logits.shape, logits.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -509,18 +511,18 @@ def memo_blocks(model):
 def test_conditionals_and_enumerate_joint_add_nothing_to_the_memo(data):
     """The memo holds only what ``corpus_conditionals`` and ``extended`` put
     there: reading rows, one prefix array at a time or the whole joint, leaves
-    every block as it was."""
+    it as it was, empty or holding a corpus's logits."""
     model = data.draw(models())
     if not isinstance(model, ReweightedModel) or not model.factors:
         model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
     if data.draw(st.booleans()):
         model.corpus_conditionals(data.draw(corpora_over(model.vocab, model.length)))
-    before = memo_blocks(model)
+    before = memo_state(model)
     for _ in range(data.draw(st.integers(1, 3))):
         model.conditionals(data.draw(prefix_arrays(model)))
     if model.partition_scale == 1.0:  # otherwise not a joint table
         enumerate_joint(model)
-    assert memo_blocks(model) == before
+    assert memo_state(model) == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -578,28 +580,25 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
     """``corpus_conditionals`` of a reweighted model, read through the corpus's
     prefix index, is a fresh copy's rows bit for bit: with no factor; along a
     chain grown by ``extended`` (indicator, custom and log-ratio factors),
-    whose memo blocks are the corpus's own prefix arrays; after the memo
-    gained other prefixes, so that its blocks are searched; and on a twin
-    corpus whose ids are equal but whose index is another."""
+    with or without handed reads of g; after rows were read at other
+    prefixes; and on a twin corpus whose ids are equal but whose index is
+    another, which takes the memo's place."""
     corpus = data.draw(corpora())
     vocab, length = corpus.vocab, corpus.length
     twin = Corpus(vocab, length, corpus.ids.copy())
     model = ReweightedModel(data.draw(base_models(vocab, length)), [],
                             data.draw(st.sampled_from([1.0, 0.9, 1.01])))
-    own = True  # every block the corpus's own prefix array, as the chain hands it down
     for _ in range(data.draw(st.integers(1, 4))):
         if data.draw(st.booleans()):
             model.conditionals(data.draw(prefix_arrays(model)))
-            own = False
         if data.draw(st.booleans()):
             assert model.corpus_conditionals(twin).tobytes() == stacked_conditionals(model, twin).tobytes()
-            own = False
         assert model.corpus_conditionals(corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
-        if own and model.factors:
-            assert all(model._memo[L][0] is prefixes
-                       for L, prefixes in enumerate(corpus.prefix_index[0]))
-        b = data.draw(st.floats(0.0, 2.0))
-        model = model.extended(b, drawn_step_distinguisher(data, model))
+        if model.factors:
+            assert model._memo[0] is corpus
+        g = drawn_step_distinguisher(data, model)
+        handed = generalized_advantage(g, corpus, model).step_values if data.draw(st.booleans()) else ()
+        model = model.extended(data.draw(st.floats(0.0, 2.0)), g, handed)
     for c in (corpus, twin):
         assert model.corpus_conditionals(c).tobytes() == stacked_conditionals(model, c).tobytes()
 
@@ -607,11 +606,10 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_extended_with_handed_values_is_extended_without_them_bit_for_bit(data):
-    """``extended`` given ``generalized_advantage``'s reads of g leaves every
-    memo block as ``extended`` reading g itself does, byte for byte: blocks
-    that are the corpus's own prefix arrays, blocks that gained other
-    prefixes, and the blocks of a twin corpus, whose reads are not handed on.
-    A length with no block gets the corpus's block with a fresh chain's logits."""
+    """``extended`` given ``generalized_advantage``'s reads of g on a corpus
+    gives the child a memo for that corpus whose logits are those that the
+    child ``extended`` without them computes, byte for byte: whichever
+    corpus, if any, the parent's memo held before, the corpus or its twin."""
     corpus = data.draw(corpora())
     vocab, length = corpus.vocab, corpus.length
     twin = Corpus(vocab, length, corpus.ids.copy())
@@ -622,17 +620,41 @@ def test_extended_with_handed_values_is_extended_without_them_bit_for_bit(data):
     if data.draw(st.booleans()):
         model.conditionals(data.draw(prefix_arrays(model)))
     g = drawn_step_distinguisher(data, model)
-    handed = generalized_advantage(g, data.draw(st.sampled_from([corpus, twin])), model).step_values
+    handed_to = data.draw(st.sampled_from([corpus, twin]))
+    handed = generalized_advantage(g, handed_to, model).step_values
+    assert handed[0] is handed_to
     b = data.draw(st.floats(0.0, 2.0))
     plain, child = model.extended(b, g), model.extended(b, g, handed)
-    assert set(plain._memo) <= set(child._memo)
-    for L, (known, keys, logits) in child._memo.items():
-        if L in plain._memo:
-            assert plain._memo[L][0] is known and plain._memo[L][1] is keys
-            assert logits.tobytes() == plain._memo[L][2].tobytes()
-        else:
-            assert known is handed[L][0]
-            assert logits.tobytes() == fresh(child)._logits(known).tobytes()
+    assert plain._memo is None and child._memo[0] is handed_to
+    Q = plain.corpus_conditionals(handed_to)
+    assert child._memo[1].tobytes() == plain._memo[1].tobytes()
+    assert child.corpus_conditionals(handed_to).tobytes() == Q.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_chain_switching_corpora_has_a_fresh_copys_rows_and_keeps_the_last_corpus(data):
+    """Along a chain grown by ``extended`` (with or without handed reads of g
+    on either corpus), asking for corpus A, then B, then A again gives a
+    fresh copy's rows at every step, at the corpus's prefixes and at drawn
+    ones, and the memo holds the corpus asked last.  B is A's twin (equal ids,
+    another index) or another corpus over the same domain."""
+    vocab, length = make_vocab(data.draw(st.integers(2, 4))), data.draw(st.integers(1, 3))
+    a = data.draw(corpora_over(vocab, length))
+    b = Corpus(vocab, length, a.ids.copy()) if data.draw(st.booleans()) else data.draw(
+        corpora_over(vocab, length))
+    model = ReweightedModel(data.draw(base_models(vocab, length)), [],
+                            data.draw(st.sampled_from([1.0, 0.9, 1.01])))
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = drawn_step_distinguisher(data, model)
+        handed = generalized_advantage(g, data.draw(st.sampled_from([a, b])), model).step_values
+        model = model.extended(data.draw(st.floats(0.0, 2.0)), g,
+                               handed if data.draw(st.booleans()) else ())
+        for c in (a, b, a):
+            assert model.corpus_conditionals(c).tobytes() == stacked_conditionals(model, c).tobytes()
+            assert model._memo[0] is c
+            prefixes = data.draw(prefix_arrays(model))
+            assert model.conditionals(prefixes).tobytes() == fresh(model).conditionals(prefixes).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -689,9 +711,9 @@ def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
                             [(1.0, ngram_indicator(vocab, (firsts[0], *tail), tok))])
     held = data.draw(st.lists(st.integers(0, len(firsts) - 1), max_size=4))
     if held:  # these prefixes in the memo, the others not
-        ids = np.array([[firsts[i], *tail, tok] for i in held], dtype=np.int64)
-        model.corpus_conditionals(Corpus(vocab, L + 1, ids))
-        assert len(model._memo[L][0]) == len(set(held))
+        corpus = Corpus(vocab, L + 1, np.array([[firsts[i], *tail, tok] for i in held]))
+        model.corpus_conditionals(corpus)
+        assert len(corpus.prefix_index[0][L]) == len(set(held)) and model._memo[0] is corpus
     order = data.draw(st.lists(st.integers(0, len(firsts) - 1), min_size=1, max_size=8))
     prefixes = np.array([[firsts[i], *tail] for i in order], dtype=np.int64)
     got = model.conditionals(prefixes)

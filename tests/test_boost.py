@@ -212,31 +212,35 @@ class TestStepwiseReweight:
         g = token_indicator(ab_vocab, 2)
         cached = ReweightedModel(half_half(2), [(0.5, g)])
         first = cached.next_token_dist(())
-        assert cached._memo == {}  # conditionals adds nothing to the memo
-        cached.corpus_conditionals(Corpus(ab_vocab, 2, np.array([[1, 0], [2, 1]])))
-        known, _, logits = cached._memo[0]
-        assert known.shape == (1, 0) and cached._rows(logits).tobytes() == first.tobytes()
+        assert cached._memo is None  # conditionals adds nothing to the memo
+        corpus = Corpus(ab_vocab, 2, np.array([[1, 0], [2, 1]]))
+        cached.corpus_conditionals(corpus)
+        held, logits = cached._memo
+        # One stack: the empty prefix at row 0, then the two 1-token prefixes.
+        assert held is corpus and logits.shape == (3, 3)
+        assert cached._rows(logits[:1]).tobytes() == first.tobytes()
         # Planted logits give what both forms return: the memo is read, not recomputed.
         logits[0] = [-math.inf, 0.0, 0.0]
         sentinel = np.array([0.0, 0.5, 0.5])
         np.testing.assert_array_equal(cached.next_token_dist(()), sentinel)
         np.testing.assert_array_equal(cached.conditionals(np.zeros((2, 0), dtype=np.int64)),
                                       [sentinel, sentinel])
-        # In a block of several prefixes, the search finds the planted one's logits.
-        known, _, logits = cached._memo[1]
-        assert sorted(known.ravel().tolist()) == [1, 2]
-        logits[known.ravel().tolist().index(1)] = [-math.inf, 0.0, 0.0]
+        # Among the 1-token prefixes, the search finds the planted one's logits
+        # at its offset in the stack.
+        known = corpus.prefix_index[0][1].ravel().tolist()
+        assert sorted(known) == [1, 2]
+        logits[1 + known.index(1)] = [-math.inf, 0.0, 0.0]
         got = cached.conditionals(np.array([[1], [2], [1]]))
         np.testing.assert_array_equal(got[[0, 2]], [sentinel, sentinel])
         assert got[1].tobytes() == cached.next_token_dist((2,)).tobytes()
         assert not np.array_equal(got[1], sentinel)
-        # A prefix the block does not hold is computed, and not added.
+        # A prefix the memo does not hold is computed, and not added.
         got = cached.conditionals(np.array([[0], [1], [0]]))
         np.testing.assert_array_equal(got[1], sentinel)
         assert got[0].tobytes() == got[2].tobytes() == first.tobytes()
-        assert sorted(cached._memo[1][0].ravel().tolist()) == [1, 2]
+        assert cached._memo[0] is corpus and cached._memo[1] is logits and logits.shape == (3, 3)
         fresh = ReweightedModel(half_half(2), [(0.5, g)])
-        assert fresh._memo == {}
+        assert fresh._memo is None
         np.testing.assert_array_equal(fresh.next_token_dist(()), first)
 
 
@@ -577,11 +581,11 @@ class TestOneArrayPerRound:
         inner = TokenIndicatorOracle() if kind == "token" else NGramIndicatorOracle(3)
         model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(inner, 30),
                              BoostConfig(1e-12, max_iters=31))
-        # The first reweighted model fills its memo from the corpus's prefix
-        # index, and every later one finds the corpus's prefix arrays there.
+        # Every reweighted model's memo is carried from its parent's for the
+        # run's corpus, so no round searches it.
         assert len(model.factors) == 30 and lookups[0] == 0
-        assert all(model._memo[L][0] is prefixes
-                   for L, prefixes in enumerate(corpus.prefix_index[0]))
+        assert model._memo[0] is corpus
+        assert model._memo[1].shape == (sum(map(len, corpus.prefix_index[0])), corpus.vocab.n)
 
     def test_indicator_cells_are_counted_once_per_corpus_across_oracles(self, monkeypatch):
         import seqboost.corpus
@@ -619,10 +623,10 @@ class TestOneArrayPerRound:
         assert model.corpus_conditionals(corpus) is Q and counted_conditionals[0] == 0
         twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
         twin_Q = model.corpus_conditionals(twin)
-        # The twin's prefixes are all in the memo: its rows need no new logits.
-        assert twin_Q is not Q and counted_conditionals[0] == 0 and fresh_logits[0] == 8
+        # The memo holds one corpus: the twin's rows are fresh logits, the same bits.
+        assert twin_Q is not Q and counted_conditionals[0] == 0 and fresh_logits[0] == 16
         assert twin_Q.tobytes() == Q.tobytes() and model.prefix_slot[0] is twin
-        assert not twin_Q.flags.writeable
+        assert model._memo[0] is twin and not twin_Q.flags.writeable
         child = model.extended(0.25, token_indicator(corpus.vocab, 2))
         assert model.prefix_slot is None and child.prefix_slot is None
 
@@ -645,9 +649,12 @@ class TestOneArrayPerRound:
                              BoostConfig(1e-12, max_iters=11))
         assert len(model.factors) == 10
         assert calls == list(range(8))  # N calls, one per position, not N per round
-        # Another corpus, even with equal ids, is read anew.
-        oracle.propose(model, Corpus(corpus.vocab, 8, corpus.ids.copy()))
-        assert calls == list(range(8)) * 2
+        # Another corpus, even with equal ids, is read anew: once per position
+        # for the oracle's reference array, and once per position and factor
+        # for the fresh logits that replace the chain's memo.
+        twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
+        oracle.propose(model, twin)
+        assert sorted(calls[8:]) == sorted(list(range(8)) * 11) and model._memo[0] is twin
 
     def test_a_log_ratio_run_keeps_at_most_one_array(self):
         corpus = deep_corpus()
@@ -657,10 +664,9 @@ class TestOneArrayPerRound:
         captured = [g.models[0] for _, g in model.factors]
         assert len(captured) == 12
         assert sum(m.prefix_slot is not None for m in captured + [model]) <= 1
-        # The chain's memo blocks are the corpus's own prefix arrays, handed down.
-        prefixes = corpus.prefix_index[0]
-        assert captured[0]._memo == {}
-        assert all(m._memo[L][0] is prefixes[L] for m in captured[1:] + [model] for L in range(8))
+        # The memo is handed down for the run's corpus; no model holds another.
+        assert model._memo[0] is corpus
+        assert all(m._memo is None or m._memo[0] is corpus for m in captured)
 
     def test_a_reloaded_log_ratio_chain_reads_no_level_model(self):
         corpus = deep_corpus()

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -6,10 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqboost.boost import BoostConfig, ReweightedModel, make_oracle, run_boost
+from seqboost.boost import (
+    BoostConfig,
+    ReweightedModel,
+    TokenIndicatorOracle,
+    best_indicator,
+    make_oracle,
+    run_boost,
+)
 from seqboost.checks import make_vocab, random_corpus, random_table
 from seqboost.corpus import Corpus, Sequence, Vocabulary
-from seqboost.distinguish import Distinguisher, ngram_indicator, step_log_ratio, token_indicator
+from seqboost.distinguish import (
+    Distinguisher,
+    generalized_advantage,
+    ngram_indicator,
+    step_log_ratio,
+    token_indicator,
+    training_advantage,
+)
 from seqboost.exact import JointTable, all_sequences, kl_divergence
 from seqboost.models import (
     LogLinearModel,
@@ -140,6 +155,28 @@ class TestLogLoss:
         observed = log_loss(q, corpus).log_loss - log_loss(q2, corpus).log_loss
         expected = kl_divergence(p, q) - kl_divergence(p, q2)
         assert observed == pytest.approx(expected, abs=0.02)
+
+    @pytest.mark.parametrize("entry", ["log_loss", "training_advantage", "generalized_advantage",
+                                       "best_indicator", "run_boost"])
+    @pytest.mark.parametrize("n, length", [(3, 1), (3, 3), (4, 2)])
+    def test_a_corpus_outside_the_models_domain_is_refused(self, entry, n, length):
+        # A 3-token model of length 2 against a corpus of another length or
+        # vocabulary: each entry point names both domains instead of scoring
+        # the corpus anyway (a silently wrong loss) or failing on an index.
+        model = UniformModel(make_vocab(3), 2)
+        corpus = random_corpus(np.random.default_rng(0), make_vocab(n), length, 6)
+        g = token_indicator(model.vocab, 1)
+        call = {
+            "log_loss": lambda: log_loss(model, corpus),
+            "training_advantage": lambda: training_advantage(g, corpus, model),
+            "generalized_advantage": lambda: generalized_advantage(g, corpus, model),
+            "best_indicator": lambda: best_indicator(model, corpus, 0),
+            "run_boost": lambda: run_boost(model, corpus, TokenIndicatorOracle(), BoostConfig(0.01)),
+        }[entry]
+        want = (f"the corpus's domain ({n} tokens, length {length}) "
+                "is not the model's (3 tokens, length 2)")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call()
 
 
 class TestConditionalContract:
