@@ -184,13 +184,15 @@ class ReweightedModel(SequentialModel):
         (corpus, g's reads) as ``AdvantageEstimate`` carries them, the child's
         memo is this model's ``_corpus_logits`` of that corpus minus b times the
         reads: a fresh chain's last subtraction, so its rows are the fresh
-        chain's bit for bit.  Without them the child has no memo.  This model's
-        ``prefix_slot`` is emptied, so a run keeps one array."""
+        chain's bit for bit, and this model's memo is emptied.  Without them the
+        child has no memo.  This model's ``prefix_slot`` is emptied too, so a
+        run keeps one array of each kind; asked again, it recomputes them."""
         self.prefix_slot = None
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
         if step_values:
             corpus, reads = step_values
             child._memo = corpus, self._corpus_logits(corpus) - b * reads
+            self._memo = None
         return child
 
 

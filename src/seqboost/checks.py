@@ -7,6 +7,7 @@ was from violating its inequality); a negative slack means a violation.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from collections.abc import Callable
@@ -65,8 +66,9 @@ def _run(
     return PropertyResult(name, count, min_slack, math.isfinite(min_slack) and min_slack >= floor)
 
 
+@functools.cache
 def make_vocab(n: int) -> Vocabulary:
-    """An n-token vocabulary: the pad plus n-1 letters."""
+    """An n-token vocabulary: the pad plus n-1 letters, one frozen one per n."""
     return Vocabulary.build(string.ascii_lowercase[: n - 1])
 
 

@@ -31,13 +31,27 @@ def all_sequences(vocab: Vocabulary, length: int) -> list[Sequence]:
     return [Sequence.from_raw(ids) for ids in itertools.product(range(vocab.n), repeat=length)]
 
 
+# all_ids keeps each domain of at most this many rows (the suites' largest is
+# 6^3); an enumeration's larger levels are built afresh and not kept.
+SHARED_DOMAIN_ROWS = 256
+_shared_domains: dict[tuple[int, int], np.ndarray] = {}
+
+
 def all_ids(n: int, length: int) -> np.ndarray:
     """The (n^length, length) array whose row i is i written as base-n digits:
     every id sequence, in ``sequence_index`` order.  Column c repeats each
-    digit for n^(length-c-1) rows, in n^c runs of 0..n-1."""
+    digit for n^(length-c-1) rows, in n^c runs of 0..n-1.  A domain of at
+    most ``SHARED_DOMAIN_ROWS`` rows is built once and shared, so it is
+    read-only."""
+    out = _shared_domains.get((n, length))
+    if out is not None:
+        return out
     out = np.empty((n**length, length), dtype=np.int64)
     for c in range(length):
         out.reshape(n**c, n, n ** (length - c - 1), length)[:, :, :, c] = np.arange(n)[:, None]
+    if len(out) <= SHARED_DOMAIN_ROWS:
+        out.flags.writeable = False
+        _shared_domains[n, length] = out
     return out
 
 
@@ -65,21 +79,27 @@ class JointTable(SequentialModel):
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        # One minimum and one sum, skipped past a negative, NaN or -inf entry so
+        # that no inf - inf is summed; the finiteness pass runs only when the sum
+        # is not finite, to choose the message.
         self.probs = np.asarray(self.probs, dtype=float)
         expected = self.vocab.n**self.length
         if self.probs.shape != (expected,):
             raise ValueError(f"need {expected} probabilities, got {self.probs.shape}")
-        if not np.isfinite(self.probs).all():
+        low = np.minimum.reduce(self.probs)
+        total = np.add.reduce(self.probs) if low >= -1e-12 else math.nan
+        if not math.isfinite(total) and not np.isfinite(self.probs).all():
             raise ValueError("non-finite probability")
-        if np.any(self.probs < -1e-12):
+        if not low >= -1e-12:
             raise ValueError("negative probability")
-        if abs(self.probs.sum() - 1.0) > 1e-9:
+        if abs(total - 1.0) > 1e-9:
             raise ValueError("probabilities do not sum to 1")
 
     @cached_property
     def ids(self) -> np.ndarray:
         """Every sequence of the domain as an (n^N, N) id array, row i the one
-        with ``sequence_index`` i."""
+        with ``sequence_index`` i: ``all_ids``, so a small domain's array is
+        shared between tables and read-only."""
         return all_ids(self.vocab.n, self.length)
 
     @cached_property
@@ -98,6 +118,12 @@ class JointTable(SequentialModel):
         """One gather from the level of the prefixes' length."""
         prefixes = np.asarray(prefixes)
         return self._levels[prefixes.shape[1]][sequence_index(self.vocab, prefixes)]
+
+    def token_probs(self, prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """One flat gather from the level of the prefixes' length."""
+        prefixes = np.asarray(prefixes)
+        flat = sequence_index(self.vocab, prefixes) * self.vocab.n + tokens
+        return self._levels[prefixes.shape[1]].reshape(-1).take(flat)
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -664,9 +664,14 @@ class TestOneArrayPerRound:
         captured = [g.models[0] for _, g in model.factors]
         assert len(captured) == 12
         assert sum(m.prefix_slot is not None for m in captured + [model]) <= 1
-        # The memo is handed down for the run's corpus; no model holds another.
+        # The memo is handed down for the run's corpus, and each parent lets go of
+        # its own: only the last model holds one.
         assert model._memo[0] is corpus
-        assert all(m._memo is None or m._memo[0] is corpus for m in captured)
+        assert all(m._memo is None for m in captured)
+        # A level model asked again recomputes its rows, bit for bit a fresh copy's.
+        level = captured[6]
+        fresh = ReweightedModel(level.base, level.factors)
+        assert level.corpus_conditionals(corpus).tobytes() == fresh.corpus_conditionals(corpus).tobytes()
 
     def test_a_reloaded_log_ratio_chain_reads_no_level_model(self):
         corpus = deep_corpus()

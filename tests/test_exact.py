@@ -1,11 +1,14 @@
 import itertools
 import math
+import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqboost import checks, exact
 from seqboost.checks import make_vocab, random_table
 from seqboost.corpus import Corpus, Sequence, Vocabulary
 from seqboost.distinguish import Distinguisher, advantage_exact
@@ -157,12 +160,76 @@ def test_joint_table_rejects_non_finite_probabilities(ab_vocab, bad):
         JointTable(ab_vocab, 1, [bad, 0.5, 0.5])
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("length, probs, message", [
+    (1, [0.5, math.nan, 0.5], "non-finite probability"),
+    (1, [0.5, 0.5, math.inf], "non-finite probability"),
+    (1, [-math.inf, 0.5, 0.5], "non-finite probability"),
+    (1, [math.inf, -math.inf, 1.0], "non-finite probability"),
+    (1, [-1.0, math.inf, 2.0], "non-finite probability"),  # checked before the sign
+    (1, [0.0, 1e308, 1e308], "probabilities do not sum to 1"),  # finite, but the sum overflows
+    (2, [1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0, 1.0], "negative probability"),
+    (1, [-1e-11, 0.5, 0.5 + 1e-11], "negative probability"),
+    (1, [-1e-13, 0.5, 0.5 + 1e-13], None),
+    (1, [0.5, 0.25, 0.125], "probabilities do not sum to 1"),
+    (1, [0.5, 0.5], "need 3 probabilities, got (2,)"),
+    (1, [[0.0, 0.5, 0.5]], "need 3 probabilities, got (1, 3)"),
+])
+def test_joint_table_checks_in_order_with_their_messages(ab_vocab, length, probs, message):
+    # An overflowing sum warns, as a plain sum does; the error is what is checked.
+    with np.errstate(over="ignore"):
+        if message is None:
+            assert JointTable(ab_vocab, length, probs).probs.tolist() == probs
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                JointTable(ab_vocab, length, probs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("length", range(0, 5))
 def test_all_ids_are_the_product_rows(n, length):
     ids = all_ids(n, length)
     assert ids.dtype == np.int64 and ids.shape == (n**length, length)
     assert ids.tolist() == [list(row) for row in itertools.product(range(n), repeat=length)]
+    if n**length <= exact.SHARED_DOMAIN_ROWS:  # built once, shared and read-only
+        assert all_ids(n, length) is ids
+        assert JointTable(make_vocab(n), length, np.full(n**length, 1.0 / n**length)).ids is ids
+        with pytest.raises(ValueError, match="read-only"):
+            ids[...] = 0
+    else:  # built afresh on every call, and writable
+        assert ids.flags.writeable and all_ids(n, length) is not ids
+
+
+def test_a_domain_above_the_bound_is_not_retained():
+    kept = weakref.ref(all_ids(8, 4))
+    assert kept() is None
+    assert all(len(ids) <= exact.SHARED_DOMAIN_ROWS for ids in exact._shared_domains.values())
+
+
+@pytest.mark.parametrize("n, length", [(2, 1), (3, 2), (4, 3), (6, 3)])
+def test_table_token_probs_are_the_rows_entries(n, length):
+    rng = np.random.default_rng(n * 10 + length)
+    table = random_table(rng, make_vocab(n), length)
+    for j in range(length):
+        prefixes = rng.integers(0, n, size=(50, j))
+        tokens = rng.integers(0, n, size=50)
+        want = table.conditionals(prefixes)[np.arange(50), tokens]
+        assert table.token_probs(prefixes, tokens).tobytes() == want.tobytes()
+
+
+def test_enumeration_reads_the_same_before_and_after_the_domain_memo_is_warm(monkeypatch):
+    model = random_table(np.random.default_rng(7), make_vocab(4), 3)
+    monkeypatch.setattr(exact, "_shared_domains", {})
+    cold = enumerate_joint(model).probs.tobytes()
+    assert exact._shared_domains  # the enumeration filled it
+    assert enumerate_joint(model).probs.tobytes() == cold
+
+
+def test_make_vocab_is_one_vocabulary_per_size():
+    assert make_vocab(5) is make_vocab(5) and make_vocab(5).tokens == ("<pad>", "a", "b", "c", "d")
+
+
+def test_two_suite_runs_in_one_process_agree():
+    assert checks.default_suites() == checks.default_suites()
 
 
 def test_enumerate_budget():
