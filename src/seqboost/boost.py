@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, row_keys
+from .corpus import Corpus, Vocabulary, check_domain, row_keys
 from .distinguish import (
     Distinguisher,
     extensions,
@@ -383,6 +383,7 @@ class LogRatioOracle:
         return min(max(worst, 1.0 + 1e-12), RATIO_CAP)
 
     def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher:
+        check_domain(self.reference, q, ("the reference", "the model"))
         c = self._bound(q, corpus)
         g = step_log_ratio(q, self.reference, c)
         if generalized_advantage(g, corpus, q).value < 0:

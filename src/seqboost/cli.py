@@ -20,7 +20,7 @@ import numpy as np
 from . import age as age_mod
 from .boost import BoostConfig, MaxItersExceededError, make_oracle, run_boost
 from .checks import default_suites
-from .corpus import Vocabulary, load_corpus
+from .corpus import Vocabulary, check_domain, load_corpus
 from .distinguish import from_params, generalized_advantage, training_advantage
 from .exact import (
     DEFAULT_BUDGET,
@@ -124,17 +124,15 @@ def _load_corpus_checked(path, length, vocab=None):
         raise click.UsageError(f"cannot load corpus {path}: {exc}")
 
 
-def _load_model_checked(path, vocab=None, length=None):
-    """A model file; a missing or malformed file, or one whose vocabulary or
-    length differs from the given ones, is a usage error."""
+def _load_model_checked(path, corpus=None):
+    """A model file; a missing or malformed file, or a reference for a given
+    corpus outside its domain, is a usage error."""
     try:
         model = load_model(path)
+        if corpus is not None:
+            check_domain(model, corpus, ("the reference", "the corpus"))
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot load model {path}: {exc}")
-    if vocab is not None and model.vocab.tokens != vocab.tokens:
-        raise click.UsageError(f"model {path} has another vocabulary")
-    if length is not None and model.length != length:
-        raise click.UsageError(f"model {path} has length {model.length}, not {length}")
     return model
 
 
@@ -201,7 +199,7 @@ def boost(corpus, length, init, order, lam, oracle, oracle_order, ref_model, eps
     corpus, _ = _load_corpus_checked(corpus, length)
     if oracle == "ngram-indicator" and oracle_order > corpus.length:
         raise click.UsageError(f"oracle order {oracle_order} exceeds the length {corpus.length}")
-    reference = _load_model_checked(ref_model, corpus.vocab, corpus.length) if ref_model else None
+    reference = _load_model_checked(ref_model, corpus) if ref_model else None
     try:
         if init == "uniform":
             q0 = UniformModel(corpus.vocab, corpus.length)
@@ -228,14 +226,15 @@ def boost(corpus, length, init, order, lam, oracle, oracle_order, ref_model, eps
 
 def _parse_step_distinguisher(spec: str, vocab: Vocabulary, q_model):
     """``[1-]kind:arg``: token names for an indicator, a reference model file for
-    log-ratio (with C = e); the ``1-`` prefix flips it."""
+    log-ratio (with C = e, refused outside q_model's domain); the ``1-`` prefix
+    flips it."""
     kind, _, arg = spec.partition(":")
     flip = ["flip"] if kind.startswith("1-") else []
     kind = kind.removeprefix("1-")
     reference = None
     try:
         if kind == "log-ratio":
-            reference, params = _load_model_checked(arg, vocab, q_model.length), [math.e]
+            reference, params = _load_model_checked(arg), [math.e]
         else:
             params = [vocab.id_of(t) for t in arg.split(",")]
         return from_params(kind, params + flip, vocab, q_model, reference)

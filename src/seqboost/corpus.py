@@ -67,6 +67,22 @@ class Vocabulary:
         return cls(tuple(lines), pad_token=lines[0])
 
 
+def check_domain(a, b, names: tuple[str, str] = ("p", "q")) -> None:
+    """Raise ValueError unless a and b (corpora, models or tables) share one
+    domain: the same vocabulary and the same padded length.  The message
+    names both domains, calling a and b by ``names``, and between two
+    vocabularies of one size the first token where they differ."""
+    if a.vocab.tokens == b.vocab.tokens and a.length == b.length:
+        return
+    (first, second), ours, theirs = names, a.vocab.tokens, b.vocab.tokens
+    message = (f"{first}'s domain ({len(ours)} tokens, length {a.length}) "
+               f"is not {second}'s ({len(theirs)} tokens, length {b.length})")
+    if len(ours) == len(theirs) and ours != theirs:
+        i = next(i for i, (s, t) in enumerate(zip(ours, theirs)) if s != t)
+        message += f": its token {i} is {ours[i]!r} where {second}'s is {theirs[i]!r}"
+    raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class Sequence:
     """One row of a corpus: a fixed-length run of token ids whose positions
@@ -105,6 +121,13 @@ def row_keys(prefixes: np.ndarray) -> np.ndarray:
     bytes, however large n^L is.  Every empty prefix has the same key."""
     k, L = prefixes.shape
     return prefixes.view(f"V{8 * L}").reshape(k) if L else np.zeros(k, dtype="V1")
+
+
+def sequence_index(vocab: Vocabulary, ids) -> np.ndarray:
+    """Lexicographic index of a token-id tuple (an integer), or of every row of
+    an (..., L) id array (an array of shape (...)): its ids read as base-n digits."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return ids @ vocab.n ** np.arange(ids.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 def row_numbers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +169,9 @@ def context_groups(
 class Corpus:
     """m sequences sharing one vocabulary and padded length N, stored only as
     their read-only (m, N) int64 id array ``ids``.  ``rows`` is that array or
-    one ``Sequence`` per row; the padding contract is not checked, so raw
-    domain rows are allowed (``save_corpus`` rejects rows it cannot write).
+    one ``Sequence`` per row.  Every id must be a token id, 0..n-1; the
+    padding contract is not checked, so raw domain rows are allowed
+    (``save_corpus`` rejects rows it cannot write).
     An int64 array that is writable or a view of another array is copied, so
     no later write to the caller's buffer reaches ``ids``.  What depends on
     ``ids`` alone, ``prefix_index``, ``token_cells`` and ``indicator_cells``,
@@ -165,6 +189,9 @@ class Corpus:
             ids = np.array(rows, dtype=np.int64).reshape(len(rows), length)
         if ids.ndim != 2 or ids.shape[1] != length:
             raise ValueError("all corpus sequences must share the padded length")
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab.n:
+            i = int(np.argmax(((ids < 0) | (ids >= vocab.n)).any(axis=1)))
+            raise ValueError(f"row {i} has an id outside the vocabulary's 0..{vocab.n - 1}")
         ids.flags.writeable = False
         self.vocab, self.length, self.ids = vocab, length, ids
         self._counts_by_context: dict[int, tuple] = {}
@@ -291,11 +318,9 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     content = corpus.ids != 0
     counts = content.sum(axis=1)
     faithful = (counts > 0) & (content == (np.arange(corpus.length) < counts[:, None])).all(axis=1)
-    unknown = ((corpus.ids < 0) | (corpus.ids >= corpus.vocab.n)).any(axis=1)
-    if unknown.any() or not faithful.all():
-        i = int(np.argmax(unknown | ~faithful))
-        reason = ("has an id outside the vocabulary" if unknown[i] else
-                  "has content after a pad" if content[i, :1].any() else "starts with the pad")
+    if not faithful.all():
+        i = int(np.argmin(faithful))
+        reason = "has content after a pad" if content[i, :1].any() else "starts with the pad"
         raise ValueError(f"cannot save row {i}: it {reason}")
     words = map(corpus.vocab.tokens.__getitem__, corpus.ids[content].tolist())
     text = "".join(" ".join(islice(words, k)) + "\n" for k in counts.tolist())

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
-from .exact import DEFAULT_BUDGET, JointTable, check_shared, enumerate_joint, sequence_index
+from .corpus import Corpus, Vocabulary, check_domain, sequence_index
+from .exact import DEFAULT_BUDGET, JointTable, enumerate_joint
 from .models import SequentialModel, check_corpus, sample_many, sequence_log_probs
 
 
@@ -86,7 +86,7 @@ class AdvantageEstimate:
 
 def advantage_exact(f: Distinguisher, p: JointTable, q: JointTable) -> float:
     """sum_x f(x) (q(x) - p(x)) over the shared domain."""
-    check_shared(p, q)
+    check_domain(p, q)
     # Only sequences in either support, so partial distinguishers (log-ratio)
     # never get evaluated where neither distribution puts mass.
     live = (p.probs > 0) | (q.probs > 0)
@@ -171,7 +171,7 @@ def generalized_advantage(
 
 def bayes_optimal_distinguisher(p: JointTable, q: JointTable) -> Distinguisher:
     """Indicator of q(x) > p(x); its exact advantage is the total variation."""
-    check_shared(p, q)
+    check_domain(p, q)
     bits = (q.probs > p.probs).astype(float)
     vocab = p.vocab
     return Distinguisher(label="bayes-optimal", values=lambda ids: bits[sequence_index(vocab, ids)])
@@ -179,7 +179,7 @@ def bayes_optimal_distinguisher(p: JointTable, q: JointTable) -> Distinguisher:
 
 def minimal_ratio_bound(q: JointTable, q2: JointTable) -> float:
     """Smallest C >= 1 with q/C <= q2 <= C q on the (shared) support."""
-    check_shared(q, q2)
+    check_domain(q, q2, ("q", "q2"))
     s1 = q.probs > 0
     s2 = q2.probs > 0
     if np.any(s1 != s2):
@@ -278,6 +278,7 @@ def step_log_ratio(
     call each for a whole id array."""
     if not 1.0 < C < math.inf:  # NaN too
         raise ValueError(f"C must be finite and exceed 1, got {C}")
+    check_domain(ref, q, ("the reference", "the model"))
 
     def values(ids: np.ndarray) -> np.ndarray:
         rows = ids.reshape(-1, ids.shape[-1])

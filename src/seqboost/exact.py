@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Sequence, Vocabulary
+from .corpus import Sequence, Vocabulary, check_domain, sequence_index
 from .models import SequentialModel
 
 DEFAULT_BUDGET = 2_000_000
@@ -53,13 +53,6 @@ def all_ids(n: int, length: int) -> np.ndarray:
         out.flags.writeable = False
         _shared_domains[n, length] = out
     return out
-
-
-def sequence_index(vocab: Vocabulary, ids) -> np.ndarray:
-    """Lexicographic index of a token-id tuple (an integer), or of every row of
-    an (..., L) id array (an array of shape (...)): its ids read as base-n digits."""
-    ids = np.asarray(ids, dtype=np.int64)
-    return ids @ vocab.n ** np.arange(ids.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass
@@ -133,11 +126,6 @@ class JointTable(SequentialModel):
                 fh.write(f"{label},{p:.17g}\n")
 
 
-def check_shared(p: JointTable, q: JointTable) -> None:
-    if p.vocab.tokens != q.vocab.tokens or p.length != q.length:
-        raise ValueError("mismatched domains")
-
-
 def enumerate_joint(
     model: SequentialModel, budget: int = DEFAULT_BUDGET
 ) -> JointTable:
@@ -158,7 +146,7 @@ def enumerate_joint(
 
 def kl_divergence(p: JointTable, q: JointTable) -> float:
     """KL(p || q) in nats; math.inf when q misses mass that p has."""
-    check_shared(p, q)
+    check_domain(p, q)
     support = p.probs > 0
     if np.any(q.probs[support] <= 0):
         return math.inf
@@ -168,7 +156,7 @@ def kl_divergence(p: JointTable, q: JointTable) -> float:
 
 def cross_entropy(p: JointTable, q: JointTable) -> float:
     """-sum_x p(x) log q(x) = entropy(p) + KL(p || q)."""
-    check_shared(p, q)
+    check_domain(p, q)
     support = p.probs > 0
     if np.any(q.probs[support] <= 0):
         return math.inf
@@ -176,7 +164,7 @@ def cross_entropy(p: JointTable, q: JointTable) -> float:
 
 
 def total_variation(p: JointTable, q: JointTable) -> float:
-    check_shared(p, q)
+    check_domain(p, q)
     return float(0.5 * np.abs(p.probs - q.probs).sum())
 
 
@@ -189,7 +177,7 @@ def distinguishability_exhaustive(
     in ``sequence_index`` order.  Returns (value, index of the first maximum
     row); value is d(q) restricted to the family.
     """
-    check_shared(p, q)
+    check_domain(p, q)
     family = np.asarray(family, dtype=float)
     if len(family) == 0:
         raise ValueError("empty distinguisher family")

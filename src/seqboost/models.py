@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, context_groups, row_numbers
+from .corpus import Corpus, Vocabulary, check_domain, context_groups, row_numbers, sequence_index
 
 PAD_ID = 0
 
@@ -248,12 +248,10 @@ def loss_report(log_probs: np.ndarray) -> LossReport:
 
 def check_corpus(model: SequentialModel, corpus: Corpus) -> None:
     """Raise ValueError if the corpus is empty or lies outside the model's
-    domain: another vocabulary or another padded length."""
+    domain (``check_domain``)."""
     if corpus.m < 1:
         raise ValueError("empty corpus")
-    if corpus.vocab.tokens != model.vocab.tokens or corpus.length != model.length:
-        raise ValueError(f"the corpus's domain ({corpus.vocab.n} tokens, length {corpus.length}) "
-                         f"is not the model's ({model.vocab.n} tokens, length {model.length})")
+    check_domain(corpus, model, ("the corpus", "the model"))
 
 
 def log_loss(model: SequentialModel, corpus: Corpus) -> LossReport:
@@ -290,10 +288,10 @@ def sample_many(model: SequentialModel, k: int, rng_seed: int) -> np.ndarray:
 class LogLinearModel:
     """q(x) proportional to exp(<theta, f(x)>) over an enumerated domain.
 
-    ``ids`` is the (k, N) domain, one sequence per row, and ``features`` its
-    (k, d) matrix, each entry in [0, 1].  The partition function is computed
-    by exact enumeration over the domain (log-sum-exp); there is no
-    sampling-based estimator.
+    ``ids`` is the (k, N) domain, one sequence of ``vocab``'s token ids per
+    row, and ``features`` its (k, d) matrix, each entry in [0, 1].  The
+    partition function is computed by exact enumeration over the domain
+    (log-sum-exp); there is no sampling-based estimator.
     """
 
     def __init__(
@@ -301,7 +299,7 @@ class LogLinearModel:
         ids: np.ndarray,
         features: np.ndarray,
         theta: np.ndarray,
-        vocab: Vocabulary | None = None,
+        vocab: Vocabulary,
     ):
         ids = np.asarray(ids, dtype=np.int64)
         features = np.asarray(features, dtype=float)
@@ -319,7 +317,7 @@ class LogLinearModel:
             raise ValueError("feature dimension does not match theta")
         if np.any(features < -1e-12) or np.any(features > 1 + 1e-12):
             raise ValueError("feature values must lie in [0, 1]")
-        if vocab is not None and not ((ids >= 0) & (ids < vocab.n)).all():
+        if not ((ids >= 0) & (ids < vocab.n)).all():
             raise ValueError(f"domain ids must be token ids 0..{vocab.n - 1}")
         self.ids = ids
         self.features = features
@@ -353,14 +351,7 @@ def kl_gradient(model: LogLinearModel, p) -> np.ndarray:
     Component i is sum_x f_i(x) (q_theta(x) - p(x)).  ``p`` is a joint table
     sharing the model's domain (its mass must live on that domain).
     """
-    if p.vocab is not None and model.vocab is not None and p.vocab.tokens != model.vocab.tokens:
-        raise ValueError("mismatched domains: different vocabularies")
-    if p.length != model.length:
-        raise ValueError("mismatched domains: different sequence lengths")
-    if not ((model.ids >= 0) & (model.ids < p.vocab.n)).all():
-        raise ValueError("mismatched domains: the model's ids are not token ids of p's vocabulary")
-    from .exact import sequence_index  # exact imports this module
-
+    check_domain(p, model, ("p", "the model"))
     p_vec = p.probs[sequence_index(p.vocab, model.ids)]
     if abs(p_vec.sum() - 1.0) > 1e-9:
         raise ValueError("mismatched domains: p has mass outside the model domain")

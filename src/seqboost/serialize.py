@@ -17,7 +17,8 @@ A reweighted model lists its factors, then the one reference model of its
 log-ratio factors under ``reference:`` (when it has any), then its base under
 ``base:``.  The reader rebuilds the chain as ``run_boost`` grows it: the base,
 then ``extended`` by each factor, decoded by ``distinguish.from_params``; a
-log-ratio factor compares the chain before it.
+log-ratio factor compares the chain before it with the reference, which
+must share the base's domain (``check_domain``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .boost import ReweightedModel
-from .corpus import Vocabulary
+from .corpus import Vocabulary, check_domain
 from .distinguish import from_params
 from .models import NGramModel, SequentialModel, UniformModel
 
@@ -201,17 +202,6 @@ def model_from_text(text: str) -> SequentialModel:
     return model
 
 
-def _check_reference(reference: SequentialModel, base: SequentialModel) -> None:
-    """A log-ratio reference must share its base's vocabulary and length."""
-    if (reference.vocab.n, reference.length) != (base.vocab.n, base.length):
-        raise ValueError(f"reference section (n={reference.vocab.n}, length={reference.length}) "
-                         f"does not match its base (n={base.vocab.n}, length={base.length})")
-    for i, (ours, theirs) in enumerate(zip(reference.vocab.tokens, base.vocab.tokens)):
-        if ours != theirs:
-            raise ValueError(f"reference section token {i} is {ours!r} "
-                             f"where its base's is {theirs!r}")
-
-
 def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]:
     """The model whose header is at ``idx``, and the index of the line after it."""
     if idx >= len(lines) or lines[idx] not in READABLE_HEADERS:
@@ -236,7 +226,7 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
                              f"does not match its base (n={base.vocab.n}, length={base.length}) "
                              f"and {len(raw_factors)} factor lines")
         if reference is not None:
-            _check_reference(reference, base)
+            check_domain(reference, base, ("the reference", "its base"))
         model = ReweightedModel(base)
         for b, payload in raw_factors:
             if not isinstance(payload, dict):

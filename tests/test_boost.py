@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from seqboost.distinguish import (
     Distinguisher,
     StepDistinguisher,
     generalized_advantage,
+    step_log_ratio,
     token_indicator,
 )
 from seqboost.exact import JointTable, enumerate_joint, total_variation
@@ -333,6 +336,27 @@ class TestRunBoost:
         oracle = LogRatioOracle(reference)
         model, trace = run_boost(half_half(), aaab_corpus, oracle, BoostConfig(0.01))
         assert trace.records[-1].log_loss <= trace.initial_loss
+
+    @pytest.mark.parametrize("vocab, length", [(Vocabulary.build("ab"), 3),
+                                               (Vocabulary.build("xy"), 2)])
+    def test_a_reference_outside_the_models_domain_is_refused(self, vocab, length):
+        # Unchecked, a length-3 reference boosts into a model the loader refuses,
+        # and one over x, y (as many tokens) scores an advantage: the oracle
+        # refuses either before it reads a row of either model.
+        rng = np.random.default_rng(5)
+        q = UniformModel(Vocabulary.build("ab"), 2)
+        corpus = random_corpus(rng, q.vocab, 2, 8)
+        reference = ngram_mle_fit(random_corpus(rng, vocab, length, 8), 2, 0.5)
+        want = (f"the reference's domain (3 tokens, length {length}) "
+                "is not the model's (3 tokens, length 2)")
+        if length == 2:
+            want += ": its token 1 is 'x' where the model's is 'a'"
+        oracle = make_oracle("log-ratio", reference=reference)
+        with mock.patch.object(LogRatioOracle, "_bound", side_effect=AssertionError("a row read")):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                run_boost(q, corpus, oracle, BoostConfig(0.001))
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            generalized_advantage(step_log_ratio(q, reference, 2.0), corpus, q)
 
 
 class TestTraceCsv:

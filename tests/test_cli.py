@@ -602,7 +602,8 @@ class TestModelFiles:
              "--model-out", str(tmp_path / "boosted.txt")],
         )
         assert result.exit_code == 2
-        assert "another vocabulary" in result.output
+        assert ("the reference's domain (3 tokens, length 3) is not the corpus's (3 tokens, "
+                "length 2): its token 1 is 'x' where the corpus's is 'a'") in result.output
         assert not (tmp_path / "boosted.txt").exists()
 
     def test_distinguish_log_ratio_reference_of_another_vocabulary(self, runner, tmp_path):
@@ -616,6 +617,8 @@ class TestModelFiles:
              "--distinguisher", f"log-ratio:{reference}"],
         )
         assert result.exit_code == 2
+        assert ("the reference's domain (3 tokens, length 3) is not the model's (3 tokens, "
+                "length 2): its token 1 is 'x' where the model's is 'a'") in result.output
 
 
 def fit_abb_bigram(runner, tmp_path):
@@ -857,9 +860,12 @@ class TestLogRatioModel:
 
     @pytest.mark.parametrize("old, new, message", [
         ("length=2\n", "length=3\n",
-         "reference section (n=3, length=3) does not match its base (n=3, length=2)"),
-        ("token=b\n", "token=c\n", "reference section token 2 is 'c' where its base's is 'b'"),
-        ("token=b\n", "token=b\ntoken=c\n", "reference section (n=4, length=2)"),
+         "the reference's domain (3 tokens, length 3) is not its base's (3 tokens, length 2)"),
+        ("token=b\n", "token=c\n",
+         "the reference's domain (3 tokens, length 2) is not its base's (3 tokens, length 2): "
+         "its token 2 is 'c' where its base's is 'b'"),
+        ("token=b\n", "token=b\ntoken=c\n",
+         "the reference's domain (4 tokens, length 2) is not its base's (3 tokens, length 2)"),
     ])
     def test_reference_unlike_its_base_exits_2(self, runner, tmp_path, old, new, message):
         reference = fit_aab_unigram(runner, tmp_path)
@@ -874,7 +880,7 @@ class TestLogRatioModel:
         head, rest = boosted.read_text().split("reference:\n")
         section, base = rest.split("base:\n")
         assert old in section and old in base
-        if "n=4" in message:
+        if "(4 tokens" in message:
             section = section.replace("n=3\n", "n=4\n", 1)
         boosted.write_text(f"{head}reference:\n{section.replace(old, new, 1)}base:\n{base}")
         result = runner.invoke(main, ["eval", "--model", str(boosted), "--corpus", str(corpus)])

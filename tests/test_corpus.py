@@ -203,10 +203,18 @@ def test_save_corpus_rejects_rows_it_cannot_write(tmp_path):
         save_corpus(Corpus(vocab, 2, (raw((0, 2)),)), tmp_path / "c.txt")
     with pytest.raises(ValueError, match="row 1: it has content after a pad"):
         save_corpus(Corpus(vocab, 3, np.array([[1, 1, 1], [1, 0, 2]])), tmp_path / "c.txt")
-    # Id -1 would be written as the last token, b; id 3 has no token.
-    for bad in (-1, 3):
-        with pytest.raises(ValueError, match="row 0: it has an id outside the vocabulary"):
-            save_corpus(Corpus(vocab, 2, np.array([[1, bad]])), tmp_path / "c.txt")
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_a_corpus_refuses_ids_outside_the_vocabulary(bad, as_array):
+    # Id -1 would be read as the last token, b, and id 3 has no token; a joint
+    # table would score either (id 3 carries into the next prefix's index).
+    vocab = Vocabulary.build(["a", "b"])
+    rows = [[1, 2], [1, bad], [bad, 1]]
+    with pytest.raises(ValueError, match=r"^row 1 has an id outside the vocabulary's 0\.\.2$"):
+        Corpus(vocab, 2, np.array(rows) if as_array else map(Sequence.from_raw, rows))
+    assert Corpus(vocab, 2, np.zeros((0, 2), dtype=np.int64)).m == 0
 
 
 @settings(deadline=None, max_examples=60)

@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from seqboost import checks, exact
 from seqboost.checks import make_vocab, random_table
 from seqboost.corpus import Corpus, Sequence, Vocabulary
-from seqboost.distinguish import Distinguisher, advantage_exact
+from seqboost.distinguish import (
+    Distinguisher,
+    advantage_exact,
+    bayes_optimal_distinguisher,
+    minimal_ratio_bound,
+)
 from seqboost.exact import (
     BudgetExceededError,
     JointTable,
@@ -26,7 +31,7 @@ from seqboost.exact import (
     sequence_index,
     total_variation,
 )
-from seqboost.models import UniformModel, log_loss, sequence_log_probs
+from seqboost.models import LogLinearModel, UniformModel, kl_gradient, log_loss, sequence_log_probs
 
 from conftest import StubModel
 
@@ -274,11 +279,42 @@ class TestDivergences:
         assert total_variation(p, q) == pytest.approx(0.25)
         assert total_variation(ab_table(1.0, 0.0), ab_table(0.0, 1.0)) == pytest.approx(1.0)
 
-    def test_mismatched_domains_rejected(self):
-        p = ab_table(0.5, 0.5)
-        other = JointTable(make_vocab(4), 1, np.array([0.0, 0.5, 0.25, 0.25]))
-        with pytest.raises(ValueError, match="domain"):
-            total_variation(p, other)
+    # Each comparison of two domains: how it is called on the a/b table ("mine")
+    # and another domain ("theirs"), and the names check_domain gives the two,
+    # the one it is given first first.
+    DOMAIN_CALLS = {
+        "kl_divergence": (lambda mine, theirs: kl_divergence(mine, theirs), "p", "q"),
+        "cross_entropy": (lambda mine, theirs: cross_entropy(mine, theirs), "p", "q"),
+        "total_variation": (lambda mine, theirs: total_variation(mine, theirs), "p", "q"),
+        "distinguishability_exhaustive": (lambda mine, theirs: distinguishability_exhaustive(
+            theirs, mine, np.ones((1, mine.probs.size))), "p", "q"),
+        "advantage_exact": (lambda mine, theirs: advantage_exact(
+            Distinguisher(values=lambda ids: np.ones(len(ids))), mine, theirs), "p", "q"),
+        "bayes_optimal_distinguisher": (
+            lambda mine, theirs: bayes_optimal_distinguisher(mine, theirs), "p", "q"),
+        "minimal_ratio_bound": (lambda mine, theirs: minimal_ratio_bound(mine, theirs), "q", "q2"),
+        # kl_gradient's model is the a/b domain; p, its table, is checked first.
+        "kl_gradient": (lambda mine, theirs: kl_gradient(LogLinearModel(
+            mine.ids, np.ones((mine.probs.size, 1)), np.zeros(1), mine.vocab), theirs),
+            "p", "the model"),
+    }
+
+    @pytest.mark.parametrize("entry", list(DOMAIN_CALLS))
+    @pytest.mark.parametrize("other", ["same-size vocabulary", "other length"])
+    def test_mismatched_domains_rejected(self, entry, other):
+        call, first, second = self.DOMAIN_CALLS[entry]
+        mine = ab_table(0.5, 0.5)
+        if other == "same-size vocabulary":
+            theirs = JointTable(Vocabulary.build("xy"), 1, np.array([0.0, 0.5, 0.5]))
+        else:
+            theirs = JointTable(mine.vocab, 2, np.full(9, 1 / 9))
+        a, b = (theirs, mine) if entry == "kl_gradient" else (mine, theirs)
+        want = (f"{first}'s domain (3 tokens, length {a.length}) "
+                f"is not {second}'s (3 tokens, length {b.length})")
+        if other == "same-size vocabulary":
+            want += f": its token 1 is {a.vocab.tokens[1]!r} where {second}'s is {b.vocab.tokens[1]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call(mine, theirs)
 
 
 class TestExhaustive:
