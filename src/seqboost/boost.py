@@ -55,10 +55,10 @@ class ReweightedModel(SequentialModel):
     build them.  ``partition_scale`` is a test hook that deliberately
     mis-scales the partition (1.0 in real use).
 
-    ``corpus_conditionals`` and ``extended`` set ``_memo`` to (corpus, logits):
-    the (K, n) logits of the distinct prefixes of ``corpus.prefix_index``,
-    stacked by length as it numbers them; ``conditionals`` only reads it.
-    ``prefix_slot`` keeps the last corpus and its ``corpus_conditionals`` array.
+    ``corpus_rows`` and ``extended`` set ``_memo`` to (corpus, logits): the
+    (K, n) logits of the distinct prefixes of ``corpus.prefix_index``, stacked
+    by length as it numbers them.  ``prefix_slot`` keeps the last corpus and its
+    ``corpus_rows``, which ``conditionals`` gathers instead of normalising again.
     """
 
     def __init__(
@@ -98,28 +98,26 @@ class ReweightedModel(SequentialModel):
         self.prefix_slot: tuple[Corpus, np.ndarray] | None = None
 
     def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
-        """``_rows`` of the prefixes' logits, found by ``_lookup``."""
+        """The rows of a (k, L) prefix array: a gather from the memo corpus's
+        ``corpus_rows`` where it has the prefix, found with one ``searchsorted``
+        among the distinct L-token prefixes and offset into the stack, and
+        ``_rows`` of the ``_logits`` of each distinct missing prefix, computed once."""
         prefixes = np.ascontiguousarray(prefixes, dtype=np.int64)
         if not self.factors:
             return self.base.conditionals(prefixes)
-        return self._rows(self._lookup(prefixes))
-
-    def _lookup(self, prefixes: np.ndarray) -> np.ndarray:
-        """The (k, n) logits of a C-contiguous (k, L) int64 prefix array: the
-        memo's where its corpus has the prefix, found with one ``searchsorted``
-        among the distinct L-token prefixes and offset into the stack, and
-        ``_logits`` of each distinct missing prefix, computed once."""
         (k, L), keys = prefixes.shape, row_keys(prefixes)
         out, miss = np.empty((k, self.vocab.n)), np.arange(k)
-        if self._memo is not None and L < self._memo[0].length:
-            distinct, logits = self._memo[0].prefix_index[0], self._memo[1]
+        if self._memo is not None and L < self._memo[0].length and self._memo[0].m:
+            distinct = self._memo[0].prefix_index[0]
             known = row_keys(distinct[L])
             pos = known.searchsorted(keys)
             hit = known.take(pos, mode="clip") == keys
-            out[hit], miss = logits.take(pos[hit] + sum(map(len, distinct[:L])), axis=0), miss[~hit]
+            at = pos[hit] + sum(map(len, distinct[:L]))
+            out[hit], miss = self.corpus_rows(self._memo[0]).take(at, axis=0), miss[~hit]
         if miss.size:
             _, first, inverse = np.unique(keys.take(miss), return_index=True, return_inverse=True)
-            out[miss] = self._logits(prefixes.take(miss.take(first), axis=0)).take(inverse, axis=0)
+            missing = prefixes.take(miss.take(first), axis=0)
+            out[miss] = self._rows(self._logits(missing)).take(inverse, axis=0)
         return out
 
     def _corpus_logits(self, corpus: Corpus) -> np.ndarray:
@@ -129,26 +127,21 @@ class ReweightedModel(SequentialModel):
             self._memo = corpus, np.concatenate([self._logits(p) for p in corpus.prefix_index[0]])
         return self._memo[1]
 
-    def corpus_conditionals(self, corpus: Corpus) -> np.ndarray:
-        """The base class's array, kept in ``prefix_slot`` for this corpus.  With
-        a factor, one ``_rows`` over ``_corpus_logits``, then one gather."""
-        if self.prefix_slot is not None and self.prefix_slot[0] is corpus:
-            return self.prefix_slot[1]
-        if not self.factors or not corpus.ids.size:
-            Q = super().corpus_conditionals(corpus)
-        else:
-            Q = self._rows(self._corpus_logits(corpus)).take(corpus.prefix_index[1], axis=0)
-            Q.flags.writeable = False
-        self.prefix_slot = corpus, Q
-        return Q
+    def corpus_rows(self, corpus: Corpus) -> np.ndarray:
+        """The base class's rows, kept in ``prefix_slot`` for this corpus.  With
+        a factor, one ``_rows`` over ``_corpus_logits``; without, the base's."""
+        if self.prefix_slot is None or self.prefix_slot[0] is not corpus:
+            rows = (self._rows(self._corpus_logits(corpus)) if self.factors
+                    else self.base.corpus_rows(corpus))
+            rows.flags.writeable = False
+            self.prefix_slot = corpus, rows
+        return self.prefix_slot[1]
 
     def corpus_log_probs(self, corpus: Corpus) -> np.ndarray:
-        """With a factor, ``summed_logs`` of the corpus tokens' probabilities in
-        ``corpus_conditionals``, one log per distinct (prefix, token) cell."""
-        if not self.factors or not corpus.ids.size:
-            return super().corpus_log_probs(corpus)
-        rows, at = np.arange(corpus.m)[:, None], np.arange(corpus.length)
-        probs = self.corpus_conditionals(corpus)[rows, at, corpus.ids]
+        """``summed_logs`` of the corpus tokens' probabilities in ``corpus_rows``,
+        one log per distinct (prefix, token) cell."""
+        rows = self.corpus_rows(corpus)
+        probs = rows.reshape(-1).take(corpus.prefix_index[1] * self.vocab.n + corpus.ids)
         return summed_logs(probs, corpus.token_cells)
 
     def _logits(self, prefixes: np.ndarray) -> np.ndarray:
@@ -186,7 +179,7 @@ class ReweightedModel(SequentialModel):
         reads: a fresh chain's last subtraction, so its rows are the fresh
         chain's bit for bit, and this model's memo is emptied.  Without them the
         child has no memo.  This model's ``prefix_slot`` is emptied too, so a
-        run keeps one array of each kind; asked again, it recomputes them."""
+        run keeps one (K, n) array of each kind; asked again, it recomputes them."""
         self.prefix_slot = None
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
         if step_values:
@@ -270,8 +263,8 @@ def run_boost(
     model.  The returned model is epsilon-indistinguishable by this oracle.
     A round reads each distinct corpus prefix once: g's reads in
     ``generalized_advantage`` carry the new factor into the child's memo
-    (``extended``), and the round's loss is ``log_loss``, read from the array
-    (``corpus_conditionals``) that the next round's oracle reads.
+    (``extended``), and the round's loss is ``log_loss``, read from the rows
+    (``corpus_rows``) that the next round's oracle and estimate read.
     """
     loss0 = log_loss(q0, corpus).log_loss  # raises if any sequence is impossible
     trace = BoostTrace(initial_loss=loss0)
@@ -312,9 +305,9 @@ def best_indicator(q: SequentialModel, corpus: Corpus, k: int) -> tuple[tuple[in
     """The (context, token, flip) whose indicator has the largest step-wise advantage.
 
     A candidate is 1 where the prefix ends with k context tokens followed by
-    the token.  All candidates are scored from one
-    conditional array Q (m, N, n): over the positions j >= k whose previous k
-    tokens are the context c,
+    the token.  All candidates are scored from one conditional array Q
+    (m, N, n), the model's ``corpus_rows`` gathered to the positions: over the
+    positions j >= k whose previous k tokens are the context c,
 
         adv[c, t] = (sum of Q[i, j, t] - count of t) / (m N),
 
@@ -327,7 +320,7 @@ def best_indicator(q: SequentialModel, corpus: Corpus, k: int) -> tuple[tuple[in
     """
     check_corpus(q, corpus)
     n, (contexts, cell, counts) = corpus.vocab.n, corpus.indicator_cells(k)
-    Q = q.corpus_conditionals(corpus)
+    Q = q.corpus_rows(corpus).take(corpus.prefix_index[1], axis=0)
     sums = np.bincount(cell, weights=Q[:, k:].reshape(-1), minlength=len(counts))
     total = corpus.m * corpus.length
     adv = (sums - counts).reshape(-1, n) / total
@@ -367,7 +360,7 @@ RATIO_CAP = 1e6
 
 class LogRatioOracle:
     """Distinguish via conditional log-ratios against a lower-loss reference model,
-    whose corpus array a factorless ``ReweightedModel``'s ``prefix_slot`` keeps."""
+    whose corpus rows a factorless ``ReweightedModel``'s ``prefix_slot`` keeps."""
 
     def __init__(self, reference: SequentialModel):
         self.reference = reference
@@ -376,7 +369,7 @@ class LogRatioOracle:
     def _bound(self, q: SequentialModel, corpus: Corpus) -> float:
         """The largest ratio either way between q and the reference at the
         corpus prefixes, where both are positive, clamped to (1, RATIO_CAP]."""
-        dq, dr = q.corpus_conditionals(corpus), self._slotted_reference.corpus_conditionals(corpus)
+        dq, dr = q.corpus_rows(corpus), self._slotted_reference.corpus_rows(corpus)
         both = (dq > 0) & (dr > 0)
         r = dq[both] / dr[both]
         worst = max(1.0, float(r.max()), float((1.0 / r).max())) if r.size else 1.0

@@ -273,11 +273,14 @@ def _load_table_csv(path: str, vocab: Vocabulary, length: int) -> JointTable:
     """A 'sequence,prob' CSV over the model's domain; sequences it omits get 0.
 
     A label shorter than the length is padded, as a corpus line is.  An
-    unreadable file, an unknown token, a label of no tokens or more than the
-    length, a sequence listed twice, a value that is not a finite real, and
-    probabilities that are not a distribution are usage errors.
+    unreadable file, a first line other than the header, an unknown token, a
+    label of no tokens or more than the length, a sequence listed twice, a
+    value that is not a finite real, and probabilities that are not a
+    distribution are usage errors.
     """
     lines = _read(path, "table").splitlines()
+    if lines[:1] != ["sequence,prob"]:
+        raise click.UsageError(f"table line 1: {(lines or [''])[0]!r} is not 'sequence,prob'")
     probs = np.zeros(vocab.n**length)
     listed: set[int] = set()
     for no, raw in enumerate(lines[1:], start=2):

@@ -167,7 +167,7 @@ def context_groups(
 
 
 class Corpus:
-    """m sequences sharing one vocabulary and padded length N, stored only as
+    """m sequences sharing one vocabulary and padded length N >= 1, stored only as
     their read-only (m, N) int64 id array ``ids``.  ``rows`` is that array or
     one ``Sequence`` per row.  Every id must be a token id, 0..n-1; the
     padding contract is not checked, so raw domain rows are allowed
@@ -178,6 +178,8 @@ class Corpus:
     is built on first use."""
 
     def __init__(self, vocab: Vocabulary, length: int, rows) -> None:
+        if length < 1:
+            raise ValueError(f"a corpus has at least one position, not length {length}")
         if isinstance(rows, np.ndarray):
             ids = np.asarray(rows, dtype=np.int64)
             if ids is rows and (ids.flags.writeable or ids.base is not None):
@@ -297,14 +299,20 @@ def load_corpus(
     tokens = list(chain.from_iterable(rows))
     if vocab is None:
         vocab = Vocabulary.build(tokens, pad_token)
+
+    def line(k: int) -> int:
+        """The number of the line that holds token k."""
+        return int(np.searchsorted(np.cumsum(counts), k, side="right")) + 1
+
     try:
         flat = np.fromiter(map(vocab._ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     except KeyError:
         k = next(k for k, t in enumerate(tokens) if t not in vocab._ids)
-        no = np.searchsorted(np.cumsum(counts), k, side="right")
-        raise CorpusFormatError(f"line {no + 1}: token {tokens[k]!r} not in vocabulary") from None
+        raise CorpusFormatError(f"line {line(k)}: token {tokens[k]!r} not in vocabulary") from None
     if not flat.all():
-        raise ValueError("pad id 0 may not appear in unpadded content")
+        k = int(np.argmin(flat))
+        raise CorpusFormatError(
+            f"line {line(k)}: the pad token {tokens[k]!r} may not appear in a line")
     counts = counts[counts > 0]
     ids = np.zeros((len(counts), length), dtype=np.int64)
     ids[np.arange(length) < counts[:, None]] = flat

@@ -144,25 +144,20 @@ def generalized_advantage(
     """Per-position advantage of a step-wise distinguisher, averaged over positions.
 
     g is read once per length, on the extensions of ``corpus.prefix_index``'s
-    distinct prefixes; the stacked reads, which the estimate carries as
-    ``step_values``, are gathered into an (m, N, n) array G.  The model-side
-    expectation over the replacement token is computed exactly by summing the
-    n conditional probabilities; the data side is G at the corpus tokens, since
-    ``ids[:, :j+1]`` is the extension of ``ids[:, :j]`` by ``ids[:, j]``.  The
-    sums add tokens and then rows strictly left to right, as a scalar loop
-    over sequences and tokens would.
+    distinct prefixes: the (K, n) reads that the estimate carries as
+    ``step_values``.  The model side, the exact expectation of g over the next
+    token under ``corpus_rows``, is one sum per distinct prefix; both sides are
+    gathered to the positions through ``prefix_index[1]``, the data side at the
+    corpus token.  The sums add tokens and then rows strictly left to right, as
+    a scalar loop over sequences and tokens would.
     """
-    if corpus.length < 1:
-        raise ValueError("empty corpus")
     check_corpus(q, corpus)
     ids, n = corpus.ids, corpus.vocab.n
-    Q = q.corpus_conditionals(corpus)
+    rows = q.corpus_rows(corpus)
     distinct, prefix_rows = corpus.prefix_index
     reads = np.concatenate([g.values(extensions(p, n)) for p in distinct], dtype=float)
-    G = reads.take(prefix_rows, axis=0)
-    model_side = np.add.accumulate(np.where(Q > 0, Q * G, 0.0), axis=2)[:, :, -1]
-    rows, at = np.arange(corpus.m)[:, None], np.arange(corpus.length)
-    terms = model_side - G[rows, at, ids]
+    model_side = np.add.accumulate(np.where(rows > 0, rows * reads, 0.0), axis=1)[:, -1]
+    terms = model_side.take(prefix_rows) - reads.reshape(-1).take(prefix_rows * n + ids)
     per_position = [float(acc) / corpus.m for acc in np.add.accumulate(terms, axis=0)[-1]]
     value = sum(per_position) / corpus.length
     return AdvantageEstimate(value, "stepwise-exact", per_position=tuple(per_position),

@@ -6,7 +6,6 @@ are desk-scale checks, not estimators.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,8 +26,8 @@ class BudgetExceededError(ValueError):
 
 def all_sequences(vocab: Vocabulary, length: int) -> list[Sequence]:
     """All n^N raw sequences as ``Sequence`` rows, the i-th being the one with
-    ``sequence_index`` i; the library itself reads ``all_ids``."""
-    return [Sequence.from_raw(ids) for ids in itertools.product(range(vocab.n), repeat=length)]
+    ``sequence_index`` i: the rows of ``all_ids``, which the library reads."""
+    return [Sequence.from_raw(ids) for ids in all_ids(vocab.n, length).tolist()]
 
 
 # all_ids keeps each domain of at most this many rows (the suites' largest is

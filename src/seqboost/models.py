@@ -7,10 +7,9 @@ conditionals.  ``next_token_dist(prefix)`` is one row of it, and
 joint probability of a sequence is the product of its conditionals; all
 arithmetic is done in log space so N-length products cannot underflow.
 Corpus-wide layers (``enumerate_joint``, ``sample_many``) make one call per
-position, as ``corpus_conditionals`` and ``corpus_log_probs`` (which
-``log_loss`` reads) do unless the model overrides them: a ``ReweightedModel``
-reads the corpus's own ``prefix_index``, each distinct prefix once, and takes
-one log per distinct (prefix, token) cell.
+position.  A corpus's conditionals are read once per distinct prefix, as
+``corpus_rows``; ``corpus_log_probs`` (which ``log_loss`` reads) makes one
+``token_probs`` call per position unless, as ``ReweightedModel``, it reads them.
 """
 
 from __future__ import annotations
@@ -53,14 +52,14 @@ class SequentialModel(abc.ABC):
         """q(tokens[i] | prefixes[i]) for every row of a (k, L) prefix array: (k,)."""
         return self.conditionals(prefixes)[np.arange(len(prefixes)), tokens]
 
-    def corpus_conditionals(self, corpus: Corpus) -> np.ndarray:
-        """Q[i, j] = q(. | first j tokens of sequence i): a read-only (m, N, n)
-        array from one ``conditionals`` call per position."""
-        Q = np.empty(corpus.ids.shape + (self.vocab.n,))
-        for j in range(corpus.length):
-            Q[:, j] = self.conditionals(corpus.ids[:, :j])
-        Q.flags.writeable = False
-        return Q
+    def corpus_rows(self, corpus: Corpus) -> np.ndarray:
+        """q(. | h) for the distinct prefixes h of ``corpus.prefix_index``, stacked
+        by length as it numbers them: a read-only (K, n) array from one
+        ``conditionals`` call per length.  Row ``prefix_index[1][i, j]`` is
+        q(. | first j tokens of sequence i)."""
+        rows = np.concatenate([self.conditionals(p) for p in corpus.prefix_index[0]])
+        rows.flags.writeable = False
+        return rows
 
     def corpus_log_probs(self, corpus: Corpus) -> np.ndarray:
         """The log-probability of every sequence of the corpus, -inf for an

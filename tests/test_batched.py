@@ -197,13 +197,17 @@ def test_batched_advantage_matches_the_scalar_loop(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_corpus_conditionals_are_the_models_conditionals(data):
+def test_corpus_rows_are_the_models_conditionals(data):
+    """Row ``prefix_index[1][i, j]`` of ``corpus_rows`` is a fresh copy's
+    ``next_token_dist`` of the first j tokens of sequence i, bit for bit."""
     corpus, q = data.draw(instances())
-    Q = q.corpus_conditionals(corpus)
-    assert Q.shape == (corpus.m, corpus.length, corpus.vocab.n)
+    rows = q.corpus_rows(corpus)
+    assert rows.shape == (sum(map(len, corpus.prefix_index[0])), corpus.vocab.n)
+    assert not rows.flags.writeable
+    at = corpus.prefix_index[1]
     for i, seq in enumerate(corpus.sequences):
         for j in range(corpus.length):
-            assert np.array_equal(Q[i, j], q.next_token_dist(seq.prefix(j)))
+            assert rows[at[i, j]].tobytes() == fresh(q).next_token_dist(seq.prefix(j)).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -498,25 +502,24 @@ def test_log_ratio_values_are_its_scalar_calls_bit_for_bit(data):
 
 
 def memo_state(model):
-    """The memo's corpus and logits: the same objects and bytes mean that the
-    memo was neither replaced nor written to."""
-    if model._memo is None:
-        return None
-    corpus, logits = model._memo
-    return id(corpus), id(logits), logits.shape, logits.tobytes()
+    """The memo's and the slot's corpus and arrays: the same objects and bytes
+    mean that neither was replaced nor written to."""
+    return tuple(None if held is None else (id(held[0]), id(held[1]), held[1].shape,
+                                             held[1].tobytes())
+                 for held in (model._memo, model.prefix_slot))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_conditionals_and_enumerate_joint_add_nothing_to_the_memo(data):
-    """The memo holds only what ``corpus_conditionals`` and ``extended`` put
+    """The memo and the slot hold only what ``corpus_rows`` and ``extended`` put
     there: reading rows, one prefix array at a time or the whole joint, leaves
-    it as it was, empty or holding a corpus's logits."""
+    them as they were, empty or holding a corpus's logits and rows."""
     model = data.draw(models())
     if not isinstance(model, ReweightedModel) or not model.factors:
         model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
     if data.draw(st.booleans()):
-        model.corpus_conditionals(data.draw(corpora_over(model.vocab, model.length)))
+        model.corpus_rows(data.draw(corpora_over(model.vocab, model.length)))
     before = memo_state(model)
     for _ in range(data.draw(st.integers(1, 3))):
         model.conditionals(data.draw(prefix_arrays(model)))
@@ -536,7 +539,7 @@ def test_memo_hits_are_a_fresh_models_rows_bit_for_bit(data):
     if not isinstance(model, ReweightedModel) or not model.factors:
         model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
     corpus = data.draw(corpora_over(model.vocab, model.length))
-    model.corpus_conditionals(corpus)
+    model.corpus_rows(corpus)
 
     def query():
         """Rows of one length: some of the corpus's prefixes and drawn ones, shuffled."""
@@ -564,6 +567,11 @@ def stacked_conditionals(model, corpus):
     return np.stack([copy.conditionals(corpus.ids[:, :j]) for j in range(corpus.length)], axis=1)
 
 
+def gathered_rows(model, corpus):
+    """The model's ``corpus_rows`` gathered to every position of the corpus."""
+    return model.corpus_rows(corpus).take(corpus.prefix_index[1], axis=0)
+
+
 def drawn_step_distinguisher(data, model):
     """An indicator, the same as a custom distinguisher, or a log-ratio of the model."""
     kind = data.draw(st.sampled_from(["indicator", "custom", "log-ratio"]))
@@ -577,7 +585,7 @@ def drawn_step_distinguisher(data, model):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
-    """``corpus_conditionals`` of a reweighted model, read through the corpus's
+    """``corpus_rows`` of a reweighted model, gathered through the corpus's
     prefix index, is a fresh copy's rows bit for bit: with no factor; along a
     chain grown by ``extended`` (indicator, custom and log-ratio factors),
     with or without handed reads of g; after rows were read at other
@@ -592,15 +600,15 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
         if data.draw(st.booleans()):
             model.conditionals(data.draw(prefix_arrays(model)))
         if data.draw(st.booleans()):
-            assert model.corpus_conditionals(twin).tobytes() == stacked_conditionals(model, twin).tobytes()
-        assert model.corpus_conditionals(corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
+            assert gathered_rows(model, twin).tobytes() == stacked_conditionals(model, twin).tobytes()
+        assert gathered_rows(model, corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
         if model.factors:
             assert model._memo[0] is corpus
         g = drawn_step_distinguisher(data, model)
         handed = generalized_advantage(g, corpus, model).step_values if data.draw(st.booleans()) else ()
         model = model.extended(data.draw(st.floats(0.0, 2.0)), g, handed)
     for c in (corpus, twin):
-        assert model.corpus_conditionals(c).tobytes() == stacked_conditionals(model, c).tobytes()
+        assert gathered_rows(model, c).tobytes() == stacked_conditionals(model, c).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -616,7 +624,7 @@ def test_extended_with_handed_values_is_extended_without_them_bit_for_bit(data):
     model = ReweightedModel(data.draw(base_models(vocab, length)), data.draw(factor_lists(vocab)),
                             data.draw(st.sampled_from([1.0, 0.9, 1.01])))
     for c in data.draw(st.lists(st.sampled_from([corpus, twin]), max_size=2)):
-        model.corpus_conditionals(c)
+        model.corpus_rows(c)
     if data.draw(st.booleans()):
         model.conditionals(data.draw(prefix_arrays(model)))
     g = drawn_step_distinguisher(data, model)
@@ -626,9 +634,9 @@ def test_extended_with_handed_values_is_extended_without_them_bit_for_bit(data):
     b = data.draw(st.floats(0.0, 2.0))
     plain, child = model.extended(b, g), model.extended(b, g, handed)
     assert plain._memo is None and child._memo[0] is handed_to
-    Q = plain.corpus_conditionals(handed_to)
+    rows = plain.corpus_rows(handed_to)
     assert child._memo[1].tobytes() == plain._memo[1].tobytes()
-    assert child.corpus_conditionals(handed_to).tobytes() == Q.tobytes()
+    assert child.corpus_rows(handed_to).tobytes() == rows.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -651,7 +659,7 @@ def test_a_chain_switching_corpora_has_a_fresh_copys_rows_and_keeps_the_last_cor
         model = model.extended(data.draw(st.floats(0.0, 2.0)), g,
                                handed if data.draw(st.booleans()) else ())
         for c in (a, b, a):
-            assert model.corpus_conditionals(c).tobytes() == stacked_conditionals(model, c).tobytes()
+            assert gathered_rows(model, c).tobytes() == stacked_conditionals(model, c).tobytes()
             assert model._memo[0] is c
             prefixes = data.draw(prefix_arrays(model))
             assert model.conditionals(prefixes).tobytes() == fresh(model).conditionals(prefixes).tobytes()
@@ -674,7 +682,7 @@ def test_a_log_ratio_factor_reads_the_rows_of_the_chain_it_extends(data):
                             data.draw(st.sampled_from([1.0, 0.9, 1.01])))
     for _ in range(data.draw(st.integers(1, 4))):
         if data.draw(st.booleans()):
-            model.corpus_conditionals(corpus)
+            model.corpus_rows(corpus)
         if data.draw(st.booleans()):
             g = step_log_ratio(model, reference, data.draw(st.floats(1.5, 10.0)))
             for _ in range(data.draw(st.integers(0, 2))):
@@ -690,7 +698,7 @@ def test_a_log_ratio_factor_reads_the_rows_of_the_chain_it_extends(data):
                                g, handed if data.draw(st.booleans()) else ())
         prefixes = data.draw(prefix_arrays(model))
         assert model.conditionals(prefixes).tobytes() == fresh(model).conditionals(prefixes).tobytes()
-        assert model.corpus_conditionals(corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
+        assert gathered_rows(model, corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -712,7 +720,7 @@ def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
     held = data.draw(st.lists(st.integers(0, len(firsts) - 1), max_size=4))
     if held:  # these prefixes in the memo, the others not
         corpus = Corpus(vocab, L + 1, np.array([[firsts[i], *tail, tok] for i in held]))
-        model.corpus_conditionals(corpus)
+        model.corpus_rows(corpus)
         assert len(corpus.prefix_index[0][L]) == len(set(held)) and model._memo[0] is corpus
     order = data.draw(st.lists(st.integers(0, len(firsts) - 1), min_size=1, max_size=8))
     prefixes = np.array([[firsts[i], *tail] for i in order], dtype=np.int64)
@@ -797,7 +805,7 @@ def token_probs_loss(model, corpus):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_a_reweighted_models_log_loss_is_the_token_probs_loop(data):
-    """``log_loss`` of a reweighted model, read from ``corpus_conditionals``
+    """``log_loss`` of a reweighted model, read from ``corpus_rows``
     with one log per distinct (prefix, token) cell, is the per-position
     ``token_probs`` loop's report with ``==``, or raises its error naming the
     same sequence: for a fresh chain, a chain grown by ``extended`` (with or
@@ -813,7 +821,7 @@ def test_a_reweighted_models_log_loss_is_the_token_probs_loop(data):
         model = ReweightedModel(base, [], scale)
         for b, g in factors:
             if data.draw(st.booleans()):
-                model.corpus_conditionals(corpus)
+                model.corpus_rows(corpus)
             handed = generalized_advantage(g, corpus, model).step_values
             model = model.extended(b, g, handed if data.draw(st.booleans()) else ())
     elif how == "reloaded":  # a joint table has no model file
@@ -823,7 +831,7 @@ def test_a_reweighted_models_log_loss_is_the_token_probs_loop(data):
         model = ReweightedModel(base, factors, scale)
     want = loss_or_error(token_probs_loss, model, corpus)
     if data.draw(st.booleans()):
-        model.corpus_conditionals(data.draw(corpora_over(vocab, length)))
+        model.corpus_rows(data.draw(corpora_over(vocab, length)))
     assert loss_or_error(log_loss, model, corpus) == want
 
 
@@ -1100,6 +1108,18 @@ def test_malformed_tables_are_usage_errors(tmp_path, bigram_file, rows, message)
     result = eval_table(tmp_path, bigram_file, rows)
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize("text", ["a a,0.75\na b,0.25\n", "", "sequence;prob\na a,1\n"])
+def test_a_table_without_its_header_is_a_usage_error(tmp_path, bigram_file, text):
+    # Read as a header, the first row would be lost, and the table would then
+    # fail for not summing to 1.
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    result = CliRunner().invoke(main, ["eval", "--model", str(bigram_file), "--table", str(table)])
+    assert result.exit_code == 2
+    header = text.splitlines()[0] if text else ""
+    assert f"table line 1: {header!r} is not 'sequence,prob'" in result.output
 
 
 def test_missing_table_is_a_usage_error(tmp_path, bigram_file):

@@ -217,14 +217,18 @@ class TestStepwiseReweight:
         first = cached.next_token_dist(())
         assert cached._memo is None  # conditionals adds nothing to the memo
         corpus = Corpus(ab_vocab, 2, np.array([[1, 0], [2, 1]]))
-        cached.corpus_conditionals(corpus)
+        rows = cached.corpus_rows(corpus)
         held, logits = cached._memo
         # One stack: the empty prefix at row 0, then the two 1-token prefixes.
         assert held is corpus and logits.shape == (3, 3)
-        assert cached._rows(logits[:1]).tobytes() == first.tobytes()
-        # Planted logits give what both forms return: the memo is read, not recomputed.
-        logits[0] = [-math.inf, 0.0, 0.0]
+        assert cached.prefix_slot[0] is corpus and cached.prefix_slot[1] is rows
+        assert rows[:1].tobytes() == cached._rows(logits[:1]).tobytes() == first.tobytes()
+        # Planted rows give what both forms return: the slot is read, and
+        # neither the logits nor the rows are recomputed.
+        planted = rows.copy()
+        cached.prefix_slot = corpus, planted
         sentinel = np.array([0.0, 0.5, 0.5])
+        planted[0] = sentinel
         np.testing.assert_array_equal(cached.next_token_dist(()), sentinel)
         np.testing.assert_array_equal(cached.conditionals(np.zeros((2, 0), dtype=np.int64)),
                                       [sentinel, sentinel])
@@ -232,7 +236,7 @@ class TestStepwiseReweight:
         # at its offset in the stack.
         known = corpus.prefix_index[0][1].ravel().tolist()
         assert sorted(known) == [1, 2]
-        logits[1 + known.index(1)] = [-math.inf, 0.0, 0.0]
+        planted[1 + known.index(1)] = sentinel
         got = cached.conditionals(np.array([[1], [2], [1]]))
         np.testing.assert_array_equal(got[[0, 2]], [sentinel, sentinel])
         assert got[1].tobytes() == cached.next_token_dist((2,)).tobytes()
@@ -242,9 +246,22 @@ class TestStepwiseReweight:
         np.testing.assert_array_equal(got[1], sentinel)
         assert got[0].tobytes() == got[2].tobytes() == first.tobytes()
         assert cached._memo[0] is corpus and cached._memo[1] is logits and logits.shape == (3, 3)
+        assert cached.prefix_slot[1] is planted
         fresh = ReweightedModel(half_half(2), [(0.5, g)])
         assert fresh._memo is None
         np.testing.assert_array_equal(fresh.next_token_dist(()), first)
+
+    def test_a_corpus_without_sequences_reads_as_empty_rows(self, ab_vocab, half_half):
+        empty = Corpus(ab_vocab, 2, np.zeros((0, 2), dtype=np.int64))
+        g = token_indicator(ab_vocab, 2)
+        for factors in ([], [(0.5, g)]):
+            model = ReweightedModel(half_half(2), factors)
+            assert model.corpus_rows(empty).shape == (0, 3)
+            assert model.corpus_log_probs(empty).shape == (0,)
+            # A memo of no prefixes is searched for none.
+            prefixes = np.array([[1], [2]])
+            want = ReweightedModel(half_half(2), factors).conditionals(prefixes)
+            assert model.conditionals(prefixes).tobytes() == want.tobytes()
 
 
 class TestIterationBound:
@@ -483,8 +500,8 @@ def test_run_boost_is_the_composition_of_its_pieces_bit_for_bit(data):
     assert oracle.labels == [label for _, _, label in want]
     if model is not None:
         assert model.factors == want_model.factors
-        Q, want_Q = model.corpus_conditionals(corpus), bare(want_model).corpus_conditionals(corpus)
-        assert Q.tobytes() == want_Q.tobytes()
+        rows, want_rows = model.corpus_rows(corpus), bare(want_model).corpus_rows(corpus)
+        assert rows.tobytes() == want_rows.tobytes()
 
 
 def test_an_impossible_sequence_on_the_round_loss_is_log_losss_error(aaab_corpus, half_half):
@@ -550,15 +567,20 @@ class TestOneArrayPerRound:
     def test_a_token_run_reads_each_model_once(self, monkeypatch, counted_conditionals, rounds):
         fresh_logits = count_calls(monkeypatch, "_logits")
         corpus = deep_corpus()
+        q0, base_reads = UniformModel(corpus.vocab, 8), []
+        original = q0.conditionals
+        q0.conditionals = lambda prefixes: (
+            base_reads.append(prefixes.shape[1]) or original(prefixes))
         oracle = Capped(TokenIndicatorOracle(), rounds)
-        model, trace = run_boost(UniformModel(corpus.vocab, 8), corpus, oracle,
-                                 BoostConfig(1e-12, max_iters=rounds + 1))
+        model, trace = run_boost(q0, corpus, oracle, BoostConfig(1e-12, max_iters=rounds + 1))
         assert len(model.factors) == rounds and trace.termination == "indistinguishable"
-        # N for the first proposal's start, whatever the number of rounds: the
-        # first reweighted model fills its memo (N blocks of fresh logits) and
-        # index without a call, and every later model gathers through the
-        # inherited index.
-        assert counted_conditionals[0] == 8 and fresh_logits[0] == 8
+        # Whatever the number of rounds, the base is read three times per
+        # position: the initial loss, the factorless start's rows, and the first
+        # reweighted model's memo (N blocks of fresh logits); every later
+        # model's memo is carried from its parent's, and no round asks for
+        # conditionals.
+        assert base_reads == list(range(8)) * 3
+        assert counted_conditionals[0] == 0 and fresh_logits[0] == 8
 
     @pytest.mark.parametrize("rounds", [1, 7, 60])
     def test_a_token_run_makes_one_rows_call_per_round(self, monkeypatch, rounds):
@@ -599,17 +621,34 @@ class TestOneArrayPerRound:
         assert extension_calls[0] == 8 * (rounds + 1)
 
     @pytest.mark.parametrize("kind", ["token", "ngram-3"])
-    def test_rounds_make_no_lookup_call(self, monkeypatch, kind):
-        lookups = count_calls(monkeypatch, "_lookup")
+    def test_rounds_make_no_conditionals_call(self, counted_conditionals, kind):
         corpus = deep_corpus()
         inner = TokenIndicatorOracle() if kind == "token" else NGramIndicatorOracle(3)
         model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(inner, 30),
                              BoostConfig(1e-12, max_iters=31))
         # Every reweighted model's memo is carried from its parent's for the
-        # run's corpus, so no round searches it.
-        assert len(model.factors) == 30 and lookups[0] == 0
-        assert model._memo[0] is corpus
-        assert model._memo[1].shape == (sum(map(len, corpus.prefix_index[0])), corpus.vocab.n)
+        # run's corpus, and every reader takes its rows, so no round searches
+        # the memo.
+        assert len(model.factors) == 30 and counted_conditionals[0] == 0
+        shape = (sum(map(len, corpus.prefix_index[0])), corpus.vocab.n)
+        assert model._memo[0] is corpus and model._memo[1].shape == shape
+        assert model.prefix_slot[0] is corpus and model.prefix_slot[1].shape == shape
+
+    @pytest.mark.parametrize("rounds", [12, 54])
+    def test_a_log_ratio_run_normalises_each_distinct_prefix_once_per_factor(
+            self, monkeypatch, rounds):
+        normalised = []
+        original = ReweightedModel._rows
+        monkeypatch.setattr(ReweightedModel, "_rows", lambda self, logits: (
+            normalised.append(len(logits)) or original(self, logits)))
+        corpus = deep_corpus()
+        oracle = Capped(LogRatioOracle(ngram_mle_fit(corpus, 1, 0.5)), rounds)
+        model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, oracle,
+                             BoostConfig(1e-12, max_iters=rounds + 1))
+        # Each reweighted model normalises the logits of the corpus's K distinct
+        # prefixes once; the log-ratio reads of each round gather those rows.
+        assert len(model.factors) == rounds
+        assert sum(normalised) <= rounds * sum(map(len, corpus.prefix_index[0]))
 
     def test_indicator_cells_are_counted_once_per_corpus_across_oracles(self, monkeypatch):
         import seqboost.corpus
@@ -638,26 +677,27 @@ class TestOneArrayPerRound:
         fresh_logits = count_calls(monkeypatch, "_logits")
         corpus = deep_corpus()
         model = ReweightedModel(UniformModel(corpus.vocab, 8), [(0.5, token_indicator(corpus.vocab, 1))])
-        Q = model.corpus_conditionals(corpus)
+        rows = model.corpus_rows(corpus)
         assert fresh_logits[0] == 8  # one block of fresh logits per length
-        assert model.prefix_slot[0] is corpus and model.prefix_slot[1] is Q
-        assert not Q.flags.writeable
+        assert model.prefix_slot[0] is corpus and model.prefix_slot[1] is rows
+        assert rows.shape == (sum(map(len, corpus.prefix_index[0])), corpus.vocab.n)
+        assert not rows.flags.writeable
         with pytest.raises(ValueError):
-            Q[0, 0, 0] = 1.0
-        assert model.corpus_conditionals(corpus) is Q and counted_conditionals[0] == 0
+            rows[0, 0] = 1.0
+        assert model.corpus_rows(corpus) is rows and counted_conditionals[0] == 0
         twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
-        twin_Q = model.corpus_conditionals(twin)
+        twin_rows = model.corpus_rows(twin)
         # The memo holds one corpus: the twin's rows are fresh logits, the same bits.
-        assert twin_Q is not Q and counted_conditionals[0] == 0 and fresh_logits[0] == 16
-        assert twin_Q.tobytes() == Q.tobytes() and model.prefix_slot[0] is twin
-        assert model._memo[0] is twin and not twin_Q.flags.writeable
+        assert twin_rows is not rows and counted_conditionals[0] == 0 and fresh_logits[0] == 16
+        assert twin_rows.tobytes() == rows.tobytes() and model.prefix_slot[0] is twin
+        assert model._memo[0] is twin and not twin_rows.flags.writeable
         child = model.extended(0.25, token_indicator(corpus.vocab, 2))
         assert model.prefix_slot is None and child.prefix_slot is None
 
     def test_extended_empties_the_parents_slot(self):
         corpus = deep_corpus()
         parent = ReweightedModel(UniformModel(corpus.vocab, 8), [])
-        parent.corpus_conditionals(corpus)
+        parent.corpus_rows(corpus)
         child = parent.extended(0.25, token_indicator(corpus.vocab, 2))
         assert parent.prefix_slot is None and child.prefix_slot is None
 
@@ -695,7 +735,7 @@ class TestOneArrayPerRound:
         # A level model asked again recomputes its rows, bit for bit a fresh copy's.
         level = captured[6]
         fresh = ReweightedModel(level.base, level.factors)
-        assert level.corpus_conditionals(corpus).tobytes() == fresh.corpus_conditionals(corpus).tobytes()
+        assert level.corpus_rows(corpus).tobytes() == fresh.corpus_rows(corpus).tobytes()
 
     def test_a_reloaded_log_ratio_chain_reads_no_level_model(self):
         corpus = deep_corpus()

@@ -434,7 +434,8 @@ MC = ["--distinguisher", "token-indicator:a", "--estimator", "monte-carlo"]
     (["boost", *AAB, "--init", "ngram", "--lam", "nan"], "lambda must be nonnegative and finite"),
     (["fit", "--corpus", "{empty}", "--length", "2"], "empty corpus"),
     (["fit", "--corpus", "{long}", "--length", "2"], "line 3: 3 tokens exceeds length 2"),
-    (["fit", "--corpus", "{padded}", "--length", "2"], "pad id 0 may not appear"),
+    (["fit", "--corpus", "{padded}", "--length", "2"],
+     "line 2: the pad token '<pad>' may not appear in a line"),
     (["eval", "--model", "{aab_model}", "--corpus", "{xy}"], "line 1: token 'x' not in vocabulary"),
     # Every output that cannot be written and every input that cannot be read
     # or decoded is a usage error that names the file.

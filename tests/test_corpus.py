@@ -23,8 +23,9 @@ def empirical_expectation(corpus, h):
 
 
 def reference_load_corpus(path, length, vocab=None, pad_token="<pad>"):
-    """The per-line reader ``load_corpus`` replaced: one ``Sequence`` per line.
-    Returns the (m, N) ids and the vocabulary."""
+    """The per-line reader ``load_corpus`` replaced: one ``Sequence`` per line,
+    a line that holds the pad refused by its number.  Returns the (m, N) ids
+    and the vocabulary."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(i + 1, ln.split()) for i, ln in enumerate(text.splitlines())]
     lines = [(no, toks) for no, toks in lines if toks]
@@ -46,6 +47,10 @@ def reference_load_corpus(path, length, vocab=None, pad_token="<pad>"):
             for t in toks:
                 if t not in known:
                     raise CorpusFormatError(f"line {no}: token {t!r} not in vocabulary")
+    for no, toks in lines:
+        if vocab.pad_token in toks:
+            raise CorpusFormatError(
+                f"line {no}: the pad token {vocab.pad_token!r} may not appear in a line")
     rows = [Sequence.from_ids((vocab.id_of(t) for t in toks), length) for _, toks in lines]
     return np.array([r.token_ids for r in rows], dtype=np.int64).reshape(len(rows), length), vocab
 
@@ -104,8 +109,11 @@ def test_load_corpus_errors_name_the_first_offending_line(tmp_path):
     with pytest.raises(CorpusFormatError, match="^line 4: token 'c' not in vocabulary$"):
         load_corpus(path, 4, vocab=Vocabulary.build(["a", "b"]))
     path.write_text("a b\n\nb <pad>\n")
-    with pytest.raises(ValueError, match="^pad id 0 may not appear in unpadded content$"):
+    with pytest.raises(CorpusFormatError, match="^line 3: the pad token '<pad>' may not appear"):
         load_corpus(path, 2)
+    vocab = Vocabulary.build(["a", "<pad>"], pad_token="b")
+    with pytest.raises(CorpusFormatError, match="^line 1: the pad token 'b' may not appear"):
+        load_corpus(path, 2, vocab=vocab)
     path.write_text("\n \n\t\n")
     with pytest.raises(CorpusFormatError, match="^empty corpus$"):
         load_corpus(path, 2)
@@ -215,6 +223,16 @@ def test_a_corpus_refuses_ids_outside_the_vocabulary(bad, as_array):
     with pytest.raises(ValueError, match=r"^row 1 has an id outside the vocabulary's 0\.\.2$"):
         Corpus(vocab, 2, np.array(rows) if as_array else map(Sequence.from_raw, rows))
     assert Corpus(vocab, 2, np.zeros((0, 2), dtype=np.int64)).m == 0
+
+
+@pytest.mark.parametrize("length", [0, -1])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_a_corpus_has_at_least_one_position(length, as_array):
+    vocab = Vocabulary.build(["a", "b"])
+    rows = np.ones((3, max(length, 0)), dtype=np.int64) if as_array else ()
+    message = f"^a corpus has at least one position, not length {length}$"
+    with pytest.raises(ValueError, match=message):
+        Corpus(vocab, length, rows)
 
 
 @settings(deadline=None, max_examples=60)

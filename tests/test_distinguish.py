@@ -126,12 +126,12 @@ class TestGeneralizedAdvantage:
         est = generalized_advantage(g, corpus, model)
         assert est.value == pytest.approx(sum(est.per_position) / 3, abs=1e-15)
 
-    @pytest.mark.parametrize("m, length", [(0, 2), (3, 0)])
-    def test_a_corpus_without_positions_is_a_value_error(self, ab_vocab, m, length):
-        # No sequence, or sequences of length 0: there is no position to average over.
-        corpus = Corpus(ab_vocab, length, np.ones((m, length), dtype=np.int64))
+    def test_a_corpus_without_positions_is_a_value_error(self, ab_vocab):
+        # No sequence: there is no position to average over.  A corpus of
+        # length 0 cannot be built (``Corpus`` refuses it).
+        corpus = Corpus(ab_vocab, 2, np.ones((0, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="^empty corpus$"):
-            generalized_advantage(token_indicator(ab_vocab, 1), corpus, UniformModel(ab_vocab, length))
+            generalized_advantage(token_indicator(ab_vocab, 1), corpus, UniformModel(ab_vocab, 2))
 
 
 class TestBayesOptimal:

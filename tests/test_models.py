@@ -723,5 +723,5 @@ def test_a_boosted_model_reads_back_with_the_traced_loss_and_rows(kind, n, lengt
     model, trace = run_boost(q0, corpus, make_oracle(kind, 2, reference), BoostConfig(0.03))
     loaded = model_from_text(model_to_text(model))
     assert log_loss(loaded, corpus).log_loss == trace.records[-1].log_loss
-    live = model.corpus_conditionals(corpus)
-    assert loaded.corpus_conditionals(corpus).tobytes() == live.tobytes()
+    live = model.corpus_rows(corpus)
+    assert loaded.corpus_rows(corpus).tobytes() == live.tobytes()
