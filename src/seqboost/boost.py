@@ -55,10 +55,10 @@ class ReweightedModel(SequentialModel):
     build them.  ``partition_scale`` is a test hook that deliberately
     mis-scales the partition (1.0 in real use).
 
-    ``corpus_rows`` and ``extended`` set ``_memo`` to (corpus, logits): the
-    (K, n) logits of the distinct prefixes of ``corpus.prefix_index``, stacked
-    by length as it numbers them.  ``prefix_slot`` keeps the last corpus and its
-    ``corpus_rows``, which ``conditionals`` gathers instead of normalising again.
+    The model's slot is (corpus, rows, logits): ``corpus_rows`` and the (K, n)
+    logits they are normalised from, stacked as ``corpus.prefix_index`` numbers
+    the distinct prefixes.  ``conditionals`` gathers its rows, and ``extended``
+    carries its logits to the child.
     """
 
     def __init__(
@@ -94,48 +94,39 @@ class ReweightedModel(SequentialModel):
         self.vocab = base.vocab
         self.length = base.length
         self.partition_scale = partition_scale
-        self._memo: tuple[Corpus, np.ndarray] | None = None
-        self.prefix_slot: tuple[Corpus, np.ndarray] | None = None
 
     def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
-        """The rows of a (k, L) prefix array: a gather from the memo corpus's
-        ``corpus_rows`` where it has the prefix, found with one ``searchsorted``
-        among the distinct L-token prefixes and offset into the stack, and
-        ``_rows`` of the ``_logits`` of each distinct missing prefix, computed once."""
+        """The rows of a (k, L) prefix array: a gather from the slot's rows where
+        its corpus has the prefix, found with one ``searchsorted`` among the
+        distinct L-token prefixes and offset into the stack, and ``_rows`` of
+        the ``_logits`` of each distinct missing prefix, computed once."""
         prefixes = np.ascontiguousarray(prefixes, dtype=np.int64)
         if not self.factors:
             return self.base.conditionals(prefixes)
         (k, L), keys = prefixes.shape, row_keys(prefixes)
         out, miss = np.empty((k, self.vocab.n)), np.arange(k)
-        if self._memo is not None and L < self._memo[0].length and self._memo[0].m:
-            distinct = self._memo[0].prefix_index[0]
+        if self._slot is not None and L < self._slot[0].length and self._slot[0].m:
+            distinct = self._slot[0].prefix_index[0]
             known = row_keys(distinct[L])
             pos = known.searchsorted(keys)
             hit = known.take(pos, mode="clip") == keys
             at = pos[hit] + sum(map(len, distinct[:L]))
-            out[hit], miss = self.corpus_rows(self._memo[0]).take(at, axis=0), miss[~hit]
+            out[hit], miss = self._slot[1].take(at, axis=0), miss[~hit]
         if miss.size:
             _, first, inverse = np.unique(keys.take(miss), return_index=True, return_inverse=True)
             missing = prefixes.take(miss.take(first), axis=0)
             out[miss] = self._rows(self._logits(missing)).take(inverse, axis=0)
         return out
 
-    def _corpus_logits(self, corpus: Corpus) -> np.ndarray:
-        """The stacked logits of ``corpus.prefix_index``'s distinct prefixes: the
-        memo's for this corpus, or ``_logits`` per length, which replace it."""
-        if self._memo is None or self._memo[0] is not corpus:
-            self._memo = corpus, np.concatenate([self._logits(p) for p in corpus.prefix_index[0]])
-        return self._memo[1]
-
-    def corpus_rows(self, corpus: Corpus) -> np.ndarray:
-        """The base class's rows, kept in ``prefix_slot`` for this corpus.  With
-        a factor, one ``_rows`` over ``_corpus_logits``; without, the base's."""
-        if self.prefix_slot is None or self.prefix_slot[0] is not corpus:
-            rows = (self._rows(self._corpus_logits(corpus)) if self.factors
-                    else self.base.corpus_rows(corpus))
-            rows.flags.writeable = False
-            self.prefix_slot = corpus, rows
-        return self.prefix_slot[1]
+    def _fill(self, corpus: Corpus) -> tuple:
+        """(rows, logits): with a factor, ``_rows`` of ``_logits`` per length;
+        without, the base's ``_fill`` rows and their ``np.log``, as ``_logits`` takes it."""
+        if not self.factors:
+            rows = self.base._fill(corpus)[0]
+            with np.errstate(divide="ignore"):
+                return rows, np.log(rows)
+        logits = np.concatenate([self._logits(p) for p in corpus.prefix_index[0]])
+        return self._rows(logits), logits
 
     def corpus_log_probs(self, corpus: Corpus) -> np.ndarray:
         """``summed_logs`` of the corpus tokens' probabilities in ``corpus_rows``,
@@ -175,17 +166,19 @@ class ReweightedModel(SequentialModel):
     def extended(self, b: float, g: Distinguisher, step_values: tuple = ()) -> "ReweightedModel":
         """This model with the factor (b, g) appended.  Given ``step_values``,
         (corpus, g's reads) as ``AdvantageEstimate`` carries them, the child's
-        memo is this model's ``_corpus_logits`` of that corpus minus b times the
-        reads: a fresh chain's last subtraction, so its rows are the fresh
-        chain's bit for bit, and this model's memo is emptied.  Without them the
-        child has no memo.  This model's ``prefix_slot`` is emptied too, so a
-        run keeps one (K, n) array of each kind; asked again, it recomputes them."""
-        self.prefix_slot = None
+        slot holds that corpus with logits this model's slot logits of it
+        minus b times the reads: a fresh chain's last subtraction, so its rows
+        are the fresh chain's bit for bit.  Without them the child's slot is
+        empty.  This model's slot is emptied, so a run keeps one slot; asked
+        again, the model recomputes it."""
         child = ReweightedModel(self, [(b, g)], self.partition_scale)
         if step_values:
             corpus, reads = step_values
-            child._memo = corpus, self._corpus_logits(corpus) - b * reads
-            self._memo = None
+            self.corpus_rows(corpus)
+            logits = self._slot[2] - b * reads
+            child._slot = corpus, child._rows(logits), logits
+            child._slot[1].flags.writeable = False
+        self._slot = None
         return child
 
 
@@ -359,17 +352,15 @@ RATIO_CAP = 1e6
 
 
 class LogRatioOracle:
-    """Distinguish via conditional log-ratios against a lower-loss reference model,
-    whose corpus rows a factorless ``ReweightedModel``'s ``prefix_slot`` keeps."""
+    """Distinguish via conditional log-ratios against a lower-loss reference model."""
 
     def __init__(self, reference: SequentialModel):
         self.reference = reference
-        self._slotted_reference = ReweightedModel(reference, [])
 
     def _bound(self, q: SequentialModel, corpus: Corpus) -> float:
         """The largest ratio either way between q and the reference at the
         corpus prefixes, where both are positive, clamped to (1, RATIO_CAP]."""
-        dq, dr = q.corpus_rows(corpus), self._slotted_reference.corpus_rows(corpus)
+        dq, dr = q.corpus_rows(corpus), self.reference.corpus_rows(corpus)
         both = (dq > 0) & (dr > 0)
         r = dq[both] / dr[both]
         worst = max(1.0, float(r.max()), float((1.0 / r).max())) if r.size else 1.0

@@ -273,10 +273,10 @@ def _load_table_csv(path: str, vocab: Vocabulary, length: int) -> JointTable:
     """A 'sequence,prob' CSV over the model's domain; sequences it omits get 0.
 
     A label shorter than the length is padded, as a corpus line is.  An
-    unreadable file, a first line other than the header, an unknown token, a
-    label of no tokens or more than the length, a sequence listed twice, a
-    value that is not a finite real, and probabilities that are not a
-    distribution are usage errors.
+    unreadable file, a first line other than the header, an unknown token,
+    the pad token in a label, a label of no tokens or more than the length, a
+    sequence listed twice, a value that is not a finite real, and
+    probabilities that are not a distribution are usage errors.
     """
     lines = _read(path, "table").splitlines()
     if lines[:1] != ["sequence,prob"]:
@@ -290,6 +290,9 @@ def _load_table_csv(path: str, vocab: Vocabulary, length: int) -> JointTable:
         tokens = label.split()
         if not 1 <= len(tokens) <= length:
             raise click.UsageError(f"table line {no}: {len(tokens)} tokens, need 1..{length}")
+        if vocab.pad_token in tokens:
+            raise click.UsageError(f"table line {no}: the pad token {vocab.pad_token!r} "
+                                   "may not appear in a label")
         try:
             ids = [vocab.id_of(t) for t in tokens]
             p = float(value)

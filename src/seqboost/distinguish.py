@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, Vocabulary, check_domain, sequence_index
 from .exact import DEFAULT_BUDGET, JointTable, enumerate_joint
-from .models import SequentialModel, check_corpus, sample_many, sequence_log_probs
+from .models import SequentialModel, _logs, check_corpus, sample_many, sequence_log_probs
 
 
 def _row_values(fn: Callable[[tuple[int, ...]], float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -255,11 +255,7 @@ def log_ratio(pq: np.ndarray, pr: np.ndarray, params: tuple) -> np.ndarray:
     log_c = math.log(params[0])
     out = np.where(pq > 0.0, 1.0, np.where(pr > 0.0, 0.0, 0.5))
     both = (pq > 0.0) & (pr > 0.0)
-    # math.log, not np.log: numpy's can differ in the last bit, which
-    # would change the traces of log-ratio boosts.
-    lq = np.array([math.log(x) for x in pq[both].tolist()])
-    lr = np.array([math.log(x) for x in pr[both].tolist()])
-    out[both] = np.clip((log_c + lq - lr) / (2.0 * log_c), 0.0, 1.0)
+    out[both] = np.clip((log_c + _logs(pq[both]) - _logs(pr[both])) / (2.0 * log_c), 0.0, 1.0)
     for _ in params[1:]:
         out = 1.0 - out
     return out

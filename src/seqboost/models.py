@@ -37,6 +37,7 @@ class SequentialModel(abc.ABC):
 
     vocab: Vocabulary
     length: int
+    _slot: tuple | None = None  # (corpus, rows, ...): see ``corpus_rows``
 
     @abc.abstractmethod
     def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
@@ -54,12 +55,18 @@ class SequentialModel(abc.ABC):
 
     def corpus_rows(self, corpus: Corpus) -> np.ndarray:
         """q(. | h) for the distinct prefixes h of ``corpus.prefix_index``, stacked
-        by length as it numbers them: a read-only (K, n) array from one
-        ``conditionals`` call per length.  Row ``prefix_index[1][i, j]`` is
-        q(. | first j tokens of sequence i)."""
-        rows = np.concatenate([self.conditionals(p) for p in corpus.prefix_index[0]])
-        rows.flags.writeable = False
-        return rows
+        by length as it numbers them: a read-only (K, n) array.  Row
+        ``prefix_index[1][i, j]`` is q(. | first j tokens of sequence i).  The
+        model's slot keeps the last corpus asked for and what ``_fill`` made of
+        it, so the same corpus is read once, and another replaces it."""
+        if self._slot is None or self._slot[0] is not corpus:
+            self._slot = corpus, *self._fill(corpus)
+            self._slot[1].flags.writeable = False
+        return self._slot[1]
+
+    def _fill(self, corpus: Corpus) -> tuple:
+        """A new slot's arrays, its rows first: one ``conditionals`` call per length."""
+        return (np.concatenate([self.conditionals(p) for p in corpus.prefix_index[0]]),)
 
     def corpus_log_probs(self, corpus: Corpus) -> np.ndarray:
         """The log-probability of every sequence of the corpus, -inf for an
@@ -209,7 +216,8 @@ def sequence_log_probs(model: SequentialModel, ids: np.ndarray) -> np.ndarray:
 
 
 def _logs(probs: np.ndarray) -> np.ndarray:
-    """``math.log`` of every entry, -inf where it is 0."""
+    """``math.log`` of every entry, -inf where it is 0.  Not ``np.log``: it can
+    differ in the last bit, which would change the traces of boosts."""
     logs = np.full(probs.shape, -math.inf)
     possible = probs > 0.0
     logs[possible] = list(map(math.log, probs[possible].tolist()))

@@ -197,8 +197,9 @@ def model_from_text(text: str) -> SequentialModel:
         model, idx = _model_from_lines(lines, 0)
     except (KeyError, IndexError) as exc:
         raise ValueError(f"malformed model file: missing {exc}") from None
-    if any(line.strip() for line in lines[idx:]):
-        raise ValueError(f"malformed model file: unexpected line {lines[idx]!r}")
+    junk = next((line for line in lines[idx:] if line.strip()), None)
+    if junk is not None:
+        raise ValueError(f"malformed model file: unexpected line {junk!r}")
     return model
 
 

@@ -47,7 +47,14 @@ from seqboost.distinguish import (
     token_indicator,
     training_advantage,
 )
-from seqboost.exact import JointTable, enumerate_joint, sequence_index
+from seqboost.exact import (
+    JointTable,
+    all_ids,
+    enumerate_joint,
+    kl_divergence,
+    sequence_index,
+    total_variation,
+)
 from seqboost.models import (
     PAD_ID,
     NGramModel,
@@ -212,6 +219,27 @@ def test_corpus_rows_are_the_models_conditionals(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
+def test_a_plain_models_slot_keeps_the_last_corpus_read(data):
+    """A uniform, n-gram or table model's second ``corpus_rows`` of a corpus
+    makes no ``conditionals`` call and returns the same read-only array;
+    another corpus, a twin with equal ids included, replaces it."""
+    corpus = data.draw(corpora())
+    vocab, length = corpus.vocab, corpus.length
+    other = (Corpus(vocab, length, corpus.ids.copy()) if data.draw(st.booleans())
+             else data.draw(corpora_over(vocab, length)))
+    model, calls = data.draw(base_models(vocab, length)), []
+    original = model.conditionals
+    model.conditionals = lambda prefixes: calls.append(len(prefixes)) or original(prefixes)
+    rows = model.corpus_rows(corpus)
+    assert len(calls) == length and not rows.flags.writeable
+    assert model.corpus_rows(corpus) is rows and len(calls) == length
+    replaced = model.corpus_rows(other)
+    assert replaced is not rows and model._slot[0] is other and len(calls) == 2 * length
+    assert model.corpus_rows(corpus).tobytes() == rows.tobytes() and len(calls) == 3 * length
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
 def test_oracles_choose_the_scalar_maximum(data):
     corpus, q = data.draw(instances())
     order = data.draw(st.integers(1, min(3, corpus.length)))
@@ -361,7 +389,7 @@ def models(draw):
 
 
 def fresh(model):
-    """The same model with an empty memo."""
+    """The same model with an empty slot."""
     if isinstance(model, ReweightedModel):
         return ReweightedModel(model.base, model.factors, model.partition_scale)
     return model
@@ -501,39 +529,40 @@ def test_log_ratio_values_are_its_scalar_calls_bit_for_bit(data):
     assert [g(tuple(row)) for row in rows] == want.tolist()
 
 
-def memo_state(model):
-    """The memo's and the slot's corpus and arrays: the same objects and bytes
-    mean that neither was replaced nor written to."""
-    return tuple(None if held is None else (id(held[0]), id(held[1]), held[1].shape,
-                                             held[1].tobytes())
-                 for held in (model._memo, model.prefix_slot))
+def slot_state(model):
+    """The slot's corpus, rows and logits: the same objects and bytes mean that
+    nothing was replaced or written to."""
+    if model._slot is None:
+        return None
+    corpus, *arrays = model._slot
+    return id(corpus), [(id(a), a.shape, a.tobytes()) for a in arrays]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_conditionals_and_enumerate_joint_add_nothing_to_the_memo(data):
-    """The memo and the slot hold only what ``corpus_rows`` and ``extended`` put
-    there: reading rows, one prefix array at a time or the whole joint, leaves
-    them as they were, empty or holding a corpus's logits and rows."""
+    """The slot holds only what ``corpus_rows`` and ``extended`` put there:
+    reading rows, one prefix array at a time or the whole joint, leaves it as
+    it was, empty or holding a corpus's rows and logits."""
     model = data.draw(models())
     if not isinstance(model, ReweightedModel) or not model.factors:
         model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
     if data.draw(st.booleans()):
         model.corpus_rows(data.draw(corpora_over(model.vocab, model.length)))
-    before = memo_state(model)
+    before = slot_state(model)
     for _ in range(data.draw(st.integers(1, 3))):
         model.conditionals(data.draw(prefix_arrays(model)))
     if model.partition_scale == 1.0:  # otherwise not a joint table
         enumerate_joint(model)
-    assert memo_state(model) == before
+    assert slot_state(model) == before
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_memo_hits_are_a_fresh_models_rows_bit_for_bit(data):
-    """Over queries that repeat and permute a corpus's prefixes (memo hits)
+    """Over queries that repeat and permute a corpus's prefixes (slot hits)
     shuffled in with other prefixes (computed once per call), across prefix
-    lengths, every row is the row of a fresh model, which has no memo: before
+    lengths, every row is the row of a fresh model, whose slot is empty: before
     and after ``extended`` carries the blocks forward by one factor."""
     model = data.draw(models())
     if not isinstance(model, ReweightedModel) or not model.factors:
@@ -590,7 +619,7 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
     chain grown by ``extended`` (indicator, custom and log-ratio factors),
     with or without handed reads of g; after rows were read at other
     prefixes; and on a twin corpus whose ids are equal but whose index is
-    another, which takes the memo's place."""
+    another, which takes the slot's place."""
     corpus = data.draw(corpora())
     vocab, length = corpus.vocab, corpus.length
     twin = Corpus(vocab, length, corpus.ids.copy())
@@ -602,8 +631,7 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
         if data.draw(st.booleans()):
             assert gathered_rows(model, twin).tobytes() == stacked_conditionals(model, twin).tobytes()
         assert gathered_rows(model, corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
-        if model.factors:
-            assert model._memo[0] is corpus
+        assert model._slot[0] is corpus
         g = drawn_step_distinguisher(data, model)
         handed = generalized_advantage(g, corpus, model).step_values if data.draw(st.booleans()) else ()
         model = model.extended(data.draw(st.floats(0.0, 2.0)), g, handed)
@@ -615,9 +643,10 @@ def test_corpus_gather_is_a_fresh_copys_stacked_conditionals_bit_for_bit(data):
 @given(st.data())
 def test_extended_with_handed_values_is_extended_without_them_bit_for_bit(data):
     """``extended`` given ``generalized_advantage``'s reads of g on a corpus
-    gives the child a memo for that corpus whose logits are those that the
-    child ``extended`` without them computes, byte for byte: whichever
-    corpus, if any, the parent's memo held before, the corpus or its twin."""
+    gives the child a slot for that corpus whose rows and logits are those
+    that the child ``extended`` without them computes, byte for byte:
+    whichever corpus, if any, the parent's slot held before, the corpus or
+    its twin."""
     corpus = data.draw(corpora())
     vocab, length = corpus.vocab, corpus.length
     twin = Corpus(vocab, length, corpus.ids.copy())
@@ -633,9 +662,9 @@ def test_extended_with_handed_values_is_extended_without_them_bit_for_bit(data):
     assert handed[0] is handed_to
     b = data.draw(st.floats(0.0, 2.0))
     plain, child = model.extended(b, g), model.extended(b, g, handed)
-    assert plain._memo is None and child._memo[0] is handed_to
+    assert plain._slot is None and child._slot[0] is handed_to and model._slot is None
     rows = plain.corpus_rows(handed_to)
-    assert child._memo[1].tobytes() == plain._memo[1].tobytes()
+    assert child._slot[2].tobytes() == plain._slot[2].tobytes()
     assert child.corpus_rows(handed_to).tobytes() == rows.tobytes()
 
 
@@ -645,7 +674,7 @@ def test_a_chain_switching_corpora_has_a_fresh_copys_rows_and_keeps_the_last_cor
     """Along a chain grown by ``extended`` (with or without handed reads of g
     on either corpus), asking for corpus A, then B, then A again gives a
     fresh copy's rows at every step, at the corpus's prefixes and at drawn
-    ones, and the memo holds the corpus asked last.  B is A's twin (equal ids,
+    ones, and the slot holds the corpus asked last.  B is A's twin (equal ids,
     another index) or another corpus over the same domain."""
     vocab, length = make_vocab(data.draw(st.integers(2, 4))), data.draw(st.integers(1, 3))
     a = data.draw(corpora_over(vocab, length))
@@ -660,7 +689,7 @@ def test_a_chain_switching_corpora_has_a_fresh_copys_rows_and_keeps_the_last_cor
                                handed if data.draw(st.booleans()) else ())
         for c in (a, b, a):
             assert gathered_rows(model, c).tobytes() == stacked_conditionals(model, c).tobytes()
-            assert model._memo[0] is c
+            assert model._slot[0] is c
             prefixes = data.draw(prefix_arrays(model))
             assert model.conditionals(prefixes).tobytes() == fresh(model).conditionals(prefixes).tobytes()
 
@@ -674,7 +703,7 @@ def test_a_log_ratio_factor_reads_the_rows_of_the_chain_it_extends(data):
     ``log_ratio`` of the chain's rows and the reference's is the new factor's
     ``values`` on their token extensions bit for bit, and a fresh copy, which
     computes every factor from its own running rows, has the live chain's rows
-    bit for bit, at drawn prefixes and at the corpus's (carried memo blocks)."""
+    bit for bit, at drawn prefixes and at the corpus's (carried slot blocks)."""
     vocab, length = make_vocab(data.draw(st.integers(2, 4))), data.draw(st.integers(1, 3))
     corpus = data.draw(corpora_over(vocab, length))
     reference = data.draw(base_models(vocab, length))
@@ -706,7 +735,7 @@ def test_a_log_ratio_factor_reads_the_rows_of_the_chain_it_extends(data):
 def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
     """Over 1,201 tokens, 7-token prefixes number 1201^7 > 2^63.  Prefixes that
     differ only in their first token get their own rows, whether a corpus put
-    them in the memo or they are computed once per call: only the one that
+    them in the slot or they are computed once per call: only the one that
     matches a 7-token n-gram indicator's context is reweighted."""
     n, L = 1201, 7
     assert n**L > 2**63
@@ -718,10 +747,10 @@ def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
     model = ReweightedModel(UniformModel(vocab, L + 1),
                             [(1.0, ngram_indicator(vocab, (firsts[0], *tail), tok))])
     held = data.draw(st.lists(st.integers(0, len(firsts) - 1), max_size=4))
-    if held:  # these prefixes in the memo, the others not
+    if held:  # these prefixes in the slot, the others not
         corpus = Corpus(vocab, L + 1, np.array([[firsts[i], *tail, tok] for i in held]))
         model.corpus_rows(corpus)
-        assert len(corpus.prefix_index[0][L]) == len(set(held)) and model._memo[0] is corpus
+        assert len(corpus.prefix_index[0][L]) == len(set(held)) and model._slot[0] is corpus
     order = data.draw(st.lists(st.integers(0, len(firsts) - 1), min_size=1, max_size=8))
     prefixes = np.array([[firsts[i], *tail] for i in order], dtype=np.int64)
     got = model.conditionals(prefixes)
@@ -733,6 +762,32 @@ def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
         else:
             assert row.tobytes() == model.next_token_dist(tuple([firsts[i], *tail])).tobytes()
             np.testing.assert_allclose(row, uniform, rtol=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 9, 50])
+def test_blocked_logits_are_the_unblocked_bit_for_bit(monkeypatch, block):
+    """With EXTENSION_BLOCK small, ``_logits`` splits each prefix array into
+    blocks and joins their logits; a chain of token, n-gram and log-ratio
+    factors gives the same ``conditionals`` and ``enumerate_joint`` bits."""
+    vocab, length = make_vocab(4), 3
+    corpus = Corpus(vocab, length, np.array([[1, 2, 3], [2, 2, 0], [3, 1, 2], [1, 3, 0]]))
+    model = ReweightedModel(ngram_mle_fit(corpus, 2, 0.5), [
+        (0.4, token_indicator(vocab, 1)), (0.3, ngram_indicator(vocab, (2,), 3, flip=True))])
+    model = model.extended(0.2, step_log_ratio(model, ngram_mle_fit(corpus, 3, 0.5), 5.0))
+    model = model.extended(0.1, token_indicator(vocab, 2, flip=True))
+    calls, original = [], ReweightedModel._logits
+    monkeypatch.setattr(ReweightedModel, "_logits", lambda self, p: (
+        calls.append(len(p)) or original(self, p)))
+    prefixes = [all_ids(vocab.n, L) for L in range(length)]
+    want = [fresh(model).conditionals(p) for p in prefixes]
+    joint = enumerate_joint(fresh(model)).probs
+    unblocked = len(calls)
+    calls.clear()
+    monkeypatch.setattr(seqboost.boost, "EXTENSION_BLOCK", block)
+    for p, rows in zip(prefixes, want):
+        assert fresh(model).conditionals(p).tobytes() == rows.tobytes()
+    assert enumerate_joint(fresh(model)).probs.tobytes() == joint.tobytes()
+    assert len(calls) > unblocked  # some array was split into blocks
 
 
 def chain_rule_table(model):
@@ -810,7 +865,7 @@ def test_a_reweighted_models_log_loss_is_the_token_probs_loop(data):
     ``token_probs`` loop's report with ``==``, or raises its error naming the
     same sequence: for a fresh chain, a chain grown by ``extended`` (with or
     without handed reads of g), a reloaded chain, a partition_scale other
-    than 1, and a memo holding another corpus's prefixes."""
+    than 1, and a slot holding another corpus's prefixes."""
     vocab, length = make_vocab(data.draw(st.integers(2, 4))), data.draw(st.integers(1, 4))
     corpus = data.draw(corpora_over(vocab, length))
     base = data.draw(base_models(vocab, length))
@@ -1102,7 +1157,12 @@ def eval_table(tmp_path, model, rows):
     (["a a,1.5", "a b,-0.5"], "negative probability"),
     (["a a,nan"], "not finite"),
     (["a a,half"], "could not convert"),
-    (["a,0.5", "a <pad>,0.5"], "listed twice"),
+    (["a,0.5", "b,0.25", "a,0.25"], "table line 4: sequence 'a' listed twice"),
+    # A padded model gives no mass after a pad, and a label is padded as a
+    # corpus line is, so the pad may not stand in a label.
+    (["a,0.5", "a <pad>,0.5"], "table line 3: the pad token '<pad>' may not appear in a label"),
+    (["<pad> a,1"], "table line 2: the pad token '<pad>' may not appear in a label"),
+    (["<pad>,1"], "table line 2: the pad token '<pad>' may not appear in a label"),
 ])
 def test_malformed_tables_are_usage_errors(tmp_path, bigram_file, rows, message):
     result = eval_table(tmp_path, bigram_file, rows)
@@ -1140,7 +1200,17 @@ def test_table_past_the_budget_is_a_usage_error(tmp_path, bigram_file):
 
 def test_short_label_is_padded_like_a_corpus_line(tmp_path, bigram_file):
     short = eval_table(tmp_path, bigram_file, ["a,0.5", "a a,0.25", "a b,0.25"])
-    padded = eval_table(tmp_path, bigram_file, ["a <pad>,0.5", "a a,0.25", "a b,0.25"])
     assert short.exit_code == 0
-    assert short.output == padded.output
+    model = model_from_text(bigram_file.read_text())
+    vocab, probs = model.vocab, np.zeros(model.vocab.n**2)
+    a, b = vocab.id_of("a"), vocab.id_of("b")
+    for ids, p in (((a, PAD_ID), 0.5), ((a, a), 0.25), ((a, b), 0.25)):
+        probs[sequence_index(vocab, ids)] = p
+    table, joint = JointTable(vocab, 2, probs), enumerate_joint(model)
+    assert short.output == (f"kl(table||model): {kl_divergence(table, joint):.6g} nats\n"
+                            f"tvd(table,model): {total_variation(table, joint):.6g}\n")
     assert "inf" not in short.output
+    # The pad itself is refused, not read as the padding it would stand for.
+    padded = eval_table(tmp_path, bigram_file, ["a <pad>,0.5", "a a,0.25", "a b,0.25"])
+    assert padded.exit_code == 2
+    assert "table line 2: the pad token '<pad>' may not appear in a label" in padded.output

@@ -215,18 +215,17 @@ class TestStepwiseReweight:
         g = token_indicator(ab_vocab, 2)
         cached = ReweightedModel(half_half(2), [(0.5, g)])
         first = cached.next_token_dist(())
-        assert cached._memo is None  # conditionals adds nothing to the memo
+        assert cached._slot is None  # conditionals adds nothing to the slot
         corpus = Corpus(ab_vocab, 2, np.array([[1, 0], [2, 1]]))
         rows = cached.corpus_rows(corpus)
-        held, logits = cached._memo
+        held, slot_rows, logits = cached._slot
         # One stack: the empty prefix at row 0, then the two 1-token prefixes.
-        assert held is corpus and logits.shape == (3, 3)
-        assert cached.prefix_slot[0] is corpus and cached.prefix_slot[1] is rows
+        assert held is corpus and slot_rows is rows and logits.shape == rows.shape == (3, 3)
         assert rows[:1].tobytes() == cached._rows(logits[:1]).tobytes() == first.tobytes()
         # Planted rows give what both forms return: the slot is read, and
         # neither the logits nor the rows are recomputed.
         planted = rows.copy()
-        cached.prefix_slot = corpus, planted
+        cached._slot = corpus, planted, logits
         sentinel = np.array([0.0, 0.5, 0.5])
         planted[0] = sentinel
         np.testing.assert_array_equal(cached.next_token_dist(()), sentinel)
@@ -241,14 +240,14 @@ class TestStepwiseReweight:
         np.testing.assert_array_equal(got[[0, 2]], [sentinel, sentinel])
         assert got[1].tobytes() == cached.next_token_dist((2,)).tobytes()
         assert not np.array_equal(got[1], sentinel)
-        # A prefix the memo does not hold is computed, and not added.
+        # A prefix the slot does not hold is computed, and not added.
         got = cached.conditionals(np.array([[0], [1], [0]]))
         np.testing.assert_array_equal(got[1], sentinel)
         assert got[0].tobytes() == got[2].tobytes() == first.tobytes()
-        assert cached._memo[0] is corpus and cached._memo[1] is logits and logits.shape == (3, 3)
-        assert cached.prefix_slot[1] is planted
+        assert cached._slot[0] is corpus and cached._slot[1] is planted
+        assert cached._slot[2] is logits and logits.shape == (3, 3)
         fresh = ReweightedModel(half_half(2), [(0.5, g)])
-        assert fresh._memo is None
+        assert fresh._slot is None
         np.testing.assert_array_equal(fresh.next_token_dist(()), first)
 
     def test_a_corpus_without_sequences_reads_as_empty_rows(self, ab_vocab, half_half):
@@ -258,7 +257,7 @@ class TestStepwiseReweight:
             model = ReweightedModel(half_half(2), factors)
             assert model.corpus_rows(empty).shape == (0, 3)
             assert model.corpus_log_probs(empty).shape == (0,)
-            # A memo of no prefixes is searched for none.
+            # A slot of no prefixes is searched for none.
             prefixes = np.array([[1], [2]])
             want = ReweightedModel(half_half(2), factors).conditionals(prefixes)
             assert model.conditionals(prefixes).tobytes() == want.tobytes()
@@ -425,9 +424,9 @@ class TestBoostConfig:
 
 
 def bare(model):
-    """A copy of the model with an empty ``prefix_slot``; it shares the memo."""
+    """A copy of the model with an empty slot."""
     out = copy.copy(model)
-    out.prefix_slot = None
+    out._slot = None
     return out
 
 
@@ -574,13 +573,27 @@ class TestOneArrayPerRound:
         oracle = Capped(TokenIndicatorOracle(), rounds)
         model, trace = run_boost(q0, corpus, oracle, BoostConfig(1e-12, max_iters=rounds + 1))
         assert len(model.factors) == rounds and trace.termination == "indistinguishable"
-        # Whatever the number of rounds, the base is read three times per
-        # position: the initial loss, the factorless start's rows, and the first
-        # reweighted model's memo (N blocks of fresh logits); every later
-        # model's memo is carried from its parent's, and no round asks for
-        # conditionals.
-        assert base_reads == list(range(8)) * 3
-        assert counted_conditionals[0] == 0 and fresh_logits[0] == 8
+        # Whatever the number of rounds, the base is read twice per position:
+        # the initial loss, and the factorless start's slot (the rows and their
+        # log).  Every reweighted model's slot is carried from its parent's, so
+        # no logits are computed afresh and no round asks for conditionals.
+        assert base_reads == list(range(8)) * 2
+        assert counted_conditionals[0] == 0 and fresh_logits[0] == 0
+
+    def test_a_token_run_reads_an_ngram_base_twice_per_position(self):
+        corpus, calls = deep_corpus(), []
+        q0 = ngram_mle_fit(corpus, 2, 0.5)
+        for name in ("conditionals", "token_probs"):  # its token_probs reads no conditionals
+            original = getattr(q0, name)
+            setattr(q0, name, lambda *args, original=original: (
+                calls.append(args[0].shape[1]) or original(*args)))
+        model, _ = run_boost(q0, corpus, Capped(TokenIndicatorOracle(), 5),
+                             BoostConfig(1e-12, max_iters=6))
+        # The initial loss reads each position once (token_probs); the
+        # factorless start reads each length of distinct prefixes once and
+        # takes the log of those rows; the base keeps no slot.
+        assert len(model.factors) == 5 and calls == list(range(8)) * 2
+        assert q0._slot is None
 
     @pytest.mark.parametrize("rounds", [1, 7, 60])
     def test_a_token_run_makes_one_rows_call_per_round(self, monkeypatch, rounds):
@@ -626,13 +639,13 @@ class TestOneArrayPerRound:
         inner = TokenIndicatorOracle() if kind == "token" else NGramIndicatorOracle(3)
         model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(inner, 30),
                              BoostConfig(1e-12, max_iters=31))
-        # Every reweighted model's memo is carried from its parent's for the
+        # Every reweighted model's slot is carried from its parent's for the
         # run's corpus, and every reader takes its rows, so no round searches
-        # the memo.
+        # the slot.
         assert len(model.factors) == 30 and counted_conditionals[0] == 0
         shape = (sum(map(len, corpus.prefix_index[0])), corpus.vocab.n)
-        assert model._memo[0] is corpus and model._memo[1].shape == shape
-        assert model.prefix_slot[0] is corpus and model.prefix_slot[1].shape == shape
+        held, rows, logits = model._slot
+        assert held is corpus and rows.shape == logits.shape == shape
 
     @pytest.mark.parametrize("rounds", [12, 54])
     def test_a_log_ratio_run_normalises_each_distinct_prefix_once_per_factor(
@@ -679,7 +692,7 @@ class TestOneArrayPerRound:
         model = ReweightedModel(UniformModel(corpus.vocab, 8), [(0.5, token_indicator(corpus.vocab, 1))])
         rows = model.corpus_rows(corpus)
         assert fresh_logits[0] == 8  # one block of fresh logits per length
-        assert model.prefix_slot[0] is corpus and model.prefix_slot[1] is rows
+        assert model._slot[0] is corpus and model._slot[1] is rows
         assert rows.shape == (sum(map(len, corpus.prefix_index[0])), corpus.vocab.n)
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
@@ -687,19 +700,19 @@ class TestOneArrayPerRound:
         assert model.corpus_rows(corpus) is rows and counted_conditionals[0] == 0
         twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
         twin_rows = model.corpus_rows(twin)
-        # The memo holds one corpus: the twin's rows are fresh logits, the same bits.
+        # The slot holds one corpus: the twin's rows are fresh logits, the same bits.
         assert twin_rows is not rows and counted_conditionals[0] == 0 and fresh_logits[0] == 16
-        assert twin_rows.tobytes() == rows.tobytes() and model.prefix_slot[0] is twin
-        assert model._memo[0] is twin and not twin_rows.flags.writeable
+        assert twin_rows.tobytes() == rows.tobytes() and model._slot[0] is twin
+        assert not twin_rows.flags.writeable
         child = model.extended(0.25, token_indicator(corpus.vocab, 2))
-        assert model.prefix_slot is None and child.prefix_slot is None
+        assert model._slot is None and child._slot is None
 
     def test_extended_empties_the_parents_slot(self):
         corpus = deep_corpus()
         parent = ReweightedModel(UniformModel(corpus.vocab, 8), [])
         parent.corpus_rows(corpus)
         child = parent.extended(0.25, token_indicator(corpus.vocab, 2))
-        assert parent.prefix_slot is None and child.prefix_slot is None
+        assert parent._slot is None and child._slot is None
 
     def test_a_log_ratio_run_reads_its_reference_once_per_corpus(self):
         corpus = deep_corpus()
@@ -714,11 +727,25 @@ class TestOneArrayPerRound:
         assert len(model.factors) == 10
         assert calls == list(range(8))  # N calls, one per position, not N per round
         # Another corpus, even with equal ids, is read anew: once per position
-        # for the oracle's reference array, and once per position and factor
-        # for the fresh logits that replace the chain's memo.
+        # for the reference's slot, and once per position and factor for the
+        # fresh logits that replace the chain's slot.
         twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
         oracle.propose(model, twin)
-        assert sorted(calls[8:]) == sorted(list(range(8)) * 11) and model._memo[0] is twin
+        assert sorted(calls[8:]) == sorted(list(range(8)) * 11)
+        assert model._slot[0] is twin and reference._slot[0] is twin
+
+    def test_a_log_ratio_runs_reference_keeps_the_corpus_in_its_own_slot(self):
+        corpus = deep_corpus()
+        reference, calls = ngram_mle_fit(corpus, 3, 0.5), []
+        original = reference.conditionals
+        reference.conditionals = lambda prefixes: calls.append(prefixes) or original(prefixes)
+        model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus,
+                             Capped(LogRatioOracle(reference), 10), BoostConfig(1e-12, max_iters=11))
+        # The reference fills its slot with one call per length, on the distinct
+        # prefixes, and every later round reads the slot.
+        assert len(model.factors) == 10 and reference._slot[0] is corpus
+        assert [p.tobytes() for p in calls] == [p.tobytes() for p in corpus.prefix_index[0]]
+        assert reference.corpus_rows(corpus) is reference._slot[1] and len(calls) == corpus.length
 
     def test_a_log_ratio_run_keeps_at_most_one_array(self):
         corpus = deep_corpus()
@@ -727,11 +754,10 @@ class TestOneArrayPerRound:
                              Capped(LogRatioOracle(reference), 12), BoostConfig(1e-12, max_iters=13))
         captured = [g.models[0] for _, g in model.factors]
         assert len(captured) == 12
-        assert sum(m.prefix_slot is not None for m in captured + [model]) <= 1
-        # The memo is handed down for the run's corpus, and each parent lets go of
-        # its own: only the last model holds one.
-        assert model._memo[0] is corpus
-        assert all(m._memo is None for m in captured)
+        # The slot is handed down for the run's corpus, and each parent lets go
+        # of its own: only the last model holds one.
+        assert model._slot[0] is corpus
+        assert all(m._slot is None for m in captured)
         # A level model asked again recomputes its rows, bit for bit a fresh copy's.
         level = captured[6]
         fresh = ReweightedModel(level.base, level.factors)

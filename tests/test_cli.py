@@ -123,6 +123,12 @@ class TestConfig:
         assert result.exit_code == 0, result.output
         assert "whole-sequence advantage: -0.119048 " in result.output  # 1.5/7 - 1/3
 
+    def test_comment_only_and_blank_lines_are_skipped(self, runner, aab):
+        text = "# a run over aab\n\n   # indented comment\ncorpus = aab.txt\n \t\nlength = 2\n"
+        result = self.invoke(runner, "fit", text)
+        assert result.exit_code == 0, result.output
+        assert (aab / "model.txt").exists()
+
     def test_flag_before_config_still_wins(self, runner, aab):
         Path("run.cfg").write_text("corpus = aab.txt\nlength = 2\nlam = 0\n")
         result = runner.invoke(main, ["fit", "--lam", "1", "--config", "run.cfg"])
@@ -371,6 +377,28 @@ class TestEval:
         assert result.exit_code == 2
         assert "exceeds length 2" in result.output
 
+    def test_blank_table_lines_are_skipped(self, runner, tmp_path):
+        model, table = fit_aab_unigram(runner, tmp_path), tmp_path / "table.csv"
+        outputs = []
+        for blank in ("", "\n", " \t\n"):
+            table.write_text(f"sequence,prob\na a,0.75\n{blank}a b,0.25\n{blank}")
+            result = runner.invoke(main, ["eval", "--model", str(model), "--table", str(table)])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1] == outputs[2] and "kl(table||model)" in outputs[0]
+
+    def test_an_impossible_heldout_line_reports_an_infinite_loss(self, runner, tmp_path):
+        corpus, model, held = tmp_path / "aab.txt", tmp_path / "model.txt", tmp_path / "held.txt"
+        corpus.write_text("a a\na a\na b\n")
+        fitted = runner.invoke(main, ["fit", "--corpus", str(corpus), "--length", "2",
+                                      "--model-out", str(model)])
+        assert fitted.exit_code == 0
+        held.write_text("a a\na\n")  # the unsmoothed unigram never ends a line early
+        result = runner.invoke(main, ["eval", "--model", str(model), "--corpus", str(held)])
+        assert result.exit_code == 0, result.output
+        assert result.output == ("log-loss: infinite (sequence 1 is impossible under the model "
+                                 "(infinite loss))\n")
+
     def test_nothing_to_evaluate(self, runner, corpus_file, tmp_path):
         model = tmp_path / "model.txt"
         runner.invoke(
@@ -403,6 +431,14 @@ class TestAgeExperiment:
             "tvd_min_m", "tvd_at_min", "tvd_at_mle", "kl_at_tvd_min", "geometric_theta",
             "geometric_mean_gap", "geometric_gradient",
         ]
+
+    @pytest.mark.parametrize("m", [-1, 120])
+    def test_a_uniform_cap_outside_0_to_119_is_rejected(self, m):
+        from seqboost.age import AGE_MAX, uniform_family_probs
+
+        assert AGE_MAX == 119 and uniform_family_probs(AGE_MAX).sum() == pytest.approx(1.0)
+        with pytest.raises(ValueError, match=r"m must be in 0\.\.119"):
+            uniform_family_probs(m)
 
     def test_bad_length_input_rejected(self, runner, tmp_path):
         ages = tmp_path / "ages.txt"
@@ -456,6 +492,11 @@ MC = ["--distinguisher", "token-indicator:a", "--estimator", "monte-carlo"]
     (["fit", "--config", "{latin1}"], "cannot read config file {latin1}"),
     (["eval", "--model", "{aab_model}", "--table", "{latin1}"], "cannot read table {latin1}"),
     (["distinguish", "--model", "{aab_model}", *MC], "Missing option '--corpus'"),
+    (["fit", *AAB, "--vocab", "{void}"], "empty vocabulary file: {void}"),
+    (["boost", *AAB, "--oracle", "ngram-indicator", "--oracle-order", "0"], "order must be >= 1"),
+    (["age-experiment", "--ages", "{age_zero}"], "target mean 0.0 out of reachable range"),
+    (["age-experiment", "--ages", "{age_negative}"],
+     "age probabilities must be nonnegative and sum to 1"),
 ])
 def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
@@ -464,7 +505,8 @@ def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatc
              "wide_model": tmp_path / "wide_model.txt", "aab_model": tmp_path / "aab_model.txt",
              "empty": tmp_path / "empty.txt", "long": tmp_path / "long.txt",
              "padded": tmp_path / "padded.txt", "dir": tmp_path / "dir",
-             "latin1": tmp_path / "latin1.txt"}
+             "latin1": tmp_path / "latin1.txt", "void": tmp_path / "void.txt",
+             "age_zero": tmp_path / "age_zero.txt", "age_negative": tmp_path / "age_negative.txt"}
     files["aab"].write_text("a a\na a\na b\n")
     files["empty"].write_text("\n \t\n")
     files["long"].write_text("a\n\na b c\nb c d\n")
@@ -472,6 +514,9 @@ def test_argument_errors_exit_2_without_a_traceback(runner, tmp_path, monkeypatc
     files["xy"].write_text("x y\n")
     files["dir"].mkdir()
     files["latin1"].write_bytes("length = 2  # déjà\n".encode("latin-1"))
+    files["void"].write_text("")
+    files["age_zero"].write_text("1\n" + "0\n" * 119)  # every age 0: a mean no theta reaches
+    files["age_negative"].write_text("-0.5\n1.5\n" + "0\n" * 118)
     # 40 tokens at length 4: 41^4 sequences, past the default enumeration budget.
     files["wide"].write_text("".join(f"t{i % 40} t{(i * 7) % 40}\n" for i in range(60)))
     for corpus, model, length in (("aab", "aab_model", "2"), ("wide", "wide_model", "4")):
@@ -792,6 +837,9 @@ class TestModelHeaders:
         ("factors=1", "factors=2", "factors=2 does not match"),
         pytest.param("n=3\nlength=2\ntoken=<pad>\ntoken=a\ntoken=b\n",
                      "n=1\nlength=2\ntoken=<pad>\n", "needs a content token", id="one-token-base"),
+        ("base:\n", "bass:\n", "reweighted model file missing base section"),
+        ("kind=uniform", "kind=zipf", "unknown model kind 'zipf'"),
+        ("token=b\n", "token=b\n\n\njunk\n", "malformed model file: unexpected line 'junk'"),
     ])
     def test_reweighted_file_exits_2(self, runner, tmp_path, old, new, message):
         assert old in REWEIGHTED_FILE
@@ -822,6 +870,16 @@ class TestModelHeaders:
         for result in (by_table, by_corpus):
             assert result.exit_code == 2, result.output
             assert "cannot load model" in result.output and "exceeds 2**23" in result.output
+
+    @pytest.mark.parametrize("order", ["-1", "0"])
+    def test_order_below_1_exits_2(self, runner, tmp_path, order):
+        # No context rows, whose own check would speak first.
+        text = "".join(line for line in fit_abb_bigram(runner, tmp_path).read_text()
+                       .splitlines(keepends=True) if not line.startswith("context="))
+        assert "order=2\n" in text
+        result = self.eval_table(runner, tmp_path, text.replace("order=2\n", f"order={order}\n"))
+        assert result.exit_code == 2, result.output
+        assert "cannot load model" in result.output and "order must be >= 1" in result.output
 
     @pytest.mark.parametrize("kind", ["uniform", "ngram"])
     @pytest.mark.parametrize("length", ["-1", "0"])

@@ -312,6 +312,24 @@ def test_vocab_rejects_duplicates():
         Vocabulary(("<pad>", "a", "a"))
 
 
+def test_vocab_needs_the_pad_token_first():
+    for tokens in (("a", "<pad>"), ()):
+        with pytest.raises(ValueError, match="pad token must be present with id 0"):
+            Vocabulary(tokens)
+
+
+def test_sequence_rejects_the_pad_in_its_content():
+    with pytest.raises(ValueError, match="pad id 0 may not appear in unpadded content"):
+        Sequence.from_ids((1, 0), 3)
+
+
+def test_indicator_cells_need_a_context_that_fits_before_a_token():
+    corpus = Corpus(Vocabulary.build(["a", "b"]), 2, np.array([[1, 2], [2, 0]]))
+    assert len(corpus.indicator_cells(1)[0]) == 2
+    with pytest.raises(ValueError, match="no context of 2 tokens fits before a token in length 2"):
+        corpus.indicator_cells(2)
+
+
 def test_sequence_rejects_bad_lengths():
     with pytest.raises(ValueError):
         Sequence.from_ids((), 3)

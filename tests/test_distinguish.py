@@ -95,6 +95,14 @@ class TestTrainingAdvantage:
         assert mc.sample_count == 100_000
         assert abs(mc.value - exact) <= 0.01
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"estimator": "monte-carlo", "samples": 0}, "need at least 1 sample, got 0"),
+        ({"estimator": "bootstrap"}, "unknown estimator 'bootstrap'"),
+    ])
+    def test_bad_estimator_arguments_rejected(self, aaab_corpus, half_half, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            training_advantage(IS_B, aaab_corpus, half_half(), **kwargs)
+
 
 class TestGeneralizedAdvantage:
     def test_collapses_to_training_advantage_at_length_one(self, aaab_corpus, half_half):

@@ -270,6 +270,9 @@ class TestDivergences:
         lhs = cross_entropy(p, q) - cross_entropy(p, p)
         assert lhs == pytest.approx(kl_divergence(p, q), abs=1e-12)
 
+    def test_cross_entropy_support_violation_is_infinite(self):
+        assert cross_entropy(ab_table(0.5, 0.5), ab_table(1.0, 0.0)) == math.inf
+
     def test_cross_entropy_hand_value(self):
         assert cross_entropy(ab_table(0.75, 0.25), ab_table(0.5, 0.5)) == pytest.approx(math.log(2))
 

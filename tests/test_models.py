@@ -61,6 +61,12 @@ class TestNGramFit:
         model = ngram_mle_fit(aaab_corpus, order=2, lam=0.0)
         np.testing.assert_allclose(model.next_token_dist((2,)), [1 / 3, 1 / 3, 1 / 3])
 
+    def test_empty_corpus_rejected(self, aaab_corpus):
+        empty = Corpus(aaab_corpus.vocab, aaab_corpus.length, np.zeros((0, aaab_corpus.length),
+                                                                        dtype=np.int64))
+        with pytest.raises(ValueError, match="empty corpus"):
+            ngram_mle_fit(empty, order=1)
+
     def test_order_below_one_rejected(self, aaab_corpus):
         with pytest.raises(ValueError):
             ngram_mle_fit(aaab_corpus, order=0)
@@ -241,6 +247,9 @@ class TestLogLinear:
             ([[1], [2]], np.zeros(2), "one feature row per domain row"),
             ([1, 2], np.zeros((2, 1)), r"\(k, N\) array"),
             ([[1], [1]], np.zeros((2, 1)), "twice"),
+            (np.zeros((0, 1)), np.zeros((0, 1)), "empty domain"),
+            ([[1], [2]], np.array([[0.5], [1.5]]), r"feature values must lie in \[0, 1\]"),
+            ([[1], [2]], np.array([[-0.5], [1.0]]), r"feature values must lie in \[0, 1\]"),
         ],
     )
     def test_malformed_domain_or_features_rejected(self, ids, features, match):
@@ -699,6 +708,14 @@ class TestLogRatioFile:
         two_refs = first.extended(0.2, step_log_ratio(first, other, 2.0))
         with pytest.raises(ValueError, match="more than one reference"):
             model_to_text(two_refs)
+        custom = ReweightedModel(base, [(0.3, Distinguisher(lambda prefix: 0.5))])
+        with pytest.raises(ValueError, match="cannot serialize a custom step distinguisher"):
+            model_to_text(custom)
+
+    def test_writer_refuses_a_model_type_it_has_no_format_for(self, ab_vocab):
+        table = JointTable(ab_vocab, 1, np.array([0.0, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="cannot serialize model of type JointTable"):
+            model_to_text(table)
 
 
 def skewed_corpus(rng, vocab, length, m):
