@@ -57,8 +57,7 @@ class ReweightedModel(SequentialModel):
 
     The model's slot is (corpus, rows, logits): ``corpus_rows`` and the (K, n)
     logits they are normalised from, stacked as ``corpus.prefix_index`` numbers
-    the distinct prefixes.  ``conditionals`` gathers its rows, and ``extended``
-    carries its logits to the child.
+    the distinct prefixes.  ``extended`` carries its logits to the child.
     """
 
     def __init__(
@@ -96,27 +95,13 @@ class ReweightedModel(SequentialModel):
         self.partition_scale = partition_scale
 
     def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
-        """The rows of a (k, L) prefix array: a gather from the slot's rows where
-        its corpus has the prefix, found with one ``searchsorted`` among the
-        distinct L-token prefixes and offset into the stack, and ``_rows`` of
-        the ``_logits`` of each distinct missing prefix, computed once."""
+        """The rows of a (k, L) prefix array: ``_rows`` of the ``_logits`` of
+        each distinct prefix, computed once and gathered back.  No slot is read."""
         prefixes = np.ascontiguousarray(prefixes, dtype=np.int64)
         if not self.factors:
             return self.base.conditionals(prefixes)
-        (k, L), keys = prefixes.shape, row_keys(prefixes)
-        out, miss = np.empty((k, self.vocab.n)), np.arange(k)
-        if self._slot is not None and L < self._slot[0].length and self._slot[0].m:
-            distinct = self._slot[0].prefix_index[0]
-            known = row_keys(distinct[L])
-            pos = known.searchsorted(keys)
-            hit = known.take(pos, mode="clip") == keys
-            at = pos[hit] + sum(map(len, distinct[:L]))
-            out[hit], miss = self._slot[1].take(at, axis=0), miss[~hit]
-        if miss.size:
-            _, first, inverse = np.unique(keys.take(miss), return_index=True, return_inverse=True)
-            missing = prefixes.take(miss.take(first), axis=0)
-            out[miss] = self._rows(self._logits(missing)).take(inverse, axis=0)
-        return out
+        _, first, inverse = np.unique(row_keys(prefixes), return_index=True, return_inverse=True)
+        return self._rows(self._logits(prefixes.take(first, axis=0))).take(inverse, axis=0)
 
     def _fill(self, corpus: Corpus) -> tuple:
         """(rows, logits): with a factor, ``_rows`` of ``_logits`` per length;
@@ -255,7 +240,7 @@ def run_boost(
     b_t, stops if b_t < epsilon, and otherwise folds exp(-b_t g_t) into the
     model.  The returned model is epsilon-indistinguishable by this oracle.
     A round reads each distinct corpus prefix once: g's reads in
-    ``generalized_advantage`` carry the new factor into the child's memo
+    ``generalized_advantage`` carry the new factor into the child's slot
     (``extended``), and the round's loss is ``log_loss``, read from the rows
     (``corpus_rows``) that the next round's oracle and estimate read.
     """

@@ -117,8 +117,8 @@ class Sequence:
 
 def row_keys(prefixes: np.ndarray) -> np.ndarray:
     """One byte key per row of a C-contiguous (k, L) int64 array, a ``np.void``
-    view of its rows: equal rows have equal keys, and keys sort and search as
-    bytes, however large n^L is.  Every empty prefix has the same key."""
+    view of its rows: equal rows have equal keys, and keys sort as bytes,
+    however large n^L is.  Every empty prefix has the same key."""
     k, L = prefixes.shape
     return prefixes.view(f"V{8 * L}").reshape(k) if L else np.zeros(k, dtype="V1")
 

@@ -36,11 +36,13 @@ class Distinguisher:
     length N, or a step-wise one g(h, w) read at every prefix length 1..N.
 
     ``values`` maps an (..., L) id array (L >= 1) to the values of its rows,
-    an array of shape (...); advantages and reweighting read only it.  A
-    custom distinguisher may give a scalar ``fn`` of an id tuple instead,
-    which is turned into ``values`` here, once.  ``kind``/``params`` carry
-    serialization metadata for the built-in families (``from_params`` reads
-    them back); custom distinguishers leave them empty.  ``models`` is the
+    an array of shape (...); advantages and reweighting read only it, except
+    that they compute a step log-ratio's from its models' rows
+    (``log_ratio``).  A custom distinguisher may give a scalar ``fn`` of an
+    id tuple instead, which is turned into ``values`` here, once.
+    ``kind``/``params`` carry serialization metadata for the built-in
+    families (``from_params`` reads them back); custom distinguishers leave
+    them empty.  ``models`` is the
     (model, reference) pair a log-ratio distinguisher compares.  As a factor
     of a ``ReweightedModel`` its model must be the chain before the factor,
     whose rows the chain computes itself; only the reference is read.
@@ -145,17 +147,22 @@ def generalized_advantage(
 
     g is read once per length, on the extensions of ``corpus.prefix_index``'s
     distinct prefixes: the (K, n) reads that the estimate carries as
-    ``step_values``.  The model side, the exact expectation of g over the next
-    token under ``corpus_rows``, is one sum per distinct prefix; both sides are
-    gathered to the positions through ``prefix_index[1]``, the data side at the
-    corpus token.  The sums add tokens and then rows strictly left to right, as
-    a scalar loop over sequences and tokens would.
+    ``step_values``.  A log-ratio g's reads are instead ``log_ratio`` of its
+    two models' ``corpus_rows``, the same values.  The model side, the exact
+    expectation of g over the next token under ``corpus_rows``, is one sum per
+    distinct prefix; both sides are gathered to the positions through
+    ``prefix_index[1]``, the data side at the corpus token.  The sums add
+    tokens and then rows strictly left to right, as a scalar loop over
+    sequences and tokens would.
     """
     check_corpus(q, corpus)
     ids, n = corpus.ids, corpus.vocab.n
     rows = q.corpus_rows(corpus)
     distinct, prefix_rows = corpus.prefix_index
-    reads = np.concatenate([g.values(extensions(p, n)) for p in distinct], dtype=float)
+    if g.kind == "log-ratio":
+        reads = log_ratio(*(m.corpus_rows(corpus) for m in g.models), g.params)
+    else:
+        reads = np.concatenate([g.values(extensions(p, n)) for p in distinct], dtype=float)
     model_side = np.add.accumulate(np.where(rows > 0, rows * reads, 0.0), axis=1)[:, -1]
     terms = model_side.take(prefix_rows) - reads.reshape(-1).take(prefix_rows * n + ids)
     per_position = [float(acc) / corpus.m for acc in np.add.accumulate(terms, axis=0)[-1]]

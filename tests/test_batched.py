@@ -1,6 +1,7 @@
 """The array-native code paths against the scalar loops they replace.
 
-Every distinguisher is read through its ``values``; the scalar loops written
+Every distinguisher is read through its ``values``, except that the step-wise
+advantage reads a log-ratio's from its models' rows; the scalar loops written
 out here, which call it one prefix or sequence at a time, are the reference
 for the step-wise advantage, the boosting round and the exact advantages.  A
 custom distinguisher given as a scalar ``fn`` runs through the same array
@@ -560,10 +561,10 @@ def test_conditionals_and_enumerate_joint_add_nothing_to_the_memo(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_memo_hits_are_a_fresh_models_rows_bit_for_bit(data):
-    """Over queries that repeat and permute a corpus's prefixes (slot hits)
-    shuffled in with other prefixes (computed once per call), across prefix
-    lengths, every row is the row of a fresh model, whose slot is empty: before
-    and after ``extended`` carries the blocks forward by one factor."""
+    """Over queries that repeat and permute the prefixes of the corpus in the
+    slot, shuffled in with other prefixes, across prefix lengths, every row is
+    the row of a fresh model, whose slot is empty: before and after
+    ``extended`` carries the slot forward by one factor."""
     model = data.draw(models())
     if not isinstance(model, ReweightedModel) or not model.factors:
         model = ReweightedModel(model, [(0.5, token_indicator(model.vocab, 1))])
@@ -730,13 +731,51 @@ def test_a_log_ratio_factor_reads_the_rows_of_the_chain_it_extends(data):
         assert gathered_rows(model, corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
 
 
+def plain_or_reweighted(data, vocab, length):
+    """A base model, or one reweighted by 0-3 indicator factors."""
+    model = data.draw(base_models(vocab, length))
+    if data.draw(st.booleans()):
+        model = ReweightedModel(model, data.draw(factor_lists(vocab)))
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_log_ratio_advantage_is_the_extension_read_bit_for_bit(data):
+    """``generalized_advantage`` of a log-ratio g, which reads its two models'
+    ``corpus_rows``, is the read of g's ``values`` on the token extensions of
+    the corpus's distinct prefixes bit for bit: the value, the per-position
+    terms and the step reads.  g is flipped 0-2 times; its q is a base model
+    or a reweighted one (log-ratio factors included), and the advantage is
+    taken under g's q or another model; the reference is uniform, an n-gram,
+    a table or reweighted; either model's slot may hold the corpus's twin."""
+    q = data.draw(models())
+    vocab, length = q.vocab, q.length
+    corpus = data.draw(corpora_over(vocab, length))
+    reference = plain_or_reweighted(data, vocab, length)
+    g = step_log_ratio(q, reference, data.draw(st.floats(1.01, 100.0)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        g = g.flipped()
+    under = q if data.draw(st.booleans()) else plain_or_reweighted(data, vocab, length)
+    twin = Corpus(vocab, length, corpus.ids.copy())
+    for model in (q, reference):
+        if data.draw(st.booleans()):
+            model.corpus_rows(twin)
+    reads = np.concatenate([g.values(extensions(p, vocab.n)) for p in corpus.prefix_index[0]])
+    want = generalized_advantage(Distinguisher(values=g.values, label=g.label), corpus, under)
+    got = generalized_advantage(g, corpus, under)
+    assert got.step_values[0] is corpus
+    assert got.step_values[1].tobytes() == want.step_values[1].tobytes() == reads.tobytes()
+    assert got.per_position == want.per_position and got.value == want.value
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_memo_keeps_prefixes_apart_when_n_to_the_L_overflows_int64(data):
     """Over 1,201 tokens, 7-token prefixes number 1201^7 > 2^63.  Prefixes that
-    differ only in their first token get their own rows, whether a corpus put
-    them in the slot or they are computed once per call: only the one that
-    matches a 7-token n-gram indicator's context is reweighted."""
+    differ only in their first token get their own rows, in a query and in a
+    corpus's slot alike: only the one that matches a 7-token n-gram
+    indicator's context is reweighted."""
     n, L = 1201, 7
     assert n**L > 2**63
     vocab = Vocabulary.build(f"w{i}" for i in range(1, n))

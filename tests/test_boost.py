@@ -222,32 +222,21 @@ class TestStepwiseReweight:
         # One stack: the empty prefix at row 0, then the two 1-token prefixes.
         assert held is corpus and slot_rows is rows and logits.shape == rows.shape == (3, 3)
         assert rows[:1].tobytes() == cached._rows(logits[:1]).tobytes() == first.tobytes()
-        # Planted rows give what both forms return: the slot is read, and
-        # neither the logits nor the rows are recomputed.
-        planted = rows.copy()
-        cached._slot = corpus, planted, logits
-        sentinel = np.array([0.0, 0.5, 0.5])
-        planted[0] = sentinel
-        np.testing.assert_array_equal(cached.next_token_dist(()), sentinel)
-        np.testing.assert_array_equal(cached.conditionals(np.zeros((2, 0), dtype=np.int64)),
-                                      [sentinel, sentinel])
-        # Among the 1-token prefixes, the search finds the planted one's logits
-        # at its offset in the stack.
-        known = corpus.prefix_index[0][1].ravel().tolist()
-        assert sorted(known) == [1, 2]
-        planted[1 + known.index(1)] = sentinel
-        got = cached.conditionals(np.array([[1], [2], [1]]))
-        np.testing.assert_array_equal(got[[0, 2]], [sentinel, sentinel])
-        assert got[1].tobytes() == cached.next_token_dist((2,)).tobytes()
-        assert not np.array_equal(got[1], sentinel)
-        # A prefix the slot does not hold is computed, and not added.
-        got = cached.conditionals(np.array([[0], [1], [0]]))
-        np.testing.assert_array_equal(got[1], sentinel)
-        assert got[0].tobytes() == got[2].tobytes() == first.tobytes()
-        assert cached._slot[0] is corpus and cached._slot[1] is planted
-        assert cached._slot[2] is logits and logits.shape == (3, 3)
+        # Rows and logits planted in the slot change no query: conditionals and
+        # next_token_dist compute their rows, a fresh copy's bit for bit, and
+        # leave the slot as it was.
+        planted, planted_logits = np.tile([0.0, 0.5, 0.5], (3, 1)), np.zeros((3, 3))
+        cached._slot = corpus, planted, planted_logits
         fresh = ReweightedModel(half_half(2), [(0.5, g)])
-        assert fresh._slot is None
+        for prefixes in (np.zeros((2, 0), dtype=np.int64), np.array([[1], [2], [1]]),
+                         np.array([[0], [1], [0]])):
+            want = fresh.conditionals(prefixes)
+            assert cached.conditionals(prefixes).tobytes() == want.tobytes()
+            for prefix, row in zip(map(tuple, prefixes.tolist()), want):
+                assert cached.next_token_dist(prefix).tobytes() == row.tobytes()
+                assert not np.array_equal(row, planted[0])
+        assert cached._slot[0] is corpus and cached._slot[1] is planted
+        assert cached._slot[2] is planted_logits and fresh._slot is None
         np.testing.assert_array_equal(fresh.next_token_dist(()), first)
 
     def test_a_corpus_without_sequences_reads_as_empty_rows(self, ab_vocab, half_half):
@@ -257,7 +246,7 @@ class TestStepwiseReweight:
             model = ReweightedModel(half_half(2), factors)
             assert model.corpus_rows(empty).shape == (0, 3)
             assert model.corpus_log_probs(empty).shape == (0,)
-            # A slot of no prefixes is searched for none.
+            # A slot of no prefixes changes no query.
             prefixes = np.array([[1], [2]])
             want = ReweightedModel(half_half(2), factors).conditionals(prefixes)
             assert model.conditionals(prefixes).tobytes() == want.tobytes()
@@ -595,6 +584,20 @@ class TestOneArrayPerRound:
         assert len(model.factors) == 5 and calls == list(range(8)) * 2
         assert q0._slot is None
 
+    @pytest.mark.parametrize("rounds", [1, 12])
+    def test_a_log_ratio_run_reads_its_base_as_a_token_run_does(self, rounds):
+        corpus = deep_corpus()
+        q0, base_reads = UniformModel(corpus.vocab, 8), []
+        original = q0.conditionals
+        q0.conditionals = lambda prefixes: base_reads.append(prefixes.shape) or original(prefixes)
+        oracle = Capped(LogRatioOracle(ngram_mle_fit(corpus, 1, 0.5)), rounds)
+        model, _ = run_boost(q0, corpus, oracle, BoostConfig(1e-12, max_iters=rounds + 1))
+        # The initial loss reads every position, the factorless start's slot
+        # every distinct prefix; g's reads of q in the first round are that slot.
+        assert len(model.factors) == rounds
+        assert [L for _, L in base_reads] == list(range(8)) * 2
+        assert sum(k for k, _ in base_reads) == corpus.m * 8 + sum(map(len, corpus.prefix_index[0]))
+
     @pytest.mark.parametrize("rounds", [1, 7, 60])
     def test_a_token_run_makes_one_rows_call_per_round(self, monkeypatch, rounds):
         calls = count_calls(monkeypatch, "_rows")
@@ -633,15 +636,23 @@ class TestOneArrayPerRound:
         assert reads == [8] * (rounds + 1)
         assert extension_calls[0] == 8 * (rounds + 1)
 
-    @pytest.mark.parametrize("kind", ["token", "ngram-3"])
+    @pytest.mark.parametrize("kind", ["token", "ngram-3", "log-ratio", "log-ratio-reweighted"])
     def test_rounds_make_no_conditionals_call(self, counted_conditionals, kind):
         corpus = deep_corpus()
-        inner = TokenIndicatorOracle() if kind == "token" else NGramIndicatorOracle(3)
+        if kind == "log-ratio":
+            inner = LogRatioOracle(ngram_mle_fit(corpus, 1, 0.5))
+        elif kind == "log-ratio-reweighted":
+            reference, _ = run_boost(UniformModel(corpus.vocab, 8), corpus,
+                                     TokenIndicatorOracle(), BoostConfig(0.01))
+            inner = LogRatioOracle(reference)
+        else:
+            inner = TokenIndicatorOracle() if kind == "token" else NGramIndicatorOracle(3)
         model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, Capped(inner, 30),
                              BoostConfig(1e-12, max_iters=31))
-        # Every reweighted model's slot is carried from its parent's for the
-        # run's corpus, and every reader takes its rows, so no round searches
-        # the slot.
+        # Every reweighted model's slot, the reference's included, is filled
+        # or carried from its parent's for the run's corpus, and every reader
+        # (a log-ratio g's reads too) takes its rows, so no round asks for
+        # conditionals.
         assert len(model.factors) == 30 and counted_conditionals[0] == 0
         shape = (sum(map(len, corpus.prefix_index[0])), corpus.vocab.n)
         held, rows, logits = model._slot
@@ -659,7 +670,8 @@ class TestOneArrayPerRound:
         model, _ = run_boost(UniformModel(corpus.vocab, 8), corpus, oracle,
                              BoostConfig(1e-12, max_iters=rounds + 1))
         # Each reweighted model normalises the logits of the corpus's K distinct
-        # prefixes once; the log-ratio reads of each round gather those rows.
+        # prefixes once; each round's log-ratio reads are ``log_ratio`` of those
+        # rows and the reference's.
         assert len(model.factors) == rounds
         assert sum(normalised) <= rounds * sum(map(len, corpus.prefix_index[0]))
 
