@@ -15,12 +15,11 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, check_domain, row_keys
+from .corpus import Corpus, Vocabulary, check_domain, row_numbers
 from .distinguish import (
     Distinguisher,
     extensions,
     generalized_advantage,
-    log_ratio,
     ngram_indicator,
     step_log_ratio,
     token_indicator,
@@ -50,10 +49,10 @@ class ReweightedModel(SequentialModel):
     base-0 entry stays 0.  Weights must be nonnegative (a negative weight is a
     flipped distinguisher) with a running total ``weight_total`` of at most
     2**23: with each g in [0, 1], that keeps every row within 1e-9 of its
-    exact value.  A log-ratio factor must compare the chain before it, whose
-    rows the chain has just computed, as ``run_boost`` and the model reader
-    build them.  ``partition_scale`` is a test hook that deliberately
-    mis-scales the partition (1.0 in real use).
+    exact value.  A comparison factor (one with a ``rule``) must compare the
+    chain before it, whose rows the chain has just computed, as ``run_boost``
+    and the model reader build them.  ``partition_scale`` is a test hook that
+    deliberately mis-scales the partition (1.0 in real use).
 
     The model's slot is (corpus, rows, logits): ``corpus_rows`` and the (K, n)
     logits they are normalised from, stacked as ``corpus.prefix_index`` numbers
@@ -83,10 +82,10 @@ class ReweightedModel(SequentialModel):
             parent, factors, base = base, base.factors + factors, base.base
             start = len(parent.factors) if parent.partition_scale == partition_scale else 0
         for t in range(start, len(factors)):
-            q = factors[t][1].models[0] if factors[t][1].kind == "log-ratio" else None
+            q = factors[t][1].models[0] if factors[t][1].rule else None
             if q is not None and not (start and t == start and q is parent  # extended: O(1)
                                       or _is_chain(q, base, factors[:t], partition_scale)):
-                raise ValueError("a log-ratio factor must compare the chain before it")
+                raise ValueError("a comparison factor must compare the chain before it")
         self.base = base
         self.factors = factors
         self.weight_total = total
@@ -95,13 +94,13 @@ class ReweightedModel(SequentialModel):
         self.partition_scale = partition_scale
 
     def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
-        """The rows of a (k, L) prefix array: ``_rows`` of the ``_logits`` of
-        each distinct prefix, computed once and gathered back.  No slot is read."""
-        prefixes = np.ascontiguousarray(prefixes, dtype=np.int64)
+        """The rows of a (k, L) prefix array: ``_rows`` of the ``_logits`` of each
+        distinct prefix (``row_numbers``), computed once, gathered back; no slot is read."""
+        prefixes = np.asarray(prefixes, dtype=np.int64)
         if not self.factors:
             return self.base.conditionals(prefixes)
-        _, first, inverse = np.unique(row_keys(prefixes), return_index=True, return_inverse=True)
-        return self._rows(self._logits(prefixes.take(first, axis=0))).take(inverse, axis=0)
+        codes, first = row_numbers(prefixes)
+        return self._rows(self._logits(prefixes.take(first, axis=0))).take(codes, axis=0)
 
     def _fill(self, corpus: Corpus) -> tuple:
         """(rows, logits): with a factor, ``_rows`` of ``_logits`` per length;
@@ -123,8 +122,8 @@ class ReweightedModel(SequentialModel):
     def _logits(self, prefixes: np.ndarray) -> np.ndarray:
         """The logits of a (k, L) prefix array from the base, in blocks whose
         (rows, n, L + 1) token extensions hold at most EXTENSION_BLOCK ids.  A
-        log-ratio factor reads the rows computed so far (the base's before
-        the first factor) and its reference's conditionals (``log_ratio``)."""
+        comparison factor applies its ``rule`` to the rows computed so far (the
+        base's before the first factor) and its reference's, read once a block."""
         (k, L), n = prefixes.shape, self.vocab.n
         step = max(1, EXTENSION_BLOCK // (n * (L + 1)))
         if k > step:
@@ -134,10 +133,12 @@ class ReweightedModel(SequentialModel):
         with np.errstate(divide="ignore"):
             logits = np.log(rows)
         ext = extensions(prefixes, n) if self.factors else None
+        references = {id(g.models[1]): g.models[1] for _, g in self.factors if g.rule}
+        ref_rows = {key: ref.conditionals(prefixes) for key, ref in references.items()}
         for t, (b, g) in enumerate(self.factors):
-            if g.kind == "log-ratio":
+            if g.rule:
                 pq = rows if t == 0 else self._rows(logits)
-                logits -= b * log_ratio(pq, g.models[1].conditionals(prefixes), g.params)
+                logits -= b * g.rule(pq, ref_rows[id(g.models[1])])
             else:
                 logits -= b * g.values(ext)
         return logits

@@ -30,22 +30,33 @@ def _row_values(fn: Callable[[tuple[int, ...]], float]) -> Callable[[np.ndarray]
     return values
 
 
+def _rule_values(rule, models: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """``values`` for a comparison ``rule``: the rule of both models' ``token_probs``
+    of every row's last token after the tokens before it."""
+
+    def values(ids: np.ndarray) -> np.ndarray:
+        rows = ids.reshape(-1, ids.shape[-1])
+        pq, pr = (m.token_probs(rows[:, :-1], rows[:, -1]) for m in models)
+        return rule(pq, pr).reshape(ids.shape[:-1])
+
+    return values
+
+
 @dataclass(frozen=True)
 class Distinguisher:
     """Maps token-id rows to [0, 1]: a whole-sequence distinguisher f(x) read at
     length N, or a step-wise one g(h, w) read at every prefix length 1..N.
 
     ``values`` maps an (..., L) id array (L >= 1) to the values of its rows,
-    an array of shape (...); advantages and reweighting read only it, except
-    that they compute a step log-ratio's from its models' rows
-    (``log_ratio``).  A custom distinguisher may give a scalar ``fn`` of an
-    id tuple instead, which is turned into ``values`` here, once.
-    ``kind``/``params`` carry serialization metadata for the built-in
-    families (``from_params`` reads them back); custom distinguishers leave
-    them empty.  ``models`` is the
-    (model, reference) pair a log-ratio distinguisher compares.  As a factor
-    of a ``ReweightedModel`` its model must be the chain before the factor,
-    whose rows the chain computes itself; only the reference is read.
+    an array of shape (...).  A custom distinguisher may give a scalar ``fn``
+    of an id tuple instead, turned into ``values`` here, once.  A comparison
+    gives ``models`` = (q, reference) and a ``rule`` instead: g(h, w) =
+    rule(q(w | h), reference(w | h)), elementwise on two probability arrays,
+    which ``values`` applies to ``token_probs`` and advantages and reweighting
+    to rows of conditionals.  As a factor of a ``ReweightedModel`` its q must
+    be the chain before it, whose rows the chain computes itself.
+    ``kind``/``params`` are serialization metadata for the built-in families
+    (``from_params`` reads them back); custom distinguishers leave them empty.
     """
 
     fn: Callable[[tuple[int, ...]], float] | None = None
@@ -53,21 +64,24 @@ class Distinguisher:
     kind: str = "custom"
     params: tuple = ()
     values: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
+        default=None, compare=False, repr=False)
     models: tuple = field(default=(), compare=False, repr=False)
+    rule: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.values is None:
-            object.__setattr__(self, "values", _row_values(self.fn))
+            values = _rule_values(self.rule, self.models) if self.rule else _row_values(self.fn)
+            object.__setattr__(self, "values", values)
 
     def __call__(self, x: tuple[int, ...]) -> float:
         return float(self.values(np.array(x, dtype=np.int64)))
 
     def flipped(self) -> "Distinguisher":
-        values = self.values
+        values, rule = self.values, self.rule
         return replace(self, fn=None, label=f"1-({self.label})", params=self.params + ("flip",),
-                       values=lambda ids: 1.0 - values(ids))
+                       values=lambda ids: 1.0 - values(ids),
+                       rule=None if rule is None else lambda pq, pr: 1.0 - rule(pq, pr))
 
 
 StepDistinguisher = Distinguisher  # the step-wise reading has no type of its own
@@ -147,7 +161,7 @@ def generalized_advantage(
 
     g is read once per length, on the extensions of ``corpus.prefix_index``'s
     distinct prefixes: the (K, n) reads that the estimate carries as
-    ``step_values``.  A log-ratio g's reads are instead ``log_ratio`` of its
+    ``step_values``.  A comparison g's reads are instead its ``rule`` of its
     two models' ``corpus_rows``, the same values.  The model side, the exact
     expectation of g over the next token under ``corpus_rows``, is one sum per
     distinct prefix; both sides are gathered to the positions through
@@ -159,8 +173,8 @@ def generalized_advantage(
     ids, n = corpus.ids, corpus.vocab.n
     rows = q.corpus_rows(corpus)
     distinct, prefix_rows = corpus.prefix_index
-    if g.kind == "log-ratio":
-        reads = log_ratio(*(m.corpus_rows(corpus) for m in g.models), g.params)
+    if g.rule:
+        reads = g.rule(*(m.corpus_rows(corpus) for m in g.models))
     else:
         reads = np.concatenate([g.values(extensions(p, n)) for p in distinct], dtype=float)
     model_side = np.add.accumulate(np.where(rows > 0, rows * reads, 0.0), axis=1)[:, -1]
@@ -253,40 +267,29 @@ def ngram_indicator(
     return base.flipped() if flip else base
 
 
-def log_ratio(pq: np.ndarray, pr: np.ndarray, params: tuple) -> np.ndarray:
-    """A step log-ratio's values from q's and the reference's probabilities of
-    the same tokens (two arrays of one shape) and its ``params``: C, then one
-    ``"flip"`` for each flip.  log(C pq / pr) / (2 log C), clamped to [0, 1];
-    a token neither model allows scores 1/2, one only the reference allows 0,
-    and one only q allows 1."""
-    log_c = math.log(params[0])
+def log_ratio(pq: np.ndarray, pr: np.ndarray, C: float) -> np.ndarray:
+    """The step log-ratio of q's and the reference's probabilities of the same
+    tokens (two arrays of one shape): log(C pq / pr) / (2 log C), clamped to
+    [0, 1]; a token neither model allows scores 1/2, one only the reference
+    allows 0, and one only q allows 1."""
+    log_c = math.log(C)
     out = np.where(pq > 0.0, 1.0, np.where(pr > 0.0, 0.0, 0.5))
     both = (pq > 0.0) & (pr > 0.0)
     out[both] = np.clip((log_c + _logs(pq[both]) - _logs(pr[both])) / (2.0 * log_c), 0.0, 1.0)
-    for _ in params[1:]:
-        out = 1.0 - out
     return out
 
 
 def step_log_ratio(
     q: SequentialModel, ref: SequentialModel, C: float, flip: bool = False
 ) -> Distinguisher:
-    """Conditional log-ratio of q vs a reference model, scaled and clamped to [0,1]
-    (``log_ratio``).  Both models' probabilities come from ``token_probs``, one
-    call each for a whole id array."""
+    """Conditional log-ratio of q vs a reference model, scaled and clamped to [0,1]:
+    the comparison distinguisher whose rule is ``log_ratio`` with this C."""
     if not 1.0 < C < math.inf:  # NaN too
         raise ValueError(f"C must be finite and exceed 1, got {C}")
     check_domain(ref, q, ("the reference", "the model"))
-
-    def values(ids: np.ndarray) -> np.ndarray:
-        rows = ids.reshape(-1, ids.shape[-1])
-        pq = q.token_probs(rows[:, :-1], rows[:, -1])
-        pr = ref.token_probs(rows[:, :-1], rows[:, -1])
-        return log_ratio(pq, pr, (C,)).reshape(ids.shape[:-1])
-
     base = Distinguisher(
         label=f"step-log-ratio(C={C:g})", kind="log-ratio", params=(C,),
-        values=values, models=(q, ref),
+        models=(q, ref), rule=lambda pq, pr: log_ratio(pq, pr, C),
     )
     return base.flipped() if flip else base
 

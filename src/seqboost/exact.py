@@ -111,12 +111,6 @@ class JointTable(SequentialModel):
         prefixes = np.asarray(prefixes)
         return self._levels[prefixes.shape[1]][sequence_index(self.vocab, prefixes)]
 
-    def token_probs(self, prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """One flat gather from the level of the prefixes' length."""
-        prefixes = np.asarray(prefixes)
-        flat = sequence_index(self.vocab, prefixes) * self.vocab.n + tokens
-        return self._levels[prefixes.shape[1]].reshape(-1).take(flat)
-
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("sequence,prob\n")

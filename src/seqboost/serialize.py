@@ -14,11 +14,11 @@ in blocks of at most ``BLOCK_ENTRIES`` table entries, each checked as a whole;
 a loaded model's rows are row views of one (contexts, n) table.
 
 A reweighted model lists its factors, then the one reference model of its
-log-ratio factors under ``reference:`` (when it has any), then its base under
-``base:``.  The reader rebuilds the chain as ``run_boost`` grows it: the base,
-then ``extended`` by each factor, decoded by ``distinguish.from_params``; a
-log-ratio factor compares the chain before it with the reference, which
-must share the base's domain (``check_domain``).
+comparison factors under ``reference:`` (when it has any), then its base
+under ``base:``.  The reader rebuilds the chain as ``run_boost`` grows it:
+the base, then ``extended`` by each factor, decoded by
+``distinguish.from_params``; a log-ratio factor compares the chain before it
+with the reference, which must share the base's domain (``check_domain``).
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ def model_to_text(model: SequentialModel) -> str:
                 raise ValueError("cannot serialize a custom step distinguisher")
             payload = json.dumps({"kind": g.kind, "params": list(g.params)})
             lines.append(f"factor={_fmt(b)}|{payload}")
-        references = [g.models[1] for _, g in model.factors if g.kind == "log-ratio"]
+        references = [g.models[1] for _, g in model.factors if g.rule]
         if any(ref is not references[0] for ref in references):
-            raise ValueError("cannot serialize log-ratio factors with more than one reference")
+            raise ValueError("cannot serialize comparison factors with more than one reference")
         if references:
             lines.append("reference:")
             lines.append(model_to_text(references[0]))

@@ -1,7 +1,8 @@
 """The array-native code paths against the scalar loops they replace.
 
 Every distinguisher is read through its ``values``, except that the step-wise
-advantage reads a log-ratio's from its models' rows; the scalar loops written
+advantage and reweighting apply a comparison distinguisher's ``rule`` (a
+log-ratio's among them) to its models' rows; the scalar loops written
 out here, which call it one prefix or sequence at a time, are the reference
 for the step-wise advantage, the boosting round and the exact advantages.  A
 custom distinguisher given as a scalar ``fn`` runs through the same array
@@ -40,7 +41,6 @@ from seqboost.distinguish import (
     bayes_optimal_distinguisher,
     extensions,
     generalized_advantage,
-    log_ratio,
     log_ratio_distinguisher,
     minimal_ratio_bound,
     ngram_indicator,
@@ -700,8 +700,8 @@ def test_a_chain_switching_corpora_has_a_fresh_copys_rows_and_keeps_the_last_cor
 def test_a_log_ratio_factor_reads_the_rows_of_the_chain_it_extends(data):
     """Along a chain grown by ``extended`` (with or without handed reads of g)
     by log-ratio factors, flipped 0-2 times, and indicators, over uniform,
-    n-gram and table bases at partition scales 1.0, 0.9 and 1.01:
-    ``log_ratio`` of the chain's rows and the reference's is the new factor's
+    n-gram and table bases at partition scales 1.0, 0.9 and 1.01: the new
+    factor's ``rule`` of the chain's rows and the reference's is its
     ``values`` on their token extensions bit for bit, and a fresh copy, which
     computes every factor from its own running rows, has the live chain's rows
     bit for bit, at drawn prefixes and at the corpus's (carried slot blocks)."""
@@ -718,8 +718,7 @@ def test_a_log_ratio_factor_reads_the_rows_of_the_chain_it_extends(data):
             for _ in range(data.draw(st.integers(0, 2))):
                 g = g.flipped()
             prefixes = data.draw(prefix_arrays(model))
-            values = log_ratio(model.conditionals(prefixes), reference.conditionals(prefixes),
-                               g.params)
+            values = g.rule(model.conditionals(prefixes), reference.conditionals(prefixes))
             assert values.tobytes() == g.values(extensions(prefixes, vocab.n)).tobytes()
         else:
             g = data.draw(indicators(vocab))
@@ -767,6 +766,57 @@ def test_a_log_ratio_advantage_is_the_extension_read_bit_for_bit(data):
     assert got.step_values[0] is corpus
     assert got.step_values[1].tobytes() == want.step_values[1].tobytes() == reads.tobytes()
     assert got.per_position == want.per_position and got.value == want.value
+
+
+def next_token_distinguisher(q, reference, flips):
+    """g* = 1[q(w | h) > reference(w | h)], the next-token comparison, flipped ``flips`` times."""
+    g = Distinguisher(label="next-token", models=(q, reference),
+                      rule=lambda pq, pr: (pq > pr).astype(float))
+    for _ in range(flips):
+        g = g.flipped()
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_comparison_rule_that_is_not_a_log_ratio_is_read_as_one_is(data):
+    """The next-token distinguisher g* = 1[q > p_hat], flipped 0-2 times, with
+    a q that is a base model or a reweighted one: its ``values`` on token
+    extensions are its rule of both models' ``token_probs``;
+    ``generalized_advantage``'s reads, from both models' ``corpus_rows``, are
+    that extension read bit for bit; and a chain grown by ``extended`` (with
+    or without handed reads) by such factors has a fresh copy's rows bit for
+    bit, and refuses a factor that compares another model."""
+    vocab, length = make_vocab(data.draw(st.integers(2, 4))), data.draw(st.integers(1, 3))
+    corpus = data.draw(corpora_over(vocab, length))
+    p_hat = data.draw(base_models(vocab, length))
+    q, flips = plain_or_reweighted(data, vocab, length), data.draw(st.integers(0, 2))
+    g = next_token_distinguisher(q, p_hat, flips)
+    ext = extensions(data.draw(prefix_arrays(q)), vocab.n)
+    rows = ext.reshape(-1, ext.shape[-1])
+    want = (q.token_probs(rows[:, :-1], rows[:, -1])
+            > p_hat.token_probs(rows[:, :-1], rows[:, -1])).astype(float)
+    for _ in range(flips):
+        want = 1.0 - want
+    assert g.values(ext).tobytes() == want.reshape(ext.shape[:-1]).tobytes()
+    reads = np.concatenate([g.values(extensions(p, vocab.n)) for p in corpus.prefix_index[0]])
+    assert generalized_advantage(g, corpus, q).step_values[1].tobytes() == reads.tobytes()
+
+    model = ReweightedModel(data.draw(base_models(vocab, length)), [],
+                            data.draw(st.sampled_from([1.0, 0.9, 1.01])))
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = next_token_distinguisher(model, p_hat, data.draw(st.integers(0, 2)))
+        handed = generalized_advantage(g, corpus, model).step_values
+        model = model.extended(data.draw(st.floats(0.0, 2.0)),
+                               g, handed if data.draw(st.booleans()) else ())
+        prefixes = data.draw(prefix_arrays(model))
+        assert model.conditionals(prefixes).tobytes() == fresh(model).conditionals(prefixes).tobytes()
+        assert gathered_rows(model, corpus).tobytes() == stacked_conditionals(model, corpus).tobytes()
+    other = next_token_distinguisher(q, p_hat, 0)
+    with pytest.raises(ValueError, match="chain before it"):
+        model.extended(0.5, other)
+    with pytest.raises(ValueError, match="chain before it"):
+        ReweightedModel(model.base, model.factors + [(0.5, other)], model.partition_scale)
 
 
 @settings(max_examples=25, deadline=None)

@@ -739,11 +739,11 @@ class TestOneArrayPerRound:
         assert len(model.factors) == 10
         assert calls == list(range(8))  # N calls, one per position, not N per round
         # Another corpus, even with equal ids, is read anew: once per position
-        # for the reference's slot, and once per position and factor for the
-        # fresh logits that replace the chain's slot.
+        # for the reference's slot, and once per position for the fresh logits
+        # that replace the chain's slot, which read each reference once.
         twin = Corpus(corpus.vocab, 8, corpus.ids.copy())
         oracle.propose(model, twin)
-        assert sorted(calls[8:]) == sorted(list(range(8)) * 11)
+        assert sorted(calls[8:]) == sorted(list(range(8)) * 2)
         assert model._slot[0] is twin and reference._slot[0] is twin
 
     def test_a_log_ratio_runs_reference_keeps_the_corpus_in_its_own_slot(self):
@@ -792,3 +792,17 @@ class TestOneArrayPerRound:
         for level in levels:
             level.conditionals = level.token_probs = refuse
         assert log_loss(loaded, corpus).log_loss == trace.records[-1].log_loss
+
+    def test_a_reloaded_log_ratio_chain_reads_its_reference_once_per_length(self):
+        corpus = deep_corpus()
+        model, trace = run_boost(UniformModel(corpus.vocab, 8), corpus,
+                                 Capped(LogRatioOracle(ngram_mle_fit(corpus, 2, 0.5)), 20),
+                                 BoostConfig(1e-12, max_iters=21))
+        loaded = model_from_text(model_to_text(model))
+        (reference,) = {id(g.models[1]): g.models[1] for _, g in loaded.factors}.values()
+        calls, original = [], reference.conditionals
+        reference.conditionals = lambda prefixes: calls.append(prefixes) or original(prefixes)
+        assert log_loss(loaded, corpus).log_loss == trace.records[-1].log_loss
+        # The 20 factors share one read of the distinct prefixes of each length.
+        assert len(loaded.factors) == 20
+        assert [p.tobytes() for p in calls] == [p.tobytes() for p in corpus.prefix_index[0]]
