@@ -123,7 +123,8 @@ class ReweightedModel(SequentialModel):
         """The logits of a (k, L) prefix array from the base, in blocks whose
         (rows, n, L + 1) token extensions hold at most EXTENSION_BLOCK ids.  A
         comparison factor applies its ``rule`` to the rows computed so far (the
-        base's before the first factor) and its reference's, read once a block."""
+        base's before the first factor) and its reference's, read once a block;
+        the extensions are built only when some factor reads ``values``."""
         (k, L), n = prefixes.shape, self.vocab.n
         step = max(1, EXTENSION_BLOCK // (n * (L + 1)))
         if k > step:
@@ -132,7 +133,7 @@ class ReweightedModel(SequentialModel):
         rows = self.base.conditionals(prefixes)
         with np.errstate(divide="ignore"):
             logits = np.log(rows)
-        ext = extensions(prefixes, n) if self.factors else None
+        ext = extensions(prefixes, n) if any(not g.rule for _, g in self.factors) else None
         references = {id(g.models[1]): g.models[1] for _, g in self.factors if g.rule}
         ref_rows = {key: ref.conditionals(prefixes) for key, ref in references.items()}
         for t, (b, g) in enumerate(self.factors):

@@ -68,7 +68,10 @@ def _run(
 
 @functools.cache
 def make_vocab(n: int) -> Vocabulary:
-    """An n-token vocabulary: the pad plus n-1 letters, one frozen one per n."""
+    """An n-token vocabulary: the pad plus n-1 letters, one frozen one per n.
+    There are 26 letters, so n must be in 1..27."""
+    if not 1 <= n <= len(string.ascii_lowercase) + 1:
+        raise ValueError(f"a vocabulary of n = {n} tokens needs 1 <= n <= 27")
     return Vocabulary.build(string.ascii_lowercase[: n - 1])
 
 

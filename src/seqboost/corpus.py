@@ -135,13 +135,28 @@ def row_numbers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     number, and for each number the index of its first row.  Numbers follow
     the rows' lexicographic order; with no column, every row is number 0.
 
-    One 1-D ``np.unique`` per column, renumbering after each so that the
-    numbers stay below k: no row sort.
+    One column at a time, renumbering after each so that the numbers stay
+    below k: no row sort.  A column's keys (number so far * base + entry + 1)
+    lie below the distinct numbers so far times base.  When that key space is
+    at most 4k, the keys are numbered by counting: a presence array's
+    ``cumsum`` numbers them in order, and ``np.minimum.at`` finds each
+    number's first row.  A wider key space takes one 1-D ``np.unique``.
+    (``np.minimum.at`` is fast from numpy 1.25 on; on 1.24 it is correct but
+    slower.)
     """
-    base = int(rows.max(initial=0)) + 2  # above every entry + 1
-    codes, first = np.zeros(len(rows), dtype=np.int64), np.arange(min(len(rows), 1))
+    k, base = len(rows), int(rows.max(initial=0)) + 2  # above every entry + 1
+    codes, first = np.zeros(k, dtype=np.int64), np.arange(min(k, 1))
     for col in rows.T:
-        _, first, codes = np.unique(codes * base + col + 1, return_index=True, return_inverse=True)
+        keys, span = codes * base + col + 1, len(first) * base
+        if span > 4 * k:
+            _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+            continue
+        present = np.zeros(span, dtype=bool)
+        present[keys] = True
+        numbers = present.cumsum() - 1
+        codes = numbers[keys]
+        first = np.full(np.count_nonzero(present), k, dtype=np.intp)
+        np.minimum.at(first, codes, np.arange(k))
     return codes, first
 
 
@@ -155,11 +170,18 @@ def context_groups(
     start of a sequence.  Returns the rank of every counted position's
     context, in row-major order, and the contexts in rank order: contexts rank
     in order of first appearance, row by row.
+
+    Context column c is one boolean-mask read of the padded ids shifted by c,
+    which lists the counted positions in row-major order.
     """
+    N = ids.shape[1]
     padded = np.concatenate([np.full((len(ids), width), -1, dtype=np.int64), ids], axis=1)
-    rows, cols = np.nonzero(counted)
-    # context[p]: the width ids before counted position p, -1 before the start.
-    context = padded[rows[:, None], cols[:, None] + np.arange(width)]
+    # context[p]: the width ids before counted position p, -1 before the start,
+    # stored a column at a time so that row_numbers reads each column contiguously.
+    columns = np.empty((width, np.count_nonzero(counted)), dtype=np.int64)
+    for c in range(width):
+        columns[c] = padded[:, c : c + N][counted]
+    context = columns.T
     codes, first = row_numbers(context)
     by_first = np.argsort(first)
     contexts = [tuple(t for t in ctx if t >= 0) for ctx in context[first[by_first]].tolist()]

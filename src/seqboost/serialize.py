@@ -56,15 +56,22 @@ def _row_blocks(k: int, n: int) -> list[slice]:
 def _sparse_rows(rows: np.ndarray, keys: list[str]) -> list[str]:
     """``<fill>|<id>:<p> ...`` for every row of a (k, n) block; ``keys[i]`` is ``f"{i}:"``.
     The fill counts 0.0 and -0.0 as one value, as ``np.unique`` does, written as the one
-    sorted first; pairs compare bits, so both come back as written."""
+    sorted first; pairs compare bits, so both come back as written.
+
+    The fill is read from the runs of equal values in each sorted row: where
+    the runs start, their lengths, each row's longest length
+    (``np.maximum.reduceat``), then each row's first run of that length."""
     k, n = rows.shape
     ordered = np.sort(rows, axis=1)
-    run_start = np.zeros((k, n), dtype=np.int64)  # where the run of equal values at j starts
-    new_run = (ordered[:, 1:] != ordered[:, :-1]) & ~np.isnan(ordered[:, :-1])  # NaNs sort last
-    run_start[:, 1:] = np.where(new_run, np.arange(1, n), 0)
-    run_start = np.maximum.accumulate(run_start, axis=1)
-    end = np.argmax(np.arange(n) - run_start, axis=1)  # of the first longest run
-    fill = ordered[np.arange(k), run_start[np.arange(k), end]]
+    starts = np.ones((k, n), dtype=bool)  # where a run of equal values starts
+    starts[:, 1:] = (ordered[:, 1:] != ordered[:, :-1]) & ~np.isnan(ordered[:, :-1])  # NaNs sort last
+    at = np.flatnonzero(starts)  # every row starts a run, so no run spans two rows
+    length = np.diff(at, append=k * n)
+    row_of, col = np.divmod(at, n)
+    longest = np.maximum.reduceat(length, np.flatnonzero(col == 0))
+    hit = np.flatnonzero(length == longest[row_of])
+    first_hit = hit[np.diff(row_of[hit], prepend=-1) != 0]  # the first longest run of each row
+    fill = ordered.reshape(-1)[at[first_hit]]
     differs = rows.view(np.int64) != fill.view(np.int64)[:, None]
     bits, which = np.unique(rows[differs].view(np.int64), return_inverse=True)
     text = [_fmt(p) for p in bits.view(np.float64).tolist()]

@@ -33,7 +33,7 @@ from seqboost.boost import (
 )
 from seqboost.checks import make_vocab
 from seqboost.cli import main
-from seqboost.corpus import Corpus, Sequence, Vocabulary, context_groups
+from seqboost.corpus import Corpus, Sequence, Vocabulary, context_groups, row_numbers
 from seqboost.distinguish import (
     Distinguisher,
     StepDistinguisher,
@@ -1046,6 +1046,41 @@ def test_context_groups_match_a_dict_loop(corpus, width, mask):
     group, contexts = context_groups(corpus.ids, width, counted)
     assert group.tolist() == want
     assert contexts == list(ranks)
+
+
+@st.composite
+def id_rows(draw):
+    """A (k, w) array of ints >= -1, k 0-40 and w 0-4.  Entries up to 3 give key
+    spaces within 4k, numbered by counting, unless k is tiny; entries up to 10^6
+    give wide ones, numbered by ``np.unique``."""
+    k, w = draw(st.integers(0, 40)), draw(st.integers(0, 4))
+    top = draw(st.sampled_from([0, 1, 3, 10**6]))
+    entries = draw(st.lists(st.integers(-1, top), min_size=k * w, max_size=k * w))
+    return np.array(entries, dtype=np.int64).reshape(k, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_rows())
+def test_row_numbers_rank_the_distinct_rows_and_find_each_ones_first(rows):
+    tuples = list(map(tuple, rows.tolist()))
+    distinct = sorted(set(tuples))
+    codes, first = row_numbers(rows)
+    assert codes.dtype == first.dtype == np.intp
+    assert codes.tolist() == [distinct.index(t) for t in tuples]
+    assert first.tolist() == [tuples.index(t) for t in distinct]
+
+
+@pytest.mark.parametrize("top, k, sorts", [(3, 110, 0), (10**6, 3, 1), (10**6, 0, 0)])
+def test_row_numbers_sort_only_a_wide_key_space(monkeypatch, top, k, sorts):
+    """One column: a key space within 4k (entries up to 3 among 110 rows) is
+    counted; a wide one (an entry of 10^6 among 3 rows) takes one np.unique."""
+    rows = np.random.default_rng(0).integers(-1, top + 1, size=(k, 1))
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(0) or unique(*a, **kw))
+    codes, first = row_numbers(rows)
+    assert len(calls) == sorts
+    _, want_first, want_codes = unique(rows[:, 0], return_index=True, return_inverse=True)
+    assert codes.tolist() == want_codes.tolist() and first.tolist() == want_first.tolist()
 
 
 @st.composite

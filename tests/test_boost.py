@@ -793,6 +793,20 @@ class TestOneArrayPerRound:
             level.conditionals = level.token_probs = refuse
         assert log_loss(loaded, corpus).log_loss == trace.records[-1].log_loss
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_chain_builds_extensions_only_for_a_factor_without_a_rule(self, monkeypatch, mixed):
+        corpus = random_corpus(np.random.default_rng(3), make_vocab(3), 4, 30)
+        model, _ = run_boost(UniformModel(corpus.vocab, 4), corpus,
+                             Capped(LogRatioOracle(ngram_mle_fit(corpus, 2, 0.5)), 5),
+                             BoostConfig(1e-12, max_iters=6))
+        if mixed:
+            model = model.extended(0.25, token_indicator(corpus.vocab, 1))
+        calls = count_module_calls(monkeypatch, "extensions", seqboost.distinguish, seqboost.boost)
+        enumerate_joint(model)
+        # A comparison factor reads rows, never the (k, n, L + 1) token extensions.
+        assert len(model.factors) == 5 + mixed
+        assert (calls[0] > 0) == mixed
+
     def test_a_reloaded_log_ratio_chain_reads_its_reference_once_per_length(self):
         corpus = deep_corpus()
         model, trace = run_boost(UniformModel(corpus.vocab, 8), corpus,

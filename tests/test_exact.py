@@ -233,6 +233,16 @@ def test_make_vocab_is_one_vocabulary_per_size():
     assert make_vocab(5) is make_vocab(5) and make_vocab(5).tokens == ("<pad>", "a", "b", "c", "d")
 
 
+def test_make_vocab_spans_the_pad_and_the_26_letters():
+    assert make_vocab(1).tokens == ("<pad>",) and make_vocab(27).tokens[-1] == "z"
+
+
+@pytest.mark.parametrize("n", [0, 28, 50])
+def test_make_vocab_refuses_a_size_it_cannot_spell(n):
+    with pytest.raises(ValueError, match=f"n = {n} tokens needs 1 <= n <= 27"):
+        make_vocab(n)
+
+
 def test_two_suite_runs_in_one_process_agree():
     assert checks.default_suites() == checks.default_suites()
 

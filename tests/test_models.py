@@ -585,6 +585,7 @@ class TestBlockedRows:
         ])
         keys = [f"{i}:" for i in range(6)]
         assert serialize._sparse_rows(rows, keys) == [reference_sparse_row(r) for r in rows]
+        assert serialize._sparse_rows(rows[:0], keys) == []  # an empty block
 
     @pytest.mark.parametrize("row", [
         "context=|0|0:1e999 1:-1e999 2:1",  # inf and -inf: no warning from their sum
