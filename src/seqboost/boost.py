@@ -224,13 +224,31 @@ class Oracle(Protocol):
     def propose(self, q: SequentialModel, corpus: Corpus) -> Distinguisher: ...
 
 
+class IterationBoundError(ValueError):
+    """An iteration bound that is not a finite number of rounds."""
+
+
 def iteration_bound(initial_loss: float, length: int, epsilon: float) -> int:
-    """ceil(2 L0 / (N eps^2)): max iterations before the loss would go negative."""
+    """ceil(2 L0 / (N eps^2)): max iterations before the loss would go negative.
+
+    Raises IterationBoundError when the bound is not finite, as when eps^2
+    underflows to 0 or the quotient to infinity.
+    """
     if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     if initial_loss < 0 or length < 1:
         raise ValueError("need initial_loss >= 0 and length >= 1")
-    return math.ceil(2.0 * initial_loss / (length * epsilon**2))
+    try:
+        bound = 2.0 * initial_loss / (length * epsilon**2)
+    except OverflowError:  # eps^2 overflows: the quotient is 0 or a positive below any float
+        return int(initial_loss > 0)
+    except ZeroDivisionError:  # eps^2 underflows to 0
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise IterationBoundError(
+            f"epsilon {epsilon!r} is too small: the iteration bound 2 L0 / (N eps^2) "
+            f"is not finite (L0 {initial_loss!r}, N {length})")
+    return math.ceil(bound)
 
 
 def run_boost(

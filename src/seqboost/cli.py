@@ -18,7 +18,9 @@ import click
 import numpy as np
 
 from . import age as age_mod
-from .boost import BoostConfig, MaxItersExceededError, make_oracle, run_boost
+from .boost import (
+    BoostConfig, IterationBoundError, MaxItersExceededError, make_oracle, run_boost,
+)
 from .checks import default_suites
 from .corpus import Vocabulary, check_domain, load_corpus
 from .distinguish import from_params, generalized_advantage, training_advantage
@@ -212,6 +214,8 @@ def boost(corpus, length, init, order, lam, oracle, oracle_order, ref_model, eps
     _writable(trace_out, model_out)
     try:
         model, trace = run_boost(q0, corpus, oracle, config)
+    except IterationBoundError as exc:
+        raise click.UsageError(str(exc))
     except MaxItersExceededError as exc:
         _write(trace_out, exc.trace.to_csv_text(include_timings=timings))
         click.echo(str(exc), err=True)

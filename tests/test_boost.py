@@ -14,6 +14,7 @@ from seqboost import checks
 from seqboost.boost import (
     BoostConfig,
     BoostTrace,
+    IterationBoundError,
     IterationRecord,
     LogRatioOracle,
     MaxItersExceededError,
@@ -271,6 +272,18 @@ class TestIterationBound:
             iteration_bound(1.0, 1, math.nan)
         with pytest.raises(ValueError):
             iteration_bound(-1.0, 1, 0.1)
+
+    @pytest.mark.parametrize("epsilon", [1e-200, 1e-160])  # eps^2 is 0; the quotient is inf
+    def test_a_bound_that_is_not_finite_raises(self, epsilon):
+        assert issubclass(IterationBoundError, ValueError)
+        message = re.escape(f"epsilon {epsilon!r} is too small")
+        with pytest.raises(IterationBoundError, match=message):
+            iteration_bound(1.0, 2, epsilon)
+
+    def test_an_epsilon_whose_square_overflows_leaves_at_most_one_round(self):
+        assert iteration_bound(1.0, 2, 1e150) == 1  # eps^2 = 1e300, still a float
+        assert iteration_bound(1.0, 2, 1e200) == 1
+        assert iteration_bound(0.0, 2, 1e200) == 0
 
 
 class ConstantOracle:
