@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import click
@@ -107,8 +108,10 @@ def _write(path: Path, text: str) -> None:
 
 def _writable(*paths: Path) -> None:
     """``_write``'s usage error, before any work, for an output path that
-    cannot be written; a file made to find out is removed again."""
+    cannot be written; a file or directory made to find out is removed again,
+    so that only ``_write`` leaves directories behind."""
     for path in paths:
+        new_dirs = list(takewhile(lambda d: not d.exists(), (path.parent, *path.parent.parents)))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             made = not path.exists()
@@ -117,6 +120,9 @@ def _writable(*paths: Path) -> None:
                 path.unlink()
         except OSError as exc:
             raise click.UsageError(f"cannot write {path}: {exc}")
+        finally:
+            for directory in filter(Path.exists, new_dirs):  # the deepest first
+                directory.rmdir()
 
 
 def _load_corpus_checked(path, length, vocab=None):

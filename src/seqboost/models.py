@@ -113,7 +113,9 @@ class UniformModel(SequentialModel):
 class NGramModel(SequentialModel):
     """Order-k model: next token depends on the previous k-1 tokens.
 
-    Fitted conditionals are smoothed relative frequencies,
+    Row i of the read-only (K, n) ``table`` is q(. | contexts[i]); ``contexts``
+    is a tuple of K distinct id tuples, each at most k-1 long.  Fitted
+    conditionals are smoothed relative frequencies,
     (count + lambda) / (total + lambda * |smoothed alphabet|).  The pad token
     deterministically follows the pad, and unseen contexts fall back to the
     uniform distribution.
@@ -124,7 +126,8 @@ class NGramModel(SequentialModel):
         vocab: Vocabulary,
         length: int,
         order: int,
-        cond: dict[tuple[int, ...], np.ndarray],
+        contexts: tuple[tuple[int, ...], ...],
+        table: np.ndarray,
         lam: float = 0.0,
     ):
         if order < 1:
@@ -132,38 +135,47 @@ class NGramModel(SequentialModel):
         self.vocab = vocab
         self.length = length
         self.order = order
-        self.cond = cond
+        self.contexts = tuple(contexts)
+        self.table = np.asarray(table, dtype=np.float64).view()  # the caller's array stays writable
+        if self.table.shape != (len(self.contexts), vocab.n):
+            raise ValueError(f"table shape {self.table.shape} is not ({len(self.contexts)}, {vocab.n})")
+        self.table.flags.writeable = False
         self.lam = lam
+        self._row_of = dict(zip(self.contexts, range(len(self.contexts))))
+        if len(self._row_of) < len(self.contexts):
+            twice = next(c for i, c in enumerate(self.contexts) if self._row_of[c] != i)
+            raise ValueError(f"context {','.join(map(str, twice))!r} is listed twice")
         self._uniform = np.full(vocab.n, 1.0 / vocab.n)
+        # Gathered from: an unseen context reads row -1, then is overwritten, so it must exist.
+        self._source = self.table if len(self.table) else self._uniform.reshape(1, -1)
         self._pad_onehot = np.zeros(vocab.n)
         self._pad_onehot[PAD_ID] = 1.0
 
-    def _contexts(self, prefixes: np.ndarray) -> np.ndarray:
-        """The context columns of a (k, L) prefix array: its last order-1 (at most L)."""
-        return prefixes[:, prefixes.shape[1] - min(self.order - 1, prefixes.shape[1]) :]
+    def _rows(self, prefixes: np.ndarray) -> np.ndarray:
+        """The table row of each prefix's context (its last order-1 ids, at most
+        L), -1 for a context not in the table: one dictionary lookup per
+        distinct context (``row_numbers``), gathered back to the prefixes."""
+        contexts = prefixes[:, prefixes.shape[1] - min(self.order - 1, prefixes.shape[1]) :]
+        codes, first = row_numbers(contexts)
+        rows = [self._row_of.get(ctx, -1) for ctx in map(tuple, contexts[first].tolist())]
+        return np.array(rows, dtype=np.intp)[codes]
 
     def conditionals(self, prefixes: np.ndarray) -> np.ndarray:
-        """One dictionary lookup per distinct context (``row_numbers``), then a gather."""
         prefixes = np.asarray(prefixes)
-        contexts = self._contexts(prefixes)
-        codes, first = row_numbers(contexts)
-        table = np.array([
-            self.cond.get(ctx, self._uniform) for ctx in map(tuple, contexts[first].tolist())
-        ]).reshape(len(first), self.vocab.n)
-        out = table[codes]
+        rows = self._rows(prefixes)
+        out = self._source[rows]
+        out[rows < 0] = self._uniform
         if prefixes.shape[1]:
             out[prefixes[:, -1] == PAD_ID] = self._pad_onehot
         return out
 
     def token_probs(self, prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """One row lookup per prefix: no (k, n) array, which at a large n would
+        """One table entry per prefix: no (k, n) array, which at a large n would
         cost more than the lookups."""
         prefixes = np.asarray(prefixes)
-        cond, uniform = self.cond, self._uniform
-        out = np.array([
-            cond.get(ctx, uniform)[tok]
-            for ctx, tok in zip(map(tuple, self._contexts(prefixes).tolist()), tokens.tolist())
-        ]).reshape(len(prefixes))
+        rows = self._rows(prefixes)
+        out = self._source[rows, tokens]
+        out[rows < 0] = self._uniform[0]
         if prefixes.shape[1]:
             after_pad = prefixes[:, -1] == PAD_ID
             out[after_pad] = self._pad_onehot[tokens[after_pad]]
@@ -174,8 +186,8 @@ def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
     """Fit an order-k model by counting, with optional Laplace smoothing.
 
     Positions not after a pad are grouped by ``context_groups`` and counted
-    into one (contexts, n) table, smoothed and normalised in place; the
-    model's rows are its row views.  Smoothing mass is spread over the pad
+    into one (contexts, n) table, smoothed and normalised in place, which
+    becomes the model's table.  Smoothing mass is spread over the pad
     token only when padding actually occurs in the corpus; otherwise the pad
     keeps probability zero and the smoothed alphabet is the n-1 content tokens.
     """
@@ -200,7 +212,7 @@ def ngram_mle_fit(corpus: Corpus, order: int, lam: float = 0.0) -> NGramModel:
     if not np.isfinite(denom).all():
         raise ValueError(f"lambda {lam:g} is too large: a smoothed row sum overflows")
     table /= denom  # no row sum is 0: every context was counted at least once
-    return NGramModel(corpus.vocab, corpus.length, order, dict(zip(contexts, table)), lam)
+    return NGramModel(corpus.vocab, corpus.length, order, contexts, table, lam)
 
 
 def sequence_log_probs(model: SequentialModel, ids: np.ndarray) -> np.ndarray:

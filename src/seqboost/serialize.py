@@ -10,8 +10,9 @@ increasing token id, every entry that differs from it.  A fitted row repeats
 its smoothing value for every unseen token, so the file grows with the seen
 (context, token) pairs rather than with n per context.  The loader also reads
 the dense v1 rows, ``context=<ids>|<p> <p> ...``.  Rows are written and read
-in blocks of at most ``BLOCK_ENTRIES`` table entries, each checked as a whole;
-a loaded model's rows are row views of one (contexts, n) table.
+in blocks of at most ``BLOCK_ENTRIES`` table entries, each checked as a whole:
+the writer gathers each block of rows from the model's table in context
+order, and the reader parses each block into the table it gives the model.
 
 A reweighted model lists its factors, then the one reference model of its
 comparison factors under ``reference:`` (when it has any), then its base
@@ -24,7 +25,6 @@ with the reference, which must share the base's domain (``check_domain``).
 from __future__ import annotations
 
 import json
-from collections import Counter
 from itertools import chain, islice, repeat, takewhile
 from pathlib import Path
 
@@ -109,12 +109,13 @@ def model_to_text(model: SequentialModel) -> str:
         lines.insert(3, f"lambda={_fmt(model.lam)}")
         lines.insert(4, f"n={model.vocab.n}")
         lines.insert(5, f"length={model.length}")
-        contexts, n = sorted(model.cond), model.vocab.n
+        contexts, n = model.contexts, model.vocab.n
+        by_context = np.array(sorted(range(len(contexts)), key=contexts.__getitem__), dtype=np.intp)
         keys = [f"{i}:" for i in range(n)]
         for block in _row_blocks(len(contexts), n):
-            rows = np.array([model.cond[ctx] for ctx in contexts[block]], dtype=np.float64)
-            for ctx, row in zip(contexts[block], _sparse_rows(rows, keys)):
-                lines.append(f"context={','.join(map(str, ctx))}|{row}")
+            rows = by_context[block]
+            for i, row in zip(rows.tolist(), _sparse_rows(model.table[rows], keys)):
+                lines.append(f"context={','.join(map(str, contexts[i]))}|{row}")
     elif isinstance(model, UniformModel):
         lines.insert(1, "kind=uniform")
         lines.insert(2, f"n={model.vocab.n}")
@@ -255,14 +256,10 @@ def _model_from_lines(lines: list[str], idx: int) -> tuple[SequentialModel, int]
         order = int(meta["order"])
         rows = list(takewhile(lambda line: line.startswith("context="), lines[idx:]))
         idx += len(rows)
-        table = np.empty((len(rows), n))  # the model's rows are row views of it
+        table = np.empty((len(rows), n))  # the model's table
         blocks = _row_blocks(len(rows), n)
         contexts = [c for b in blocks for c in _parse_rows(rows[b], n, order, table[b])]
-        cond = dict(zip(contexts, table))
-        if len(cond) < len(contexts):
-            twice = next(c for c, k in Counter(contexts).items() if k > 1)
-            raise ValueError(f"context {','.join(map(str, twice))!r} is listed twice")
-        return NGramModel(vocab, length, order, cond, float(meta["lambda"])), idx
+        return NGramModel(vocab, length, order, contexts, table, float(meta["lambda"])), idx
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqboost.corpus import Corpus, Sequence, Vocabulary
-from seqboost.models import SequentialModel
+from seqboost.models import NGramModel, SequentialModel
 
 
 class StubModel(SequentialModel):
@@ -15,6 +15,18 @@ class StubModel(SequentialModel):
 
     def conditionals(self, prefixes):
         return np.tile(self._dist, (len(prefixes), 1))
+
+
+def ngram(vocab, length, order, cond, lam=0.0):
+    """The n-gram model whose row for each context of the dict ``cond`` is
+    ``cond[context]``, in the dict's order."""
+    table = np.array(list(cond.values()), dtype=float).reshape(len(cond), vocab.n)
+    return NGramModel(vocab, length, order, tuple(cond), table, lam)
+
+
+def ngram_rows(model):
+    """An n-gram model's rows by context, in its contexts' order."""
+    return dict(zip(model.contexts, model.table))
 
 
 @pytest.fixture

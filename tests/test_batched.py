@@ -58,7 +58,6 @@ from seqboost.exact import (
 )
 from seqboost.models import (
     PAD_ID,
-    NGramModel,
     SequentialModel,
     UniformModel,
     log_loss,
@@ -68,6 +67,8 @@ from seqboost.models import (
     sequence_log_probs,
 )
 from seqboost.serialize import model_from_text, model_to_text
+
+from conftest import ngram, ngram_rows
 
 
 def scalar(g):
@@ -353,7 +354,7 @@ def base_models(draw, vocab, length):
                     row = rng.random(vocab.n) * (rng.random(vocab.n) < 0.8)
                     row[rng.integers(vocab.n)] += 0.1
                     cond[ctx] = row / row.sum()
-        return NGramModel(vocab, length, order, cond)
+        return ngram(vocab, length, order, cond)
     probs = rng.random(vocab.n**length) * (rng.random(vocab.n**length) < 0.6)
     # Whole blocks of zeros: prefixes of length N-1 with no mass.
     probs.reshape(-1, vocab.n)[rng.random(vocab.n ** (length - 1)) < 0.4] = 0.0
@@ -1017,7 +1018,7 @@ def loop_ngram_fit(corpus, order, lam):
 @settings(max_examples=200, deadline=None)
 @given(corpora(), st.integers(1, 3), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 def test_ngram_fit_rows_are_the_loops_bit_for_bit(corpus, order, lam):
-    fitted = ngram_mle_fit(corpus, order, lam).cond
+    fitted = ngram_rows(ngram_mle_fit(corpus, order, lam))
     want = loop_ngram_fit(corpus, order, lam)
     assert list(fitted) == list(want)
     for ctx, row in want.items():
@@ -1085,8 +1086,9 @@ def test_row_numbers_sort_only_a_wide_key_space(monkeypatch, top, k, sorts):
 
 @st.composite
 def ngram_batches(draw):
-    """An order 1-4 n-gram with some contexts unseen, and a (k, L) prefix array,
-    k 0-12 and L 0-5 (so some prefixes are shorter than order-1), pads anywhere."""
+    """An order 1-4 n-gram with some contexts unseen, a (k, L) prefix array,
+    k 0-12 and L 0-5 (so some prefixes are shorter than order-1), pads anywhere,
+    and a next token for each prefix."""
     n, order = draw(st.integers(2, 5)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cond = {}
@@ -1098,19 +1100,25 @@ def ngram_batches(draw):
     rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=width, max_size=width),
                          min_size=0, max_size=12))
     prefixes = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-    return NGramModel(make_vocab(n), 6, order, cond), prefixes
+    tokens = draw(st.lists(st.integers(0, n - 1), min_size=len(rows), max_size=len(rows)))
+    return ngram(make_vocab(n), 6, order, cond), prefixes, np.array(tokens, dtype=np.int64)
 
 
-def assert_ngram_rows_are_dict_lookups(model, prefixes):
-    n, pad = model.vocab.n, np.eye(model.vocab.n)[PAD_ID]
-    want = [
+def assert_ngram_rows_are_dict_lookups(model, prefixes, tokens):
+    """``conditionals`` and ``token_probs`` against per-prefix lookups in the
+    model's rows by context, bit for bit."""
+    n, pad, rows = model.vocab.n, np.eye(model.vocab.n)[PAD_ID], ngram_rows(model)
+    want = np.array([
         pad if p and p[-1] == PAD_ID
-        else model.cond.get(tuple(p[max(0, len(p) - model.order + 1):]), np.full(n, 1.0 / n))
+        else rows.get(tuple(p[max(0, len(p) - model.order + 1):]), np.full(n, 1.0 / n))
         for p in prefixes.tolist()
-    ]
+    ]).reshape(len(prefixes), n)
     got = model.conditionals(prefixes)
     assert got.shape == (len(prefixes), n)
-    assert got.tobytes() == np.array(want).reshape(len(prefixes), n).tobytes()
+    assert got.tobytes() == want.tobytes()
+    probs = model.token_probs(prefixes, tokens)
+    assert probs.shape == (len(prefixes),)
+    assert probs.tobytes() == np.array([w[t] for w, t in zip(want, tokens.tolist())]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -1119,6 +1127,14 @@ def test_ngram_conditionals_are_per_row_dict_lookups_bit_for_bit(batch):
     assert_ngram_rows_are_dict_lookups(*batch)
 
 
+SIX_CONTEXTS = {ctx: np.array([0.0, 0.25, 0.75]) for ctx in [(), (1,), (2,), (1, 2), (0, 1), (1, 0)]}
+
+
+@pytest.mark.parametrize("make", [
+    lambda order: ngram(make_vocab(3), 6, order, SIX_CONTEXTS),
+    # A model file with no context= lines: every row not after a pad is uniform.
+    lambda order: model_from_text(model_to_text(ngram(make_vocab(3), 6, order, {}))),
+], ids=["six-contexts", "no-contexts"])
 @pytest.mark.parametrize("order, rows", [
     (3, np.zeros((0, 4), dtype=np.int64)),  # an empty batch
     (3, np.zeros((4, 0), dtype=np.int64)),  # width 0: the empty context
@@ -1127,9 +1143,10 @@ def test_ngram_conditionals_are_per_row_dict_lookups_bit_for_bit(batch):
     (3, np.array([[1, 1, 2], [2, 2, 2], [2, 1, 2]])),  # (2, 2) unseen
     (3, np.array([[1, 0, 0], [1, 2, 0], [0, 1, 1], [1, 0, 1]])),  # rows after a pad
 ])
-def test_ngram_conditionals_edge_cases(order, rows):
-    cond = {ctx: np.array([0.0, 0.25, 0.75]) for ctx in [(), (1,), (2,), (1, 2), (0, 1), (1, 0)]}
-    assert_ngram_rows_are_dict_lookups(NGramModel(make_vocab(3), 6, order, cond), rows)
+def test_ngram_conditionals_edge_cases(make, order, rows):
+    model = make(order)
+    for shift in range(3):
+        assert_ngram_rows_are_dict_lookups(model, rows, (np.arange(len(rows)) + shift) % 3)
 
 
 def scalar_bound(q, reference, corpus, cap):

@@ -36,8 +36,10 @@ from seqboost.distinguish import (
     token_indicator,
 )
 from seqboost.exact import JointTable, enumerate_joint, total_variation
-from seqboost.models import NGramModel, UniformModel, log_loss, ngram_mle_fit
+from seqboost.models import UniformModel, log_loss, ngram_mle_fit
 from seqboost.serialize import model_from_text, model_to_text
+
+from conftest import ngram
 
 
 def ab_table(pa, pb):
@@ -109,7 +111,7 @@ class TestStepwiseReweight:
         # the base's.  At b = 1e15 one rounding unit of a logit is 0.125, and the
         # rows would come out as [0, 0.3208, 0.6792]; at 1e308 the total is inf.
         vocab = make_vocab(3)
-        base = NGramModel(vocab, 2, 1, {(): np.array([0.0, 1 / 3, 2 / 3])})
+        base = ngram(vocab, 2, 1, {(): np.array([0.0, 1 / 3, 2 / 3])})
         g = token_indicator(vocab, 1)
         at_bound = ReweightedModel(base, [(2.0**22, g), (2.0**22, g.flipped())])
         assert at_bound.weight_total == 2.0**23

@@ -158,6 +158,12 @@ class TestConfig:
         result = self.invoke(runner, "boost", "corpus = missing.txt\nlength = 2\noutdir = out\n")
         assert result.exit_code == 2
         assert not (aab / "out").exists()
+        # Both paths are probed before boosting refuses the epsilon: no directory is left.
+        result = runner.invoke(main, ["boost", "--corpus", "aab.txt", "--length", "2",
+                                      "--epsilon", "1e-200", "--trace-out", "newdir/a/t.csv",
+                                      "--model-out", "newdir/b/m.txt"])
+        assert result.exit_code == 2, result.output
+        assert not (aab / "newdir").exists()
         result = runner.invoke(main, ["boost", "--corpus", "aab.txt", "--length", "2",
                                       "--epsilon", "0.2", "--trace-out", "new/t.csv",
                                       "--model-out", "new/deeper/m.txt"])

@@ -39,7 +39,7 @@ from seqboost.models import (
 from seqboost import serialize
 from seqboost.serialize import load_model, model_from_text, model_to_text, save_model
 
-from conftest import StubModel
+from conftest import StubModel, ngram, ngram_rows
 
 
 def log_prob(model, ids):
@@ -71,6 +71,24 @@ class TestNGramFit:
         with pytest.raises(ValueError):
             ngram_mle_fit(aaab_corpus, order=0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3), (3, 2), (9,), (1, 3, 3)])
+    def test_table_without_one_row_per_context_rejected(self, ab_vocab, shape):
+        with pytest.raises(ValueError, match=re.escape(f"table shape {shape} is not (3, 3)")):
+            NGramModel(ab_vocab, 2, 2, [(), (1,), (2,)], np.full(shape, 1 / 3))
+
+    @pytest.mark.parametrize("contexts, label", [
+        ([(), (1,), ()], ""),
+        ([(1,), (2,), (2,)], "2"),
+        ([(1, 2), (2, 1), (1, 2)], "1,2"),
+    ])
+    def test_context_listed_twice_rejected(self, ab_vocab, contexts, label):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'context {label!r} is listed twice')}$"):
+            NGramModel(ab_vocab, 2, 3, contexts, np.full((3, 3), 1 / 3))
+
+    def test_table_is_read_only(self, aaab_corpus):
+        model = ngram_mle_fit(aaab_corpus, order=2)
+        assert model.contexts == ((),) and not model.table.flags.writeable
+
     def test_overflowing_row_sum_rejected_without_a_warning(self, aaab_corpus):
         # 1e308 is finite, but two content tokens smoothed by it sum past the
         # largest double.
@@ -95,11 +113,11 @@ class TestNGramFit:
         base_loss = log_loss(mle, corpus).log_loss
         for _ in range(50):
             cond = {}
-            for ctx, dist in mle.cond.items():
+            for ctx, dist in ngram_rows(mle).items():
                 noise = rng.random(vocab.n) * 0.05
                 bumped = dist + noise * (dist > 0)  # keep the support intact
                 cond[ctx] = bumped / bumped.sum()
-            perturbed = type(mle)(vocab, corpus.length, mle.order, cond)
+            perturbed = ngram(vocab, corpus.length, mle.order, cond)
             assert log_loss(perturbed, corpus).log_loss >= base_loss - 1e-12
 
 
@@ -400,7 +418,7 @@ def random_row(rng, n, shape):
 def random_bigram(rng, vocab, length):
     cond = {(): random_row(rng, vocab.n, "distinct")}
     cond.update({(t,): random_row(rng, vocab.n, "distinct") for t in range(vocab.n)})
-    return NGramModel(vocab, length, 2, cond)
+    return ngram(vocab, length, 2, cond)
 
 
 class TestNGramFile:
@@ -424,13 +442,14 @@ class TestNGramFile:
         for shape in shapes:
             ctx = tuple(int(t) for t in rng.integers(0, n, size=rng.integers(0, order)))
             cond[ctx] = random_row(rng, n, shape)
-        model = NGramModel(vocab, 3, order, cond, lam=float(rng.random()))
+        model = ngram(vocab, 3, order, cond, lam=float(rng.random()))
         loaded = model_from_text(model_to_text(model))
         assert (loaded.order, loaded.lam, loaded.length, loaded.vocab) == (
             model.order, model.lam, model.length, model.vocab)
-        assert loaded.cond.keys() == cond.keys()
+        rows = ngram_rows(loaded)
+        assert rows.keys() == cond.keys()
         for ctx, row in cond.items():
-            assert loaded.cond[ctx].tobytes() == row.tobytes()
+            assert rows[ctx].tobytes() == row.tobytes()
 
     def test_dense_v1_file_still_loads(self):
         # The bigram fitted with lambda 0.5 on a a / a b / b at length 2, as v1 wrote it.
@@ -447,9 +466,10 @@ class TestNGramFile:
         )
         fitted = ngram_mle_fit(corpus, 2, 0.5)
         loaded = model_from_text(text)
-        assert loaded.cond.keys() == fitted.cond.keys()
-        for ctx, row in fitted.cond.items():
-            assert loaded.cond[ctx].tobytes() == row.tobytes()
+        rows, want = ngram_rows(loaded), ngram_rows(fitted)
+        assert rows.keys() == want.keys()
+        for ctx, row in want.items():
+            assert rows[ctx].tobytes() == row.tobytes()
 
     def test_fitted_bigram_writes_its_seen_pairs_not_n_per_context(self):
         rng = np.random.default_rng(5)
@@ -507,9 +527,10 @@ def reference_parse_row(body, n, order):
 def reference_model_text(model):
     """``model_to_text`` of an n-gram model, its rows written one at a time."""
     head = [line for line in model_to_text(model).splitlines() if not line.startswith("context=")]
+    rows = ngram_rows(model)
     return "\n".join(head + [
-        f"context={','.join(map(str, ctx))}|{reference_sparse_row(np.asarray(model.cond[ctx]))}"
-        for ctx in sorted(model.cond)
+        f"context={','.join(map(str, ctx))}|{reference_sparse_row(rows[ctx])}"
+        for ctx in sorted(rows)
     ])
 
 
@@ -552,7 +573,7 @@ def random_tricky_model(seed, n, order, contexts):
     for _ in range(contexts):
         ctx = tuple(int(t) for t in rng.integers(0, n, size=rng.integers(0, order)))
         cond[ctx] = tricky_row(rng, n)
-    return NGramModel(make_vocab(n), 3, order, cond, lam=0.5)
+    return ngram(make_vocab(n), 3, order, cond, lam=0.5)
 
 
 class TestBlockedRows:
@@ -568,10 +589,11 @@ class TestBlockedRows:
             loaded = model_from_text(text)
         assert text == reference_model_text(model)
         expected = reference_rows(text, n, order)
-        assert list(loaded.cond) == list(expected)
+        rows, written = ngram_rows(loaded), ngram_rows(model)
+        assert list(rows) == list(expected)
         for ctx, row in expected.items():
-            assert loaded.cond[ctx].tobytes() == row.tobytes()
-            assert loaded.cond[ctx].tobytes() == model.cond[ctx].tobytes()
+            assert rows[ctx].tobytes() == row.tobytes()
+            assert rows[ctx].tobytes() == written[ctx].tobytes()
 
     def test_ties_and_signed_zeros_pick_the_per_row_fill(self):
         rows = np.array([
@@ -630,9 +652,10 @@ class TestBlockedRows:
             return
         with mock.patch.object(serialize, "BLOCK_ENTRIES", per_block * n):
             loaded = model_from_text(text)
-        assert list(loaded.cond) == list(expected)
+        rows = ngram_rows(loaded)
+        assert list(rows) == list(expected)
         for ctx, row in expected.items():
-            assert loaded.cond[ctx].tobytes() == row.tobytes()
+            assert rows[ctx].tobytes() == row.tobytes()
 
 
 class TestLogRatioFile:
