@@ -15,6 +15,10 @@ artefacts:
   ``enumerate_joint`` bytes of the boosted models;
 - ``ngram_mle_fit`` model text at orders 1-3 and lambda 0 and 0.5, on those
   corpora and on one Zipf corpus whose bigram spans several row blocks;
+- a token-indicator boost from a uniform start on the Zipf corpus's first
+  200 lines at epsilon 0.1: its trace, its model file and the reloaded
+  model's loss.  Ids above 255 put the corpus's prefix index in another
+  order when its sort is not lexicographic; no output may depend on that;
 - ``default_suites()`` at partition scales 1.0 and 1.01.
 """
 
@@ -23,7 +27,8 @@ import hashlib
 import numpy as np
 
 from seqboost import (
-    BoostConfig, Corpus, UniformModel, Vocabulary, enumerate_joint, ngram_mle_fit, run_boost,
+    BoostConfig, Corpus, UniformModel, Vocabulary, enumerate_joint, log_loss, ngram_mle_fit,
+    run_boost,
 )
 from seqboost.boost import make_oracle
 from seqboost.checks import default_suites, make_vocab, random_corpus
@@ -77,10 +82,19 @@ def main() -> int:
             for prefixes in corpus.prefix_index[0]:
                 add(f"{kind} reload conditionals", loaded.conditionals(prefixes).tobytes())
             add(f"{kind} joints", enumerate_joint(model).probs.tobytes())
-    for corpus in samples + [zipf_corpus()]:
+    zipf = zipf_corpus()
+    for corpus in samples + [zipf]:
         for order in (1, 2, 3):
             for lam in (0.0, 0.5):
                 add("ngram_mle_fit model files", model_to_text(ngram_mle_fit(corpus, order, lam)))
+    head = Corpus(zipf.vocab, zipf.length, zipf.ids[:200])
+    model, trace = run_boost(UniformModel(head.vocab, head.length), head,
+                             make_oracle("token-indicator"), BoostConfig(epsilon=0.1))
+    text = model_to_text(model)
+    artefact = "zipf token-indicator boost"
+    add(artefact, trace.to_csv_text())
+    add(artefact, text)
+    add(artefact, log_loss(model_from_text(text), head).log_loss.hex())
     for scale in (1.0, 1.01):
         for r in default_suites(scale):
             add(f"default_suites({scale})", f"{r.name},{r.instances},{r.min_slack.hex()},{r.passed}\n")

@@ -115,14 +115,6 @@ class Sequence:
         return self.token_ids[:j]
 
 
-def row_keys(prefixes: np.ndarray) -> np.ndarray:
-    """One byte key per row of a C-contiguous (k, L) int64 array, a ``np.void``
-    view of its rows: equal rows have equal keys, and keys sort as bytes,
-    however large n^L is.  Every empty prefix has the same key."""
-    k, L = prefixes.shape
-    return prefixes.view(f"V{8 * L}").reshape(k) if L else np.zeros(k, dtype="V1")
-
-
 def sequence_index(vocab: Vocabulary, ids) -> np.ndarray:
     """Lexicographic index of a token-id tuple (an integer), or of every row of
     an (..., L) id array (an array of shape (...)): its ids read as base-n digits."""
@@ -139,24 +131,24 @@ def row_numbers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below k: no row sort.  A column's keys (number so far * base + entry + 1)
     lie below the distinct numbers so far times base.  When that key space is
     at most 4k, the keys are numbered by counting: a presence array's
-    ``cumsum`` numbers them in order, and ``np.minimum.at`` finds each
-    number's first row.  A wider key space takes one 1-D ``np.unique``.
-    (``np.minimum.at`` is fast from numpy 1.25 on; on 1.24 it is correct but
-    slower.)
+    ``cumsum`` numbers them in order.  A wider key space takes one 1-D
+    ``np.unique``.  After the last column, one ``np.minimum.at`` finds each
+    number's first row.  (``np.minimum.at`` is fast from numpy 1.25 on; on
+    1.24 it is correct but slower.)
     """
     k, base = len(rows), int(rows.max(initial=0)) + 2  # above every entry + 1
-    codes, first = np.zeros(k, dtype=np.int64), np.arange(min(k, 1))
+    codes, count = np.zeros(k, dtype=np.int64), min(k, 1)
     for col in rows.T:
-        keys, span = codes * base + col + 1, len(first) * base
+        keys, span = codes * base + col + 1, count * base
         if span > 4 * k:
-            _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
-            continue
-        present = np.zeros(span, dtype=bool)
-        present[keys] = True
-        numbers = present.cumsum() - 1
-        codes = numbers[keys]
-        first = np.full(np.count_nonzero(present), k, dtype=np.intp)
-        np.minimum.at(first, codes, np.arange(k))
+            distinct, codes = np.unique(keys, return_inverse=True)
+            count = len(distinct)
+        else:
+            present = np.zeros(span, dtype=bool)
+            present[keys] = True
+            codes, count = (present.cumsum() - 1)[keys], np.count_nonzero(present)
+    first = np.full(count, k, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(k))
     return codes, first
 
 
@@ -235,14 +227,15 @@ class Corpus:
 
     @cached_property
     def _prefix_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The rows sorted once, by the ``row_keys`` of the whole row, so that
-        the distinct prefixes of each length L = 0..N come in key order, each
-        a run of sorted rows: the sorted rows, the sort order, the (N + 1, m)
+        """The rows sorted once, lexicographically, so that the distinct
+        prefixes of each length L = 0..N come in lexicographic order, each a
+        run of sorted rows: the sorted rows, the sort order, the (N + 1, m)
         mask of the sorted rows that start a run of L-token prefixes, and the
         (m, N + 1) number of every row's L-token prefix among the runs,
-        stacked by length."""
+        stacked by length.  The sort compares each row's big-endian bytes as
+        one key: ids are nonnegative, so bytes compare as the ids do."""
         ids, (m, N) = self.ids, self.ids.shape
-        order = row_keys(np.ascontiguousarray(ids)).argsort()
+        order = ids.astype(">i8").view(f"V{8 * N}").reshape(m).argsort()
         ordered = ids.take(order, axis=0)
         starts = np.empty((N + 1, m), dtype=bool)
         starts[:, :1] = True
@@ -256,7 +249,7 @@ class Corpus:
     def prefix_index(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """The distinct prefixes of the rows, and where each position's is.
         For each length L < N, the (K_L, L) array of the distinct
-        ``ids[:, :L]`` in ``row_keys`` order; and the (m, N) array whose entry
+        ``ids[:, :L]`` in lexicographic order; and the (m, N) array whose entry
         (i, j) is the row of ``ids[i, :j]`` in those arrays stacked by length.
         Every array is read-only."""
         ordered, _, starts, numbers = self._prefix_runs
@@ -273,7 +266,7 @@ class Corpus:
         position.  Position (i, j)'s cell is ``ids[i, :j + 1]``, so the cells
         are the runs of lengths 1..N.  Both arrays are read-only."""
         _, order, starts, numbers = self._prefix_runs
-        at, r = np.nonzero(starts[1:])  # the runs by length, then in key order
+        at, r = np.nonzero(starts[1:])  # the runs by length, then in lexicographic order
         first, cell = order[r] * self.length + at, numbers[:, 1:] - min(self.m, 1)
         first.flags.writeable = cell.flags.writeable = False
         return first, cell

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -110,13 +109,6 @@ class JointTable(SequentialModel):
         """One gather from the level of the prefixes' length."""
         prefixes = np.asarray(prefixes)
         return self._levels[prefixes.shape[1]][sequence_index(self.vocab, prefixes)]
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sequence,prob\n")
-            for ids, p in zip(self.ids.tolist(), self.probs):
-                label = " ".join(self.vocab.token_of(t) for t in ids)
-                fh.write(f"{label},{p:.17g}\n")
 
 
 def enumerate_joint(

@@ -76,10 +76,9 @@ class SequentialModel(abc.ABC):
 
 @dataclass(frozen=True)
 class LossReport:
-    """Mean negative log-likelihood (nats per sequence) with per-sequence terms."""
+    """Mean negative log-likelihood (nats per sequence)."""
 
     log_loss: float
-    per_sequence: tuple[float, ...]
 
 
 class UniformModel(SequentialModel):
@@ -262,7 +261,7 @@ def loss_report(log_probs: np.ndarray) -> LossReport:
         )
     per = (-log_probs).tolist()
     # Fixed index order keeps the mean bit-reproducible.
-    return LossReport(sum(per) / len(per), tuple(per))
+    return LossReport(sum(per) / len(per))
 
 
 def check_corpus(model: SequentialModel, corpus: Corpus) -> None:
@@ -308,9 +307,10 @@ class LogLinearModel:
     """q(x) proportional to exp(<theta, f(x)>) over an enumerated domain.
 
     ``ids`` is the (k, N) domain, one sequence of ``vocab``'s token ids per
-    row, and ``features`` its (k, d) matrix, each entry in [0, 1].  The
-    partition function is computed by exact enumeration over the domain
-    (log-sum-exp); there is no sampling-based estimator.
+    row, and ``features`` its (k, d) matrix, each entry in [0, 1].
+    ``all_probs`` normalises by the partition function, summed exactly over
+    the domain after a shift by the largest score; there is no
+    sampling-based estimator.
     """
 
     def __init__(
@@ -350,11 +350,6 @@ class LogLinearModel:
 
     def scores(self) -> np.ndarray:
         return self.features @ self.theta
-
-    def log_partition(self) -> float:
-        s = self.scores()
-        smax = float(s.max())
-        return smax + math.log(np.exp(s - smax).sum())
 
     def all_probs(self) -> np.ndarray:
         """q over the domain, row i of ``ids`` at index i."""

@@ -11,7 +11,6 @@ from seqboost.corpus import (
     Sequence,
     Vocabulary,
     load_corpus,
-    row_keys,
     save_corpus,
 )
 from seqboost.distinguish import Distinguisher
@@ -170,18 +169,17 @@ def repeating_corpora(draw):
     return Corpus(vocab, length, tuple(Sequence.from_ids(r, length) for r in rows))
 
 
-@settings(deadline=None, max_examples=150)
-@given(repeating_corpora())
-def test_the_prefix_index_gathers_back_every_prefix(corpus):
+def assert_prefix_index_gathers_back(corpus):
+    """Each length's distinct prefixes are listed once, in lexicographic
+    order, and the row map and the (prefix, token) cells gather back every
+    position's prefix and cell."""
     index, ids, N = corpus.prefix_index, corpus.ids, corpus.length
     assert corpus.prefix_index is index  # built once
     distinct, rows = index
     assert len(distinct) == N and rows.shape == ids.shape
     for L, prefixes in enumerate(distinct):
-        assert prefixes.shape == (len({tuple(r) for r in ids[:, :L].tolist()}), L)
-        # Unique and in key order: the keys' bytes strictly increase.
-        keys = [k.tobytes() for k in row_keys(prefixes)]
-        assert keys == sorted(set(keys))
+        assert prefixes.shape[1] == L
+        assert list(map(tuple, prefixes.tolist())) == sorted({tuple(r) for r in ids[:, :L].tolist()})
     # Each prefix padded with -1 to N, stacked by length, gathered through the row map.
     stacked = np.concatenate([np.pad(p, ((0, 0), (0, N - p.shape[1])), constant_values=-1)
                               for p in distinct])
@@ -198,6 +196,27 @@ def test_the_prefix_index_gathers_back_every_prefix(corpus):
     assert len(first) == len(set(pairs)) and cell.shape == ids.shape
     assert [pairs[first[c]] for c in cell.reshape(-1)] == pairs
     assert not first.flags.writeable and not cell.flags.writeable
+
+
+@settings(deadline=None, max_examples=150)
+@given(repeating_corpora())
+def test_the_prefix_index_gathers_back_every_prefix(corpus):
+    assert_prefix_index_gathers_back(corpus)
+
+
+def test_the_prefix_index_is_lexicographic_above_256_tokens():
+    """Ids above 255 take more than one byte, so a sort of the rows' bytes is
+    lexicographic only when each id's high bytes come first: 200 lines of 1-8
+    tokens drawn from a Zipf law over 300 tokens (n = 301)."""
+    rng = np.random.default_rng(0)
+    n, length, m = 301, 8, 200
+    weights = 1.0 / np.arange(1, n) ** 1.1
+    ids = np.zeros((m, length), dtype=np.int64)
+    for i, k in enumerate(rng.integers(1, length + 1, size=m).tolist()):
+        ids[i, :k] = rng.choice(np.arange(1, n), size=k, p=weights / weights.sum())
+    corpus = Corpus(Vocabulary.build(f"w{t}" for t in range(1, n)), length, ids)
+    assert corpus.ids.max() > 255
+    assert_prefix_index_gathers_back(corpus)
 
 
 def test_save_corpus_rejects_rows_it_cannot_write(tmp_path):

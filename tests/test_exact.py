@@ -389,16 +389,3 @@ class TestFiniteDiff:
     def test_h_must_be_positive(self):
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda t: 0.0, np.zeros(2), 0.0)
-
-
-def test_joint_table_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    vocab = make_vocab(3)
-    table = random_table(rng, vocab, 2)
-    path = tmp_path / "t.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sequence,prob"
-    assert len(lines) == 1 + vocab.n**2
-    total = sum(float(ln.rsplit(",", 1)[1]) for ln in lines[1:])
-    assert total == pytest.approx(1.0, abs=1e-12)
